@@ -3,7 +3,8 @@
 Library surface:
 
 * model        per-band delay formula, aggregate objective, feasibility
-* optimizer    closed-form / numeric / grid solvers for the optimal split
+* optimizer    optimal rate split (exact solver, heavy-traffic closed form,
+               grid oracle)
 * schedulers   per-packet band selection policies (token bucket and rivals)
 * engine       deterministic discrete-event simulator
 * runner       schemes x seeds orchestration, CSV/JSONL records, compare
@@ -12,13 +13,13 @@ Library surface:
 
 from .config import BandConfig, FlowConfig, ScenarioConfig
 from .distributions import DistributionSpec
-from .engine import Packet, SimState, run, run_scenario, run_scenario_detailed
+from .engine import Packet, SimState, run_scenario, run_scenario_detailed
 from .errors import (
     AllBandsUnavailable,
     BandsplitError,
     BracketFailure,
-    BranchInvalid,
     ConfigInvalid,
+    ConservationViolated,
     DimensionTooLarge,
     DuplicateSeq,
     Infeasible,
@@ -48,13 +49,11 @@ from .model import (
 )
 from .optimizer import (
     LagrangeSolution,
-    OptimizerConfig,
     gamma_approx,
     lambda_star_given_gamma,
     optimize,
     solve_closed_form,
     solve_grid,
-    solve_numeric,
 )
 from .reorder import ReorderBuffer
 from .runner import compare, read_records, run_suite, write_records

@@ -26,6 +26,7 @@ from .config import ScenarioConfig
 from .distributions import DistributionSpec, Sampler
 from .errors import (
     ConfigInvalid,
+    ConservationViolated,
     InsufficientSamples,
     OptimizerError,
     OverloadDetected,
@@ -482,8 +483,11 @@ class SimState:
     def _report(self) -> MetricsReport:
         generated = sum(fr.generated for fr in self.flows)
         delivered = sum(fr.delivered for fr in self.flows)
-        # Conservation is structural; a mismatch is an engine bug.
-        assert generated == delivered + self.queued_total() + self.in_transit + self.pending_reorder()
+        held = self.queued_total() + self.in_transit + self.pending_reorder()
+        if generated != delivered + held:
+            raise ConservationViolated(
+                f"generated {generated} != delivered {delivered} + held {held}"
+            )
 
         lat_all = np.concatenate([np.frombuffer(fr.lat, dtype=float) for fr in self.flows]) if any(
             len(fr.lat) for fr in self.flows
@@ -547,10 +551,3 @@ def run_scenario_detailed(
     state = SimState(config, scheduler_spec, seed)
     report = state.run()
     return report, state
-
-
-def run(config: ScenarioConfig, seed: int) -> MetricsReport:
-    """Single-scheduler convenience wrapper."""
-    if len(config.schedulers) != 1:
-        raise ConfigInvalid("run(config, seed) needs exactly one scheduler in the config")
-    return run_scenario(config, config.schedulers[0], seed)

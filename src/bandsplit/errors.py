@@ -30,12 +30,9 @@ class Overload(OptimizerError):
     """Total offered rate at or beyond aggregate capacity."""
 
 
-class BranchInvalid(OptimizerError):
-    """A sign-branch candidate has a non-positive radicand; discard it."""
-
-
 class NoFeasibleBranch(OptimizerError):
-    """No sign branch of the closed form produced a feasible allocation."""
+    """The stationary rates at a multiplier are undefined (non-positive
+    radicand) or infeasible (a rate outside (0, rho_max * mu))."""
 
 
 class BracketFailure(OptimizerError):
@@ -68,6 +65,10 @@ class DuplicateSeq(BandsplitError):
 
 class ConfigInvalid(BandsplitError):
     """Scenario configuration failed validation; message names the field."""
+
+
+class ConservationViolated(BandsplitError):
+    """Packet accounting does not balance at the end of a run (an engine bug)."""
 
 
 class OverloadDetected(BandsplitError):

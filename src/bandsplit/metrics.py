@@ -1,10 +1,10 @@
 """Per-run metrics and their flat record form.
 
-The CSV / JSON-lines record column order is fixed:
-
-    scenario, scheduler, seed, delivered, goodput_pps, mean_latency_s,
-    p95_latency_s, mean_reseq_delay_s, max_reseq_delay_s,
-    out_of_order_frac, band_frac_0 .. band_frac_{M-1}
+RECORD_FIELDS is the one record schema: the CSV / JSON-lines columns in
+their fixed order with their types, followed by one float column
+band_frac_<j> per band.  Writing (MetricsReport.record, record_columns),
+reading (runner.read_records) and comparing (runner.compare) all derive
+from it.
 
 Extra diagnostic fields (generated counts, waiting/service split,
 per-band transport delay) live on the report object only.
@@ -13,6 +13,23 @@ per-band transport delay) live on the report object only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+RECORD_FIELDS: tuple[tuple[str, type], ...] = (
+    ("scenario", str),
+    ("scheduler", str),
+    ("seed", int),
+    ("delivered", int),
+    ("goodput_pps", float),
+    ("mean_latency_s", float),
+    ("p95_latency_s", float),
+    ("mean_reseq_delay_s", float),
+    ("max_reseq_delay_s", float),
+    ("out_of_order_frac", float),
+)
+BAND_FRAC_PREFIX = "band_frac_"
+
+# The per-run metrics that compare() pairs across schemes.
+METRIC_FIELDS = tuple(name for name, typ in RECORD_FIELDS if typ is float)
 
 
 @dataclass(frozen=True)
@@ -38,35 +55,13 @@ class MetricsReport:
 
     def record(self) -> dict:
         """Flat record in the fixed output column order."""
-        rec = {
-            "scenario": self.scenario,
-            "scheduler": self.scheduler,
-            "seed": self.seed,
-            "delivered": self.delivered,
-            "goodput_pps": self.goodput_pps,
-            "mean_latency_s": self.mean_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "mean_reseq_delay_s": self.mean_reseq_delay_s,
-            "max_reseq_delay_s": self.max_reseq_delay_s,
-            "out_of_order_frac": self.out_of_order_frac,
-        }
+        rec = {name: getattr(self, name) for name, _ in RECORD_FIELDS}
         for j, frac in enumerate(self.per_band_frac):
-            rec[f"band_frac_{j}"] = frac
+            rec[f"{BAND_FRAC_PREFIX}{j}"] = frac
         return rec
 
 
 def record_columns(num_bands: int) -> list[str]:
-    cols = [
-        "scenario",
-        "scheduler",
-        "seed",
-        "delivered",
-        "goodput_pps",
-        "mean_latency_s",
-        "p95_latency_s",
-        "mean_reseq_delay_s",
-        "max_reseq_delay_s",
-        "out_of_order_frac",
-    ]
-    cols.extend(f"band_frac_{j}" for j in range(num_bands))
+    cols = [name for name, _ in RECORD_FIELDS]
+    cols.extend(f"{BAND_FRAC_PREFIX}{j}" for j in range(num_bands))
     return cols

@@ -4,21 +4,22 @@ Minimizes the arrival-weighted mean delay F(lam_1..lam_M) subject to
 sum(lam_j) = lam, 0 < lam_j < mu_j.  F is strictly convex on that set, so
 the stationarity system has a unique solution.  Setting dF/dlam_j equal to
 a common multiplier ``gamma`` turns each band's condition into a quadratic
-whose roots are
+whose only root below mu_j is
 
-    lam_j(gamma) = mu_j +- mu_j^2 * sqrt(vbar_j * x2_j) / sqrt(D_j(gamma))
+    lam_j(gamma) = mu_j - mu_j^2 * sqrt(vbar_j * x2_j) / sqrt(D_j(gamma))
     D_j(gamma)   = mu_j^2 * vbar_j * x2_j - mu_j * v2_j
                    + (2 * lam * gamma * mu_j - 2) * vbar_j
 
-The '+' root always exceeds mu_j and is never feasible, so the working
-branch is all-minus.  Three solvers share this structure:
+(the other root exceeds mu_j and is never feasible).
 
-* solve_closed_form: gamma from the heavy-traffic approximation
-  (valid when 2*lam is much larger than every mu_j), candidate rescaled
-  onto the sum constraint, sign branches enumerated all-minus first.
-* solve_numeric: gamma found by bisection on sum(lam_j(gamma)) - lam,
-  which is monotone in gamma; bands driven non-positive are excluded and
-  the reduced system re-solved (active set).
+* optimize: the exact split.  gamma is found by bisection on
+  sum(lam_j(gamma)) - lam, which is monotone in gamma; bands driven
+  non-positive are excluded and the reduced system re-solved (active
+  set).  Falls back to the grid oracle if bracketing or the active-set
+  step fails.
+* solve_closed_form: the paper's heavy-traffic split, lam_j(gamma) at the
+  approximate multiplier gamma_approx rescaled onto the sum constraint;
+  close to the optimum only when 2*lam is much larger than every mu_j.
 * solve_grid: exhaustive simplex grid search with zoom refinement, kept
   as an independent verification oracle.
 """
@@ -27,47 +28,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    BracketFailure,
-    BranchInvalid,
-    DimensionTooLarge,
-    NoFeasibleBranch,
-    Overload,
-)
+from .errors import BracketFailure, DimensionTooLarge, NoFeasibleBranch, Overload
 from .model import RHO_MAX, BandStats, RateAllocation, aggregate_delay
 
 CLOSED_FORM = "closed_form_approx"
 NUMERIC = "numeric_gamma"
 GRID = "grid_fallback"
 
-# Components at or below this fraction of the total rate are treated as
-# driven to the boundary and excluded by the active-set step.
-_ZERO_RATE = 0.0
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    grid_resolution: int = 256
-    gamma_bracket: tuple[float, float] = (1e-12, 1.0)
-    tolerance: float = 1e-12
-    approx_threshold: float = 10.0
-    rho_max: float = RHO_MAX
-    refine_rounds: int = 2
-
-    def __post_init__(self) -> None:
-        if self.grid_resolution < 64:
-            raise ValueError("grid_resolution must be >= 64")
-        if not (self.gamma_bracket[0] > 0 and self.gamma_bracket[1] > 0):
-            raise ValueError("gamma_bracket bounds must be positive")
-        if not (self.tolerance > 0 and self.approx_threshold > 0):
-            raise ValueError("tolerance and approx_threshold must be positive")
-        if not 0 < self.rho_max < 1:
-            raise ValueError("rho_max must be in (0, 1)")
+_GRID_RESOLUTION = 256
+_GRID_REFINE_ROUNDS = 2
+_GAMMA_BRACKET = (1e-12, 1.0)
+_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,24 +50,21 @@ class LagrangeSolution:
     """Result of one solve.
 
     ``gamma`` is the sum-constraint multiplier (NaN for the grid oracle),
-    ``branch`` the sign vector used (+1/-1 per band), ``method`` one of
-    CLOSED_FORM / NUMERIC / GRID.  ``alloc`` components are strictly
-    positive except for bands excluded by the active-set step, which are
-    exactly 0.0.
+    ``method`` one of CLOSED_FORM / NUMERIC / GRID.  ``alloc`` components
+    are strictly positive except for bands excluded by the active-set
+    step, which are exactly 0.0.
     """
 
     gamma: float
     alloc: RateAllocation
     objective: float
-    branch: tuple[int, ...]
     method: str
 
 
 def gamma_approx(lambda_total: float, mus: Sequence[float]) -> float:
     """Heavy-traffic approximation of the multiplier.
 
-    gamma ~= (sum_j mu_j^(3/2))^2 / (2 * lam * (sum_j mu_j - lam)^2); the
-    uniform sign under the square makes the branch choice drop out.
+    gamma ~= (sum_j mu_j^(3/2))^2 / (2 * lam * (sum_j mu_j - lam)^2).
     """
     if any(mu <= 0 for mu in mus):
         raise ValueError("service rates must be positive")
@@ -114,111 +86,64 @@ def _radicand(gamma: float, st: BandStats, lambda_total: float) -> float:
 
 
 def lambda_star_given_gamma(
-    gamma: float,
-    stats: Sequence[BandStats],
-    lambda_total: float,
-    branch: Sequence[int],
+    gamma: float, stats: Sequence[BandStats], lambda_total: float
 ) -> list[float]:
-    """Per-band candidate rates for a given multiplier and sign branch.
+    """Per-band stationary rates lam_j(gamma) for a given multiplier.
 
-    No feasibility guarantee; callers filter.  Raises BranchInvalid when
-    any radicand is non-positive, which marks the branch as unusable.
+    No feasibility guarantee; callers filter.  Raises NoFeasibleBranch
+    when any radicand is non-positive.
     """
-    if len(branch) != len(stats):
-        raise ValueError("branch and stats lengths differ")
     out = []
-    for sign, st in zip(branch, stats):
-        if sign not in (-1, 1):
-            raise ValueError(f"branch entries must be +-1, got {sign}")
+    for st in stats:
         d = _radicand(gamma, st, lambda_total)
         if d <= 0.0:
-            raise BranchInvalid(f"radicand {d} <= 0 at gamma={gamma}")
-        out.append(st.mu + sign * st.mu**2 * math.sqrt(st.vbar * st.x2) / math.sqrt(d))
+            raise NoFeasibleBranch(f"radicand {d} <= 0 at gamma={gamma}")
+        out.append(st.mu - st.mu**2 * math.sqrt(st.vbar * st.x2) / math.sqrt(d))
     return out
 
 
-def _validate_instance(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig
-) -> None:
+def _validate_instance(lambda_total: float, stats: Sequence[BandStats]) -> None:
     if not stats:
         raise ValueError("need at least one band")
     for st in stats:
         st.validate()
-    cap = cfg.rho_max * sum(st.mu for st in stats)
+    cap = RHO_MAX * sum(st.mu for st in stats)
     if lambda_total >= cap:
-        raise Overload(f"lambda={lambda_total} >= {cfg.rho_max} * capacity ({cap})")
+        raise Overload(f"lambda={lambda_total} >= {RHO_MAX} * capacity ({cap})")
     if lambda_total <= 0:
         raise ValueError("lambda_total must be positive")
 
 
 def _finish(
-    gamma: float,
-    lambdas: Sequence[float],
-    stats: Sequence[BandStats],
-    lambda_total: float,
-    branch: tuple[int, ...],
-    method: str,
+    gamma: float, lambdas: Sequence[float], stats: Sequence[BandStats], method: str
 ) -> LagrangeSolution:
     alloc = RateAllocation(lambdas)
     return LagrangeSolution(
-        gamma=gamma,
-        alloc=alloc,
-        objective=aggregate_delay(alloc, stats),
-        branch=branch,
-        method=method,
+        gamma=gamma, alloc=alloc, objective=aggregate_delay(alloc, stats), method=method
     )
 
 
-def solve_closed_form(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig | None = None
-) -> LagrangeSolution:
-    """Closed-form split via the approximate multiplier.
-
-    Enumerates sign branches in lexicographic order (all-minus first; the
-    plus sign provably lands above mu_j), rescales each candidate onto the
-    sum constraint, and returns the first feasible one — convexity makes
-    any feasible stationary point the global optimum.  When the
-    heavy-traffic assumption is not met (2*lam / max mu below
-    cfg.approx_threshold) the exact numeric path is used instead; if no
-    branch survives, falls through to solve_numeric and then the grid.
-    """
-    cfg = cfg or OptimizerConfig()
-    _validate_instance(lambda_total, stats, cfg)
-    m = len(stats)
-    if m == 1:
-        # Sum constraint pins the single rate regardless of stats.
-        return _finish(
-            gamma_approx(lambda_total, [stats[0].mu]),
-            [lambda_total],
-            stats,
-            lambda_total,
-            (-1,),
-            CLOSED_FORM,
-        )
-    mus = [st.mu for st in stats]
-    if 2.0 * lambda_total / max(mus) < cfg.approx_threshold:
-        return solve_numeric(lambda_total, stats, cfg)
-    gamma = gamma_approx(lambda_total, mus)
-    for branch in product((-1, 1), repeat=m):
-        try:
-            cand = lambda_star_given_gamma(gamma, stats, lambda_total, branch)
-        except BranchInvalid:
-            continue
-        if any(lam <= 0.0 for lam in cand):
-            continue
-        # The approximate gamma does not satisfy sum(cand) == lam exactly;
-        # project onto the constraint before the feasibility check.
-        scale = lambda_total / sum(cand)
-        cand = [lam * scale for lam in cand]
-        if all(lam <= cfg.rho_max * st.mu for lam, st in zip(cand, stats)):
-            return _finish(gamma, cand, stats, lambda_total, branch, CLOSED_FORM)
-    return solve_numeric(lambda_total, stats, cfg)
+def solve_closed_form(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
+    """Heavy-traffic split: lam_j(gamma_approx), rescaled onto the sum
+    constraint.  Raises NoFeasibleBranch when the candidate is infeasible."""
+    _validate_instance(lambda_total, stats)
+    gamma = gamma_approx(lambda_total, [st.mu for st in stats])
+    cand = lambda_star_given_gamma(gamma, stats, lambda_total)
+    if any(lam <= 0.0 for lam in cand):
+        raise NoFeasibleBranch(f"non-positive rate at gamma={gamma}")
+    # The approximate gamma does not satisfy sum(cand) == lam exactly;
+    # project onto the constraint before the feasibility check.
+    scale = lambda_total / sum(cand)
+    cand = [lam * scale for lam in cand]
+    if any(lam > RHO_MAX * st.mu for lam, st in zip(cand, stats)):
+        raise NoFeasibleBranch(f"rate above the utilisation cap at gamma={gamma}")
+    return _finish(gamma, cand, stats, CLOSED_FORM)
 
 
 def _sum_minus_branch(
     gamma: float, stats: Sequence[BandStats], lambda_total: float
 ) -> float | None:
-    """sum_j lam_j(gamma) on the all-minus branch, None below its domain."""
+    """sum_j lam_j(gamma), None below its domain."""
     total = 0.0
     for st in stats:
         d = _radicand(gamma, st, lambda_total)
@@ -229,16 +154,16 @@ def _sum_minus_branch(
 
 
 def _bisect_gamma(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig
+    lambda_total: float, stats: Sequence[BandStats]
 ) -> tuple[float, list[float]]:
-    """Root of sum(lam_j(gamma)) = lam on the minus branch.
+    """Root of sum(lam_j(gamma)) = lam.
 
     lam_j(gamma) is non-decreasing in gamma wherever its radicand is
     positive, so the sum crosses lam exactly once between the radicand
     domain edge and large gamma.
     """
-    lo = cfg.gamma_bracket[0]
-    hi = max(gamma_approx(lambda_total, [st.mu for st in stats]) * 2.0, cfg.gamma_bracket[1])
+    lo = _GAMMA_BRACKET[0]
+    hi = max(gamma_approx(lambda_total, [st.mu for st in stats]) * 2.0, _GAMMA_BRACKET[1])
     for _ in range(60):
         s = _sum_minus_branch(hi, stats, lambda_total)
         if s is not None and s >= lambda_total:
@@ -247,7 +172,7 @@ def _bisect_gamma(
     else:
         raise BracketFailure(f"no sign change up to gamma={hi}")
     for _ in range(500):
-        if hi - lo <= cfg.tolerance * max(hi, 1.0):
+        if hi - lo <= _TOLERANCE * max(hi, 1.0):
             break
         mid = 0.5 * (lo + hi)
         s = _sum_minus_branch(mid, stats, lambda_total)
@@ -255,22 +180,16 @@ def _bisect_gamma(
             lo = mid
         else:
             hi = mid
-    lams = lambda_star_given_gamma(hi, stats, lambda_total, (-1,) * len(stats))
-    return hi, lams
+    return hi, lambda_star_given_gamma(hi, stats, lambda_total)
 
 
-def _solve_numeric_core(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig
-) -> LagrangeSolution:
+def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
     m = len(stats)
-    if m == 1:
-        gamma, _ = _bisect_gamma(lambda_total, stats, cfg)
-        return _finish(gamma, [lambda_total], stats, lambda_total, (-1,), NUMERIC)
     active = list(range(m))
     while True:
         sub = [stats[j] for j in active]
-        gamma, lams = _bisect_gamma(lambda_total, sub, cfg)
-        drops = [j for j, lam in zip(active, lams) if lam <= _ZERO_RATE]
+        gamma, lams = _bisect_gamma(lambda_total, sub)
+        drops = [j for j, lam in zip(active, lams) if lam <= 0.0]
         if not drops:
             break
         active = [j for j in active if j not in drops]
@@ -282,23 +201,27 @@ def _solve_numeric_core(
     for j, lam in zip(active, lams):
         full[j] = lam * scale
     for j in active:
-        if full[j] >= cfg.rho_max * stats[j].mu:
+        if full[j] >= RHO_MAX * stats[j].mu:
             raise NoFeasibleBranch(f"band {j} at utilisation cap in numeric solution")
-    return _finish(gamma, full, stats, lambda_total, (-1,) * m, NUMERIC)
+    return _finish(gamma, full, stats, NUMERIC)
 
 
-def solve_numeric(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig | None = None
-) -> LagrangeSolution:
-    """Exact split via bisection on the multiplier (no heavy-traffic
-    assumption); falls back to the grid oracle if bracketing or the
-    active-set step fails."""
-    cfg = cfg or OptimizerConfig()
-    _validate_instance(lambda_total, stats, cfg)
+def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
+    """Exact split via bisection on the multiplier with active-set
+    exclusion; the grid oracle if bracketing or the active-set step fails.
+
+    With one band the sum constraint pins the rate, so no search runs;
+    that result carries the heavy-traffic multiplier and CLOSED_FORM.
+    """
+    _validate_instance(lambda_total, stats)
+    if len(stats) == 1:
+        return _finish(
+            gamma_approx(lambda_total, [stats[0].mu]), [lambda_total], stats, CLOSED_FORM
+        )
     try:
-        return _solve_numeric_core(lambda_total, stats, cfg)
-    except (BracketFailure, NoFeasibleBranch, BranchInvalid):
-        return solve_grid(lambda_total, stats, cfg)
+        return _solve_active_set(lambda_total, stats)
+    except (BracketFailure, NoFeasibleBranch):
+        return solve_grid(lambda_total, stats)
 
 
 def grid_objective(
@@ -324,13 +247,12 @@ def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
 def _grid_pass_2d(
     lambda_total: float,
     stats: Sequence[BandStats],
-    cfg: OptimizerConfig,
     window: tuple[tuple[float, float], ...],
     n: int,
 ) -> tuple[np.ndarray, float]:
     x = _grid_axis(window[0][0], window[0][1], n)
     lam2 = lambda_total - x
-    ok = (lam2 > 0.0) & (lam2 <= cfg.rho_max * stats[1].mu) & (x > 0.0)
+    ok = (lam2 > 0.0) & (lam2 <= RHO_MAX * stats[1].mu) & (x > 0.0)
     x = x[ok]
     if x.size == 0:
         raise NoFeasibleBranch("grid found no feasible points in window")
@@ -343,7 +265,6 @@ def _grid_pass_2d(
 def _grid_pass_nd(
     lambda_total: float,
     stats: Sequence[BandStats],
-    cfg: OptimizerConfig,
     window: tuple[tuple[float, float], ...],
     n: int,
 ) -> tuple[np.ndarray, float]:
@@ -351,7 +272,7 @@ def _grid_pass_nd(
     mesh = np.meshgrid(*axes, indexing="ij")
     free = np.stack([g.ravel() for g in mesh], axis=-1)
     last = lambda_total - free.sum(axis=-1)
-    ok = (last > 0.0) & (last <= cfg.rho_max * stats[-1].mu)
+    ok = (last > 0.0) & (last <= RHO_MAX * stats[-1].mu)
     for j in range(free.shape[-1]):
         ok &= free[:, j] > 0.0
     free = free[ok]
@@ -363,22 +284,19 @@ def _grid_pass_nd(
     return pts[best], float(vals[best])
 
 
-def solve_grid(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig | None = None
-) -> LagrangeSolution:
+def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
     """Exhaustive simplex grid search, with zoom refinement around the
     incumbent.  Verification oracle; supports M <= 4."""
-    cfg = cfg or OptimizerConfig()
-    _validate_instance(lambda_total, stats, cfg)
+    _validate_instance(lambda_total, stats)
     m = len(stats)
     if m > 4:
         raise DimensionTooLarge(f"grid oracle supports M <= 4, got {m}")
     if m == 1:
-        return _finish(math.nan, [lambda_total], stats, lambda_total, (-1,), GRID)
+        return _finish(math.nan, [lambda_total], stats, GRID)
 
-    n = cfg.grid_resolution if m == 2 else min(cfg.grid_resolution, 256 if m == 3 else 64)
+    n = _GRID_RESOLUTION if m <= 3 else 64
     tiny = 1e-9 * lambda_total
-    caps = [cfg.rho_max * st.mu for st in stats]
+    caps = [RHO_MAX * st.mu for st in stats]
     window = tuple(
         (
             max(tiny, lambda_total - sum(caps[k] for k in range(m) if k != j)),
@@ -387,28 +305,20 @@ def solve_grid(
         for j in range(m - 1)
     )
     search = _grid_pass_2d if m == 2 else _grid_pass_nd
-    best_pt, best_val = search(lambda_total, stats, cfg, window, n)
-    for _ in range(cfg.refine_rounds):
+    best_pt, best_val = search(lambda_total, stats, window, n)
+    for _ in range(_GRID_REFINE_ROUNDS):
         steps = [(hi - lo) / (n - 1) for lo, hi in window]
         window = tuple(
             (
                 max(tiny, best_pt[j] - 2.0 * steps[j]),
-                min(min(cfg.rho_max * stats[j].mu, lambda_total - tiny), best_pt[j] + 2.0 * steps[j]),
+                min(min(RHO_MAX * stats[j].mu, lambda_total - tiny), best_pt[j] + 2.0 * steps[j]),
             )
             for j in range(m - 1)
         )
-        pt, val = search(lambda_total, stats, cfg, window, n)
+        pt, val = search(lambda_total, stats, window, n)
         if val < best_val:
             best_pt, best_val = pt, val
     lams = list(best_pt)
     # Snap the dependent coordinate so the components sum exactly.
     lams[-1] = lambda_total - sum(lams[:-1])
-    return _finish(math.nan, lams, stats, lambda_total, (-1,) * m, GRID)
-
-
-def optimize(
-    lambda_total: float, stats: Sequence[BandStats], cfg: OptimizerConfig | None = None
-) -> LagrangeSolution:
-    """Solver entry point used by the schedulers: closed form when its
-    assumption holds, numeric otherwise, grid as the last resort."""
-    return solve_closed_form(lambda_total, stats, cfg)
+    return _finish(math.nan, lams, stats, GRID)

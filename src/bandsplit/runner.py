@@ -18,18 +18,9 @@ from pathlib import Path
 
 from .config import ScenarioConfig
 from .engine import run_scenario
-from .errors import MismatchedSeeds
-from .metrics import MetricsReport, record_columns
+from .errors import ConfigInvalid, MismatchedSeeds
+from .metrics import BAND_FRAC_PREFIX, METRIC_FIELDS, RECORD_FIELDS, MetricsReport, record_columns
 from .schedulers import SchedulerSpec
-
-_FLOAT_FIELDS = (
-    "goodput_pps",
-    "mean_latency_s",
-    "p95_latency_s",
-    "mean_reseq_delay_s",
-    "max_reseq_delay_s",
-    "out_of_order_frac",
-)
 
 # Schemes that never use two bands at once; their runs must show zero
 # out-of-order deliveries.
@@ -53,13 +44,15 @@ def run_suite(
     config.validate()
     reps = seeds if seeds is not None else config.replications
     if reps < 1:
-        raise MismatchedSeeds("need at least one replication")
+        raise ConfigInvalid(f"seeds: must be >= 1, got {reps}")
+    if jobs < 1:
+        raise ConfigInvalid(f"jobs: must be >= 1, got {jobs}")
     tasks = [
         (config, spec, config.seed_base + r)
         for spec in config.schedulers
         for r in range(reps)
     ]
-    if jobs <= 1 or len(tasks) == 1:
+    if jobs == 1 or len(tasks) == 1:
         reports = [_run_one(t) for t in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -116,17 +109,8 @@ def read_records(path: str | Path) -> list[dict]:
         return records
     reader = csv.DictReader(io.StringIO(text))
     for row in reader:
-        rec: dict = {
-            "scenario": row["scenario"],
-            "scheduler": row["scheduler"],
-            "seed": int(row["seed"]),
-            "delivered": int(row["delivered"]),
-        }
-        for k in _FLOAT_FIELDS:
-            rec[k] = float(row[k])
-        for k, v in row.items():
-            if k.startswith("band_frac_"):
-                rec[k] = float(v)
+        rec = {name: typ(row[name]) for name, typ in RECORD_FIELDS}
+        rec.update((k, float(v)) for k, v in row.items() if k.startswith(BAND_FRAC_PREFIX))
         records.append(rec)
     return records
 
@@ -210,7 +194,7 @@ def compare(records: list[dict], baseline: str | None = None) -> ComparisonSumma
                 raise MismatchedSeeds(
                     f"{sched!r} seeds {sorted(runs)} != baseline seeds {base_seeds}"
                 )
-            for metric in _FLOAT_FIELDS:
+            for metric in METRIC_FIELDS:
                 vals = [runs[s][metric] for s in base_seeds]
                 bvals = [base_runs[s][metric] for s in base_seeds]
                 wins = sum(1 for v, b in zip(vals, bvals) if v < b)

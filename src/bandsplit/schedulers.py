@@ -26,15 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AllBandsUnavailable,
-    ConfigInvalid,
-    NoAvailableBand,
-    OptimizerError,
-    OptimizerFailure,
-)
+from .errors import AllBandsUnavailable, ConfigInvalid, NoAvailableBand, OptimizerFailure
 from .model import BandStats
-from .optimizer import OptimizerConfig, optimize
+from .optimizer import optimize
 
 KINDS = (
     "single_band",
@@ -234,10 +228,9 @@ class _OptimizingScheduler(Scheduler):
     re-raises, so callers can continue on stale-but-safe targets.
     """
 
-    def __init__(self, num_bands, stats, mask, lambda_total: float, opt_cfg: OptimizerConfig | None):
+    def __init__(self, num_bands, stats, mask, lambda_total: float):
         super().__init__(num_bands, stats, mask)
         self.lambda_total = float(lambda_total)
-        self.opt_cfg = opt_cfg or OptimizerConfig()
         self.lambda_star: list[float] | None = None
         self._resolve()
         if self.lambda_star is None:
@@ -246,7 +239,7 @@ class _OptimizingScheduler(Scheduler):
     def _solve_subset(self) -> list[float]:
         avail = self.available()
         sub = [self.stats[j] for j in avail]
-        sol = optimize(self.lambda_total, sub, self.opt_cfg)
+        sol = optimize(self.lambda_total, sub)
         full = [0.0] * self.num_bands
         for j, lam in zip(avail, sol.alloc.lambdas):
             full[j] = lam
@@ -262,10 +255,7 @@ class _OptimizingScheduler(Scheduler):
     def update_feedback(self, stats: Sequence[BandStats], lambda_total: float) -> None:
         super().update_feedback(stats, lambda_total)
         self.lambda_total = float(lambda_total)
-        try:
-            self._resolve()
-        except OptimizerError:
-            raise
+        self._resolve()
 
     def update_availability(self, bits: Sequence[bool]) -> None:
         super().update_availability(bits)
@@ -285,9 +275,9 @@ class MinimumDelay(_OptimizingScheduler):
 
     kind = "minimum_delay"
 
-    def __init__(self, num_bands, stats, mask, lambda_total, opt_cfg, rng: np.random.Generator):
+    def __init__(self, num_bands, stats, mask, lambda_total, rng: np.random.Generator):
         self._rng = rng
-        super().__init__(num_bands, stats, mask, lambda_total, opt_cfg)
+        super().__init__(num_bands, stats, mask, lambda_total)
 
     def _on_new_split(self) -> None:
         total = sum(self.lambda_star)
@@ -367,7 +357,6 @@ def make_scheduler(
     lambda_total: float,
     flow_index: int = 0,
     mask: AvailabilityMask | None = None,
-    opt_cfg: OptimizerConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> Scheduler:
     if spec.kind == "single_band":
@@ -381,7 +370,7 @@ def make_scheduler(
     if spec.kind == "minimum_delay":
         if rng is None:
             rng = np.random.default_rng(0)
-        return MinimumDelay(num_bands, stats, mask, lambda_total, opt_cfg, rng)
+        return MinimumDelay(num_bands, stats, mask, lambda_total, rng)
     if spec.kind == "leaky_bucket":
-        return LeakyBucket(num_bands, stats, mask, lambda_total, opt_cfg)
+        return LeakyBucket(num_bands, stats, mask, lambda_total)
     raise ConfigInvalid(f"unknown scheduler kind {spec.kind!r}")

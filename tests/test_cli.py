@@ -93,3 +93,13 @@ def test_compare_writes_summary_file(tmp_path):
     summary = tmp_path / "summary.txt"
     assert main(["compare", str(out), "--out", str(summary)]) == EXIT_OK
     assert "baseline: leaky_bucket" in summary.read_text()
+
+
+def test_nonpositive_seeds_or_jobs_is_config_error(tmp_path, capsys):
+    cfg = write_mini(tmp_path)
+    out = str(tmp_path / "x.csv")
+    assert main(["run", str(cfg), "--out", out, "--seeds", "0"]) == EXIT_CONFIG
+    assert "seeds" in capsys.readouterr().err
+    for jobs in ("0", "-3"):
+        assert main(["run", str(cfg), "--out", out, "--jobs", jobs]) == EXIT_CONFIG
+        assert "jobs" in capsys.readouterr().err

@@ -6,8 +6,8 @@ import pytest
 
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
-from bandsplit.engine import bootstrap_stats, run, run_scenario, run_scenario_detailed
-from bandsplit.errors import ConfigInvalid, OverloadDetected
+from bandsplit.engine import bootstrap_stats, run_scenario, run_scenario_detailed
+from bandsplit.errors import ConfigInvalid, ConservationViolated, OverloadDetected
 from bandsplit.model import FlowKey
 from bandsplit.schedulers import SchedulerSpec
 
@@ -24,16 +24,16 @@ def one_band_cfg(lam=5.0, packets=20_000, kind="exponential", mean=0.1, **kw):
 
 def test_identical_seed_identical_report():
     cfg = one_band_cfg(packets=5000)
-    a = run(cfg, seed=1)
-    b = run(cfg, seed=1)
+    a = run_scenario(cfg, cfg.schedulers[0], 1)
+    b = run_scenario(cfg, cfg.schedulers[0], 1)
     assert a == b
-    c = run(cfg, seed=2)
+    c = run_scenario(cfg, cfg.schedulers[0], 2)
     assert c != a
 
 
 def test_conservation_and_counts_at_natural_end():
     cfg = one_band_cfg(packets=3000)
-    rep = run(cfg, seed=3)
+    rep = run_scenario(cfg, cfg.schedulers[0], 3)
     assert rep.generated == 3000
     assert rep.delivered == 3000
     assert rep.queued_at_end == 0
@@ -51,15 +51,24 @@ def test_conservation_when_stopped_by_time_limit():
     assert rep.delivered <= rep.generated
 
 
+def test_conservation_mismatch_is_an_explicit_error():
+    # Kept under python -O: the check is an exception, not an assert.
+    cfg = one_band_cfg(packets=500)
+    _, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=4)
+    state.in_transit += 1
+    with pytest.raises(ConservationViolated):
+        state._report()
+
+
 def test_overload_detection_trips_queue_cap():
     cfg = one_band_cfg(lam=9.9, packets=20_000, queue_cap=5)
     with pytest.raises(OverloadDetected):
-        run(cfg, seed=1)
+        run_scenario(cfg, cfg.schedulers[0], 1)
 
 
 def test_mm1_mean_wait_quick():
     cfg = one_band_cfg(lam=5.0, packets=150_000)
-    rep = run(cfg, seed=11)
+    rep = run_scenario(cfg, cfg.schedulers[0], 11)
     assert rep.mean_wait_s == pytest.approx(0.1, rel=0.08)
     assert rep.mean_latency_s == pytest.approx(0.2, rel=0.08)
 
@@ -74,7 +83,7 @@ def test_pk_with_deterministic_vacations_quick():
         vacation_mode="parametric",
         vacation_dist=DistributionSpec("deterministic", mean=v),
     )
-    rep = run(cfg, seed=5)
+    rep = run_scenario(cfg, cfg.schedulers[0], 5)
     theory = lam / mu**2 / (2 * (1 - lam / mu)) + v / 2 + 1 / mu
     assert rep.mean_latency_s == pytest.approx(theory, rel=0.05)
 
@@ -151,7 +160,7 @@ def test_propagation_latency_and_low_load_pipeline():
         schedulers=(SchedulerSpec("single_band", 0),),
         warmup_frac=0.0,
     )
-    rep = run(cfg, seed=6)
+    rep = run_scenario(cfg, cfg.schedulers[0], 6)
     assert rep.mean_latency_s == pytest.approx(0.26, rel=0.02)
     assert rep.per_band_mean_delay[0] == pytest.approx(0.26, rel=0.02)
 
@@ -166,7 +175,7 @@ def test_reordering_measured_on_asymmetric_bands():
         flows=(FlowConfig(sta=0, ac=0, lambda_pps=9.0, packets=10_000),),
         schedulers=(SchedulerSpec("even_split"),),
     )
-    rep = run(cfg, seed=13)
+    rep = run_scenario(cfg, cfg.schedulers[0], 13)
     assert rep.out_of_order_frac > 0.0
     assert rep.mean_reseq_delay_s > 0.0
     assert rep.max_reseq_delay_s >= rep.mean_reseq_delay_s
@@ -242,8 +251,6 @@ def test_run_requires_single_scheduler():
         flows=(FlowConfig(sta=0, ac=0, lambda_pps=5.0, packets=100),),
         schedulers=(SchedulerSpec("single_band", 0), SchedulerSpec("even_split")),
     )
-    with pytest.raises(ConfigInvalid):
-        run(cfg, seed=1)
     assert run_scenario(cfg, cfg.schedulers[1], seed=1).delivered == 100
 
 

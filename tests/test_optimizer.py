@@ -1,23 +1,21 @@
-"""Rate-solver tests: the multiplier approximation, sign branches,
-closed form vs numeric vs grid agreement, active-set exclusion, and the
-stationarity / dominance / scaling properties."""
+"""Rate-solver tests: the multiplier approximation, the stationary rates,
+exact solver vs heavy-traffic closed form vs grid agreement, active-set
+exclusion, and the stationarity / dominance / scaling properties."""
 
 import numpy as np
 import pytest
 
-from bandsplit.errors import BranchInvalid, DimensionTooLarge, Overload
+from bandsplit.errors import DimensionTooLarge, NoFeasibleBranch, Overload
 from bandsplit.model import BandStats, RateAllocation, aggregate_delay, feasible, objective
 from bandsplit.optimizer import (
     CLOSED_FORM,
     NUMERIC,
-    OptimizerConfig,
     gamma_approx,
     grid_objective,
     lambda_star_given_gamma,
     optimize,
     solve_closed_form,
     solve_grid,
-    solve_numeric,
 )
 from conftest import random_instance
 
@@ -46,27 +44,14 @@ def test_gamma_approx_overload():
 def test_lambda_star_symmetric_components_equal():
     stats = sym_stats()
     gamma = gamma_approx(10.0, [8.0, 8.0])
-    lams = lambda_star_given_gamma(gamma, stats, 10.0, (-1, -1))
+    lams = lambda_star_given_gamma(gamma, stats, 10.0)
     assert lams[0] == pytest.approx(lams[1], rel=1e-12)
-
-
-def test_plus_branch_always_exceeds_service_rate():
-    rng = np.random.default_rng(42)
-    for _ in range(20):
-        lam, stats = random_instance(rng, 2)
-        gamma = gamma_approx(lam, [st.mu for st in stats])
-        try:
-            lams = lambda_star_given_gamma(gamma, stats, lam, (1, 1))
-        except BranchInvalid:
-            continue
-        for lam_j, st in zip(lams, stats):
-            assert lam_j > st.mu
 
 
 def test_branch_invalid_on_nonpositive_radicand():
     weak = BandStats(mu=1.0, x2=1.0, vbar=0.1, v2=10.0)
-    with pytest.raises(BranchInvalid):
-        lambda_star_given_gamma(1e-9, [weak], 0.5, (-1,))
+    with pytest.raises(NoFeasibleBranch):
+        lambda_star_given_gamma(1e-9, [weak], 0.5)
 
 
 def test_minus_branch_rate_nondecreasing_in_gamma():
@@ -78,8 +63,8 @@ def test_minus_branch_rate_nondecreasing_in_gamma():
         prev = None
         for g in grid:
             try:
-                lams = lambda_star_given_gamma(float(g), stats, lam, (-1, -1))
-            except BranchInvalid:
+                lams = lambda_star_given_gamma(float(g), stats, lam)
+            except NoFeasibleBranch:
                 prev = None
                 continue
             if prev is not None:
@@ -89,14 +74,14 @@ def test_minus_branch_rate_nondecreasing_in_gamma():
 
 def test_solve_single_band_pins_rate():
     stats = [BandStats(mu=10.0, x2=0.02, vbar=0.2, v2=0.05)]
-    for solver in (solve_closed_form, solve_numeric, solve_grid):
+    for solver in (solve_closed_form, optimize, solve_grid):
         sol = solver(5.0, stats)
         assert sol.alloc.lambdas == pytest.approx((5.0,))
 
 
 def test_solve_symmetric_splits_evenly():
     stats = sym_stats()
-    for solver in (solve_closed_form, solve_numeric):
+    for solver in (solve_closed_form, optimize):
         sol = solver(10.0, stats)
         assert sol.alloc.lambdas[0] == pytest.approx(5.0, rel=1e-9)
         assert sol.alloc.lambdas[1] == pytest.approx(5.0, rel=1e-9)
@@ -110,7 +95,7 @@ def test_known_instance_matches_grid_argmin():
     # (10.0791, 1.9209), F = 0.13623970.
     stats = [BandStats(20.0, 1 / 400, 0.1, 0.011), BandStats(10.0, 1 / 100, 0.1, 0.011)]
     lam = 12.0
-    sol = solve_closed_form(lam, stats)
+    sol = optimize(lam, stats)
     assert abs(sol.alloc.lambdas[0] - 10.0791) <= 1e-3 * lam
     assert abs(sol.alloc.lambdas[1] - 1.9209) <= 1e-3 * lam
     assert sol.objective == pytest.approx(0.13623969857, rel=1e-8)
@@ -121,29 +106,23 @@ def test_known_instance_matches_grid_argmin():
 def test_numeric_never_worse_than_forced_approximation():
     stats = [BandStats(20.0, 1 / 400, 0.1, 0.011), BandStats(10.0, 1 / 100, 0.1, 0.011)]
     lam = 12.0
-    forced = solve_closed_form(lam, stats, OptimizerConfig(approx_threshold=1e-9))
+    forced = solve_closed_form(lam, stats)
     assert forced.method == CLOSED_FORM
-    exact = solve_numeric(lam, stats)
+    exact = optimize(lam, stats)
     assert exact.method == NUMERIC
     assert exact.objective <= forced.objective + 1e-9
 
 
 def test_closed_form_trusted_in_heavy_traffic_regime():
-    # Many comparable bands and 2*lam/mu_max above the trust threshold.
+    # Many comparable bands and 2*lam/mu_max well above 1.
     stats = [BandStats(10.0 + 0.5 * j, 2.0 / (10.0 + 0.5 * j) ** 2, 0.05, 0.005) for j in range(8)]
     lam = 0.85 * sum(st.mu for st in stats)
     assert 2 * lam / max(st.mu for st in stats) >= 10.0
     sol = solve_closed_form(lam, stats)
     assert sol.method == CLOSED_FORM
-    assert sol.branch == (-1,) * 8
     assert sum(sol.alloc.lambdas) == pytest.approx(lam, rel=1e-12)
-    exact = solve_numeric(lam, stats)
+    exact = optimize(lam, stats)
     assert sol.objective <= exact.objective * 1.01
-
-
-def test_closed_form_delegates_below_threshold():
-    sol = solve_closed_form(10.0, sym_stats())
-    assert sol.method == NUMERIC  # 2*lam/mu_max = 2.5 < 10
 
 
 def test_active_set_excludes_weak_band():
@@ -151,7 +130,7 @@ def test_active_set_excludes_weak_band():
     strong = BandStats(mu=20.0, x2=2 / 400, vbar=0.05, v2=0.005)
     weak = BandStats(mu=0.5, x2=2 / 0.25, vbar=1.0, v2=50.0)
     lam = 10.0
-    sol = solve_numeric(lam, [strong, weak])
+    sol = optimize(lam, [strong, weak])
     assert sol.alloc.lambdas[1] == 0.0
     assert sol.alloc.lambdas[0] == pytest.approx(lam, rel=1e-12)
     g = solve_grid(lam, [strong, weak])
@@ -166,7 +145,7 @@ def test_grid_dimension_cap():
 
 def test_overload_rejected_by_all_solvers():
     stats = sym_stats()
-    for solver in (solve_closed_form, solve_numeric, solve_grid):
+    for solver in (solve_closed_form, optimize, solve_grid):
         with pytest.raises(Overload):
             solver(16.0, stats)
 
@@ -192,7 +171,7 @@ def test_oracle_agreement_sample():
     while checked < 10:
         m = 2 + checked % 2
         lam, stats = random_instance(rng, m)
-        sol = solve_numeric(lam, stats)
+        sol = optimize(lam, stats)
         if any(l == 0.0 for l in sol.alloc.lambdas):
             continue
         g = solve_grid(lam, stats)
@@ -232,13 +211,13 @@ def test_dimensional_scaling():
     rng = np.random.default_rng(31)
     for _ in range(10):
         lam, stats = random_instance(rng, 2)
-        base = solve_numeric(lam, stats)
+        base = optimize(lam, stats)
         c = 3.7
         scaled_stats = [
             BandStats(mu=st.mu * c, x2=st.x2 / c**2, vbar=st.vbar / c, v2=st.v2 / c**2)
             for st in stats
         ]
-        scaled = solve_numeric(lam * c, scaled_stats)
+        scaled = optimize(lam * c, scaled_stats)
         for a, b in zip(base.alloc.lambdas, scaled.alloc.lambdas):
             assert b == pytest.approx(a * c, rel=1e-6)
 
@@ -246,7 +225,7 @@ def test_dimensional_scaling():
 def test_stationarity_spot_check():
     rng = np.random.default_rng(13)
     lam, stats = random_instance(rng, 3)
-    sol = solve_numeric(lam, stats)
+    sol = optimize(lam, stats)
     if any(l == 0.0 for l in sol.alloc.lambdas):
         pytest.skip("boundary optimum drawn")
     h = 1e-5 * lam
@@ -260,14 +239,3 @@ def test_stationarity_spot_check():
         grads.append((objective(hi, stats, lam) - objective(lo, stats, lam)) / (2 * h))
     spread = (max(grads) - min(grads)) / abs(sum(grads) / 3)
     assert spread <= 1e-4
-
-
-def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(grid_resolution=32)
-    with pytest.raises(ValueError):
-        OptimizerConfig(gamma_bracket=(0.0, 1.0))
-    with pytest.raises(ValueError):
-        OptimizerConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(rho_max=1.5)
