@@ -13,7 +13,7 @@ Library surface:
 
 from .config import BandConfig, FlowConfig, ScenarioConfig
 from .distributions import DistributionSpec
-from .engine import Packet, SimState, run_scenario, run_scenario_detailed
+from .engine import Packet, SimState, run_scenario
 from .errors import (
     AllBandsUnavailable,
     BandsplitError,
@@ -57,6 +57,6 @@ from .optimizer import (
 )
 from .reorder import ReorderBuffer
 from .runner import compare, read_records, run_suite, write_records
-from .schedulers import AvailabilityMask, SchedulerSpec, TokenState, make_scheduler
+from .schedulers import SchedulerSpec, make_scheduler
 
 __version__ = "0.1.0"

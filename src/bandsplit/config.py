@@ -123,8 +123,16 @@ class ScenarioConfig:
                 if len(set(fl.available_bands)) != len(fl.available_bands):
                     raise ConfigInvalid(f"{where}.available_bands: duplicate band")
         for spec in self.schedulers:
-            if spec.kind == "single_band" and not 0 <= spec.band < len(self.bands):
+            if spec.kind != "single_band":
+                continue
+            if not 0 <= spec.band < len(self.bands):
                 raise ConfigInvalid(f"schedulers: single_band index {spec.band} out of range")
+            for i, fl in enumerate(self.flows):
+                if fl.available_bands is not None and spec.band not in fl.available_bands:
+                    raise ConfigInvalid(
+                        f"schedulers: {spec.name} uses band {spec.band}, "
+                        f"which flows[{i}].available_bands excludes"
+                    )
         if not 0 <= self.warmup_frac < 0.5:
             raise ConfigInvalid("warmup_frac: must be in [0, 0.5)")
         if self.feedback_interval_pkts < 1:

@@ -35,7 +35,7 @@ from .estimators import VACATION_FLOOR, MomentEstimator, band_stats_from_windows
 from .metrics import MetricsReport
 from .model import BandStats, FlowKey
 from .reorder import ReorderBuffer
-from .schedulers import AvailabilityMask, SchedulerSpec, make_scheduler
+from .schedulers import SchedulerSpec, make_scheduler
 
 # Event-kind tie priorities: departures before receives before vacation
 # ends before arrivals.
@@ -50,16 +50,12 @@ _DOM_SERVICE = 1
 _DOM_VACATION = 2
 _DOM_SCHEDULER = 3
 
-# Policies that consume measured stats; others skip estimator upkeep.
-_FEEDBACK_KINDS = {"leaky_bucket", "minimum_delay", "load_balancing"}
-
 
 class Packet:
     """One sequence-numbered packet moving source -> band -> receiver."""
 
     __slots__ = (
         "seq",
-        "flow",
         "created_at",
         "enqueued_band",
         "service_start",
@@ -69,9 +65,8 @@ class Packet:
         "out_of_order",
     )
 
-    def __init__(self, seq: int, flow: FlowKey, created_at: float, flow_idx: int):
+    def __init__(self, seq: int, created_at: float, flow_idx: int):
         self.seq = seq
-        self.flow = flow
         self.created_at = created_at
         self.flow_idx = flow_idx
         self.enqueued_band = -1
@@ -255,28 +250,27 @@ class SimState:
             for j, band in enumerate(config.bands)
         ]
 
-        collect = scheduler_spec.kind in _FEEDBACK_KINDS
         initial = [bootstrap_stats(b.service) for b in config.bands]
         self.flows: list[_FlowRuntime] = []
         for i, fl in enumerate(config.flows):
-            bits = [False] * self.num_bands
-            for j in fl.available_bands if fl.available_bands is not None else range(self.num_bands):
-                bits[j] = True
-            mask = AvailabilityMask(tuple(bits))
             sched = make_scheduler(
                 scheduler_spec,
                 num_bands=self.num_bands,
                 stats=initial,
                 lambda_total=fl.lambda_pps,
                 flow_index=i,
-                mask=mask,
+                avail=fl.available_bands,
                 rng=_stream(seed, _DOM_SCHEDULER, i),
             )
             arrivals = Sampler(
                 DistributionSpec(kind="exponential", mean=1.0 / fl.lambda_pps),
                 _stream(seed, _DOM_ARRIVAL, i),
             )
-            taps = [_Tap(config.estimator_window) for _ in range(self.num_bands)] if collect else None
+            taps = (
+                [_Tap(config.estimator_window) for _ in range(self.num_bands)]
+                if sched.uses_feedback
+                else None
+            )
             fr = _FlowRuntime(
                 cfg=fl,
                 index=i,
@@ -295,7 +289,6 @@ class SimState:
         self.total_target = sum(fl.packets for fl in config.flows)
         self.total_released = 0
         self.in_transit = 0
-        self.now = 0.0
         self.stopped_at_time_limit = False
         self._heap: list = []
         self._counter = 0
@@ -376,7 +369,7 @@ class SimState:
 
     def _on_arrival(self, fi: int, t: float) -> None:
         fr = self.flows[fi]
-        pkt = Packet(fr.next_seq, fr.key, t, fi)
+        pkt = Packet(fr.next_seq, t, fi)
         fr.next_seq += 1
         fr.generated += 1
         band = fr.scheduler.next_band()
@@ -446,7 +439,6 @@ class SimState:
             if limit is not None and t > limit:
                 self.stopped_at_time_limit = True
                 break
-            self.now = t
             if kind == _EV_DEPART:
                 self._on_depart(a, t)
             elif kind == _EV_RECEIVE:
@@ -542,12 +534,3 @@ def run_scenario(
 ) -> MetricsReport:
     """Run one (config, scheduler, seed) replication to completion."""
     return SimState(config, scheduler_spec, seed).run()
-
-
-def run_scenario_detailed(
-    config: ScenarioConfig, scheduler_spec: SchedulerSpec, seed: int
-) -> tuple[MetricsReport, SimState]:
-    """Like run_scenario but also hands back the final engine state."""
-    state = SimState(config, scheduler_spec, seed)
-    report = state.run()
-    return report, state

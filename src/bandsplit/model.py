@@ -133,15 +133,7 @@ def band_delay(lambda_j: float, stats: BandStats) -> DelayBreakdown:
 
 def aggregate_delay(alloc: RateAllocation, stats: Sequence[BandStats]) -> float:
     """Arrival-weighted mean delay over all bands: sum(T_j * lam_j) / sum(lam_j)."""
-    if len(alloc) != len(stats):
-        raise LengthMismatch(f"{len(alloc)} rates vs {len(stats)} band stats")
-    total = alloc.total
-    if total <= 0.0:
-        raise Infeasible("allocation carries no traffic")
-    weighted = 0.0
-    for lam_j, st in zip(alloc.lambdas, stats):
-        weighted += band_delay(lam_j, st).total * lam_j
-    return weighted / total
+    return objective(alloc.lambdas, stats, alloc.total)
 
 
 def objective(

@@ -240,35 +240,15 @@ def grid_objective(
     return total / lambda_total
 
 
-def _grid_axis(lo: float, hi: float, n: int) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
-def _grid_pass_2d(
+def _grid_pass(
     lambda_total: float,
     stats: Sequence[BandStats],
     window: tuple[tuple[float, float], ...],
     n: int,
 ) -> tuple[np.ndarray, float]:
-    x = _grid_axis(window[0][0], window[0][1], n)
-    lam2 = lambda_total - x
-    ok = (lam2 > 0.0) & (lam2 <= RHO_MAX * stats[1].mu) & (x > 0.0)
-    x = x[ok]
-    if x.size == 0:
-        raise NoFeasibleBranch("grid found no feasible points in window")
-    pts = np.stack([x, lambda_total - x], axis=-1)
-    vals = grid_objective(pts, stats, lambda_total)
-    best = int(np.argmin(vals))
-    return pts[best], float(vals[best])
-
-
-def _grid_pass_nd(
-    lambda_total: float,
-    stats: Sequence[BandStats],
-    window: tuple[tuple[float, float], ...],
-    n: int,
-) -> tuple[np.ndarray, float]:
-    axes = [_grid_axis(lo, hi, n) for lo, hi in window]
+    """Best point of an n-per-axis grid over the M-1 free rates in
+    ``window``; the last rate is what the sum leaves."""
+    axes = [np.linspace(lo, hi, n) for lo, hi in window]
     mesh = np.meshgrid(*axes, indexing="ij")
     free = np.stack([g.ravel() for g in mesh], axis=-1)
     last = lambda_total - free.sum(axis=-1)
@@ -304,8 +284,7 @@ def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolut
         )
         for j in range(m - 1)
     )
-    search = _grid_pass_2d if m == 2 else _grid_pass_nd
-    best_pt, best_val = search(lambda_total, stats, window, n)
+    best_pt, best_val = _grid_pass(lambda_total, stats, window, n)
     for _ in range(_GRID_REFINE_ROUNDS):
         steps = [(hi - lo) / (n - 1) for lo, hi in window]
         window = tuple(
@@ -315,7 +294,7 @@ def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolut
             )
             for j in range(m - 1)
         )
-        pt, val = search(lambda_total, stats, window, n)
+        pt, val = _grid_pass(lambda_total, stats, window, n)
         if val < best_val:
             best_pt, best_val = pt, val
     lams = list(best_pt)

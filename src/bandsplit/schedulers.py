@@ -4,7 +4,12 @@ One scheduler instance serves one flow.  All policies share the same
 surface: ``next_band()`` picks a band for the next packet,
 ``update_feedback()`` refreshes the measured band statistics (and, for
 the optimizing policies, the target split), ``update_availability()``
-swaps the usable-band mask.  A masked band is never returned.
+takes one flag per band and replaces ``avail``, the sorted, never empty
+tuple of usable band indices (built from the flow's ``available_bands``;
+None means every band).  A masked band is never returned; ``single_band``
+raises ``NoAvailableBand`` when its band is masked.  ``uses_feedback``
+marks the policies that read measured stats; the engine keeps
+measurement windows only for those.
 
 Policy names as they appear in config files:
 
@@ -26,7 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllBandsUnavailable, ConfigInvalid, NoAvailableBand, OptimizerFailure
+from .errors import (
+    AllBandsUnavailable,
+    ConfigInvalid,
+    NoAvailableBand,
+    OptimizerError,
+    OptimizerFailure,
+)
 from .model import BandStats
 from .optimizer import optimize
 
@@ -78,58 +89,24 @@ class SchedulerSpec:
         raise ConfigInvalid(f"{where}: expected a name or an object, got {type(obj).__name__}")
 
 
-@dataclass(frozen=True)
-class AvailabilityMask:
-    """Per-flow usable-band flags; at least one band must stay usable."""
-
-    bits: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if not any(self.bits):
-            raise AllBandsUnavailable("mask has no usable band")
-
-    def indices(self) -> list[int]:
-        return [j for j, b in enumerate(self.bits) if b]
-
-
-def update_availability(mask: AvailabilityMask, bits: Sequence[bool]) -> AvailabilityMask:
-    """Replace a mask, rejecting an all-false update."""
-    if len(bits) != len(mask.bits):
-        raise ConfigInvalid(
-            f"mask length {len(bits)} does not match band count {len(mask.bits)}"
-        )
-    return AvailabilityMask(tuple(bool(b) for b in bits))
-
-
-@dataclass
-class TokenState:
-    """Leaky-bucket state: per-band tokens and per-round increments."""
-
-    tokens: list[float]
-    increments: list[float]
-
-
 class Scheduler:
     """Shared plumbing for all policies."""
 
     kind = "base"
+    uses_feedback = False
 
-    def __init__(self, num_bands: int, stats: Sequence[BandStats], mask: AvailabilityMask | None):
+    def __init__(self, num_bands: int, stats: Sequence[BandStats], avail: Sequence[int] | None):
         if num_bands < 1:
             raise ConfigInvalid("need at least one band")
         if len(stats) != num_bands:
             raise ConfigInvalid("stats length does not match band count")
         self.num_bands = num_bands
         self.stats = list(stats)
-        self.mask = mask or AvailabilityMask((True,) * num_bands)
-        if len(self.mask.bits) != num_bands:
-            raise ConfigInvalid("mask length does not match band count")
-
-    def available(self) -> list[int]:
-        idx = self.mask.indices()
-        if not idx:
-            raise NoAvailableBand("all bands masked")
-        return idx
+        self.avail = tuple(range(num_bands)) if avail is None else tuple(sorted(set(avail)))
+        if not self.avail:
+            raise AllBandsUnavailable("no usable band")
+        if not 0 <= self.avail[0] <= self.avail[-1] < num_bands:
+            raise ConfigInvalid(f"usable bands {self.avail} outside 0..{num_bands - 1}")
 
     def next_band(self) -> int:
         raise NotImplementedError
@@ -140,20 +117,28 @@ class Scheduler:
         self.stats = list(stats)
 
     def update_availability(self, bits: Sequence[bool]) -> None:
-        self.mask = update_availability(self.mask, bits)
+        """Replace the usable bands with the indices whose flag is set."""
+        if len(bits) != self.num_bands:
+            raise ConfigInvalid(
+                f"mask length {len(bits)} does not match band count {self.num_bands}"
+            )
+        avail = tuple(j for j, b in enumerate(bits) if b)
+        if not avail:
+            raise AllBandsUnavailable("mask has no usable band")
+        self.avail = avail
 
 
 class SingleBand(Scheduler):
     kind = "single_band"
 
-    def __init__(self, num_bands, stats, mask, band: int):
-        super().__init__(num_bands, stats, mask)
+    def __init__(self, num_bands, stats, avail, band: int):
+        super().__init__(num_bands, stats, avail)
         if not 0 <= band < num_bands:
             raise ConfigInvalid(f"single_band index {band} out of range")
         self.band = band
 
     def next_band(self) -> int:
-        if not self.mask.bits[self.band]:
+        if self.band not in self.avail:
             raise NoAvailableBand(f"band {self.band} is masked")
         return self.band
 
@@ -161,17 +146,19 @@ class SingleBand(Scheduler):
 class EvenSplit(Scheduler):
     kind = "even_split"
 
-    def __init__(self, num_bands, stats, mask):
-        super().__init__(num_bands, stats, mask)
+    def __init__(self, num_bands, stats, avail):
+        super().__init__(num_bands, stats, avail)
         self._ptr = 0
 
     def next_band(self) -> int:
-        for k in range(self.num_bands):
-            j = (self._ptr + k) % self.num_bands
-            if self.mask.bits[j]:
-                self._ptr = (j + 1) % self.num_bands
-                return j
-        raise NoAvailableBand("all bands masked")
+        # First usable band at or after the pointer, wrapping around.
+        for j in self.avail:
+            if j >= self._ptr:
+                break
+        else:
+            j = self.avail[0]
+        self._ptr = j + 1
+        return j
 
 
 class LoadBalancing(Scheduler):
@@ -183,9 +170,10 @@ class LoadBalancing(Scheduler):
     """
 
     kind = "load_balancing"
+    uses_feedback = True
 
-    def __init__(self, num_bands, stats, mask):
-        super().__init__(num_bands, stats, mask)
+    def __init__(self, num_bands, stats, avail):
+        super().__init__(num_bands, stats, avail)
         self.counts = [0] * num_bands
 
     def update_feedback(self, stats, lambda_total: float) -> None:
@@ -195,7 +183,7 @@ class LoadBalancing(Scheduler):
     def next_band(self) -> int:
         best = None
         best_load = math.inf
-        for j in self.available():
+        for j in self.avail:
             load = self.counts[j] / self.stats[j].mu
             if load < best_load:
                 best, best_load = j, load
@@ -208,16 +196,18 @@ class BandPerFlow(Scheduler):
 
     kind = "band_per_flow"
 
-    def __init__(self, num_bands, stats, mask, flow_index: int):
-        super().__init__(num_bands, stats, mask)
-        avail = self.available()
-        self.band = avail[flow_index % len(avail)]
+    def __init__(self, num_bands, stats, avail, flow_index: int):
+        super().__init__(num_bands, stats, avail)
+        self.band = self.avail[flow_index % len(self.avail)]
 
     def next_band(self) -> int:
-        if not self.mask.bits[self.band]:
-            # Pinned band lost: re-pin to the first usable one and stay there.
-            self.band = self.available()[0]
         return self.band
+
+    def update_availability(self, bits: Sequence[bool]) -> None:
+        super().update_availability(bits)
+        if self.band not in self.avail:
+            # Pinned band lost: re-pin to the first usable one and stay there.
+            self.band = self.avail[0]
 
 
 class _OptimizingScheduler(Scheduler):
@@ -228,20 +218,18 @@ class _OptimizingScheduler(Scheduler):
     re-raises, so callers can continue on stale-but-safe targets.
     """
 
-    def __init__(self, num_bands, stats, mask, lambda_total: float):
-        super().__init__(num_bands, stats, mask)
+    uses_feedback = True
+
+    def __init__(self, num_bands, stats, avail, lambda_total: float):
+        super().__init__(num_bands, stats, avail)
         self.lambda_total = float(lambda_total)
-        self.lambda_star: list[float] | None = None
         self._resolve()
-        if self.lambda_star is None:
-            raise OptimizerFailure("initial rate split failed")
 
     def _solve_subset(self) -> list[float]:
-        avail = self.available()
-        sub = [self.stats[j] for j in avail]
+        sub = [self.stats[j] for j in self.avail]
         sol = optimize(self.lambda_total, sub)
         full = [0.0] * self.num_bands
-        for j, lam in zip(avail, sol.alloc.lambdas):
+        for j, lam in zip(self.avail, sol.alloc.lambdas):
             full[j] = lam
         return full
 
@@ -258,8 +246,13 @@ class _OptimizingScheduler(Scheduler):
         self._resolve()
 
     def update_availability(self, bits: Sequence[bool]) -> None:
+        old = self.avail
         super().update_availability(bits)
-        self._resolve()
+        try:
+            self._resolve()
+        except OptimizerError:
+            self.avail = old  # the kept split is over the old bands
+            raise
 
 
 class MinimumDelay(_OptimizingScheduler):
@@ -275,27 +268,23 @@ class MinimumDelay(_OptimizingScheduler):
 
     kind = "minimum_delay"
 
-    def __init__(self, num_bands, stats, mask, lambda_total, rng: np.random.Generator):
+    def __init__(self, num_bands, stats, avail, lambda_total, rng: np.random.Generator):
         self._rng = rng
-        super().__init__(num_bands, stats, mask, lambda_total)
+        super().__init__(num_bands, stats, avail, lambda_total)
 
     def _on_new_split(self) -> None:
         total = sum(self.lambda_star)
         self.fractions = [lam / total for lam in self.lambda_star]
-        self.counts = [0] * self.num_bands
 
     def next_band(self) -> int:
-        avail = self.available()
+        avail = self.avail
         u = self._rng.random()
         acc = 0.0
-        pick = avail[-1]
         for j in avail:
             acc += self.fractions[j]
             if u < acc:
-                pick = j
-                break
-        self.counts[pick] += 1
-        return pick
+                return j
+        return avail[-1]
 
 
 class LeakyBucket(_OptimizingScheduler):
@@ -317,18 +306,18 @@ class LeakyBucket(_OptimizingScheduler):
 
     kind = "leaky_bucket"
 
+    def __init__(self, num_bands, stats, avail, lambda_total):
+        self.tokens = [0.0] * num_bands
+        super().__init__(num_bands, stats, avail, lambda_total)
+
     def _on_new_split(self) -> None:
-        if not hasattr(self, "token_state"):
-            self.token_state = TokenState(
-                tokens=[0.0] * self.num_bands, increments=[0.0] * self.num_bands
-            )
-        mu_ref = max(self.stats[j].mu for j in self.available())
-        self.token_state.increments = [lam / mu_ref for lam in self.lambda_star]
+        mu_ref = max(self.stats[j].mu for j in self.avail)
+        self.increments = [lam / mu_ref for lam in self.lambda_star]
 
     def next_band(self) -> int:
-        avail = self.available()
-        tokens = self.token_state.tokens
-        incr = self.token_state.increments
+        avail = self.avail
+        tokens = self.tokens
+        incr = self.increments
         if not any(tokens[j] >= 1.0 - TOKEN_EPS for j in avail):
             rounds = None
             for j in avail:
@@ -356,21 +345,23 @@ def make_scheduler(
     stats: Sequence[BandStats],
     lambda_total: float,
     flow_index: int = 0,
-    mask: AvailabilityMask | None = None,
+    avail: Sequence[int] | None = None,
     rng: np.random.Generator | None = None,
 ) -> Scheduler:
+    """Build the policy ``spec`` names; ``avail`` lists the usable bands
+    (None: every band)."""
     if spec.kind == "single_band":
-        return SingleBand(num_bands, stats, mask, band=spec.band)
+        return SingleBand(num_bands, stats, avail, band=spec.band)
     if spec.kind == "even_split":
-        return EvenSplit(num_bands, stats, mask)
+        return EvenSplit(num_bands, stats, avail)
     if spec.kind == "load_balancing":
-        return LoadBalancing(num_bands, stats, mask)
+        return LoadBalancing(num_bands, stats, avail)
     if spec.kind == "band_per_flow":
-        return BandPerFlow(num_bands, stats, mask, flow_index=flow_index)
+        return BandPerFlow(num_bands, stats, avail, flow_index=flow_index)
     if spec.kind == "minimum_delay":
         if rng is None:
             rng = np.random.default_rng(0)
-        return MinimumDelay(num_bands, stats, mask, lambda_total, rng)
+        return MinimumDelay(num_bands, stats, avail, lambda_total, rng)
     if spec.kind == "leaky_bucket":
-        return LeakyBucket(num_bands, stats, mask, lambda_total)
+        return LeakyBucket(num_bands, stats, avail, lambda_total)
     raise ConfigInvalid(f"unknown scheduler kind {spec.kind!r}")

@@ -24,7 +24,7 @@ import numpy as np
 from bandsplit.cli import main as cli_main
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
-from bandsplit.engine import run_scenario, run_scenario_detailed
+from bandsplit.engine import SimState, run_scenario
 from bandsplit.model import BandStats, band_delay, objective
 from bandsplit.optimizer import optimize, solve_grid
 from bandsplit.runner import run_suite
@@ -155,11 +155,11 @@ def test_criterion_6_token_split_convergence_and_traces():
         stats=[BandStats(10.0, 0.02, 0.1, 0.011)] * 2,
         lambda_total=7.5,
     )
-    sched.token_state.increments = [0.5, 0.25]
-    sched.token_state.tokens = [0.0, 0.0]
+    sched.increments = [0.5, 0.25]
+    sched.tokens = [0.0, 0.0]
     assert [sched.next_band() for _ in range(9)] == [0, 0, 1, 0, 0, 1, 0, 0, 1]
-    sched.token_state.increments = [0.5, 0.5]
-    sched.token_state.tokens = [0.0, 0.0]
+    sched.increments = [0.5, 0.5]
+    sched.tokens = [0.0, 0.0]
     assert [sched.next_band() for _ in range(6)] == [0, 1, 0, 1, 0, 1]
 
     # Long-run split convergence at 1e5 selections, equal and unequal rates.
@@ -290,7 +290,8 @@ def test_criterion_9_conservation_and_ordering_properties():
     for i in range(100):
         cfg = _random_config(rng, i)
         cfg.validate()
-        rep, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=1000 + i)
+        state = SimState(cfg, cfg.schedulers[0], seed=1000 + i)
+        rep = state.run()
         # Conservation, exactly.
         assert rep.generated == rep.delivered + rep.queued_at_end + rep.in_flight_at_end
         assert rep.delivered <= rep.generated

@@ -103,3 +103,15 @@ def test_nonpositive_seeds_or_jobs_is_config_error(tmp_path, capsys):
     for jobs in ("0", "-3"):
         assert main(["run", str(cfg), "--out", out, "--jobs", jobs]) == EXIT_CONFIG
         assert "jobs" in capsys.readouterr().err
+
+
+def test_single_band_on_a_masked_band_is_config_error(tmp_path, capsys):
+    cfg = {
+        **MINI,
+        "flows": [{"sta": 0, "ac": 0, "lambda_pps": 5.0, "packets": 200, "available_bands": [1]}],
+        "schedulers": ["single_band:0"],
+    }
+    p = tmp_path / "masked.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert "available_bands" in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
-from bandsplit.engine import bootstrap_stats, run_scenario, run_scenario_detailed
+from bandsplit.engine import SimState, bootstrap_stats, run_scenario
 from bandsplit.errors import ConfigInvalid, ConservationViolated, OverloadDetected
 from bandsplit.model import FlowKey
 from bandsplit.schedulers import SchedulerSpec
@@ -44,7 +44,8 @@ def test_conservation_and_counts_at_natural_end():
 
 def test_conservation_when_stopped_by_time_limit():
     cfg = one_band_cfg(lam=9.0, packets=50_000, max_sim_time_s=30.0)
-    rep, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=4)
+    state = SimState(cfg, cfg.schedulers[0], seed=4)
+    rep = state.run()
     assert state.stopped_at_time_limit
     assert rep.generated < 50_000
     assert rep.generated == rep.delivered + rep.queued_at_end + rep.in_flight_at_end
@@ -54,7 +55,8 @@ def test_conservation_when_stopped_by_time_limit():
 def test_conservation_mismatch_is_an_explicit_error():
     # Kept under python -O: the check is an exception, not an assert.
     cfg = one_band_cfg(packets=500)
-    _, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=4)
+    state = SimState(cfg, cfg.schedulers[0], seed=4)
+    state.run()
     state.in_transit += 1
     with pytest.raises(ConservationViolated):
         state._report()
@@ -106,7 +108,8 @@ def test_emergent_vacations_measured_for_coexisting_flows():
         ),
         schedulers=(SchedulerSpec("load_balancing"),),  # stats-consuming: taps on
     )
-    rep, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=9)
+    state = SimState(cfg, cfg.schedulers[0], seed=9)
+    rep = state.run()
     assert rep.delivered == 8000
     for sta in (0, 1):
         st = state.estimate_stats(0, FlowKey(sta_id=sta, ac=0))
@@ -130,7 +133,8 @@ def test_strict_priority_across_access_categories():
         ),
         schedulers=(SchedulerSpec("single_band", 0),),
     )
-    rep, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=2)
+    state = SimState(cfg, cfg.schedulers[0], seed=2)
+    rep = state.run()
     lat = [sum(fr.lat) / len(fr.lat) for fr in state.flows]
     assert lat[0] < lat[1] * 0.5
 
@@ -146,7 +150,8 @@ def test_round_robin_across_stations_is_fair():
         ),
         schedulers=(SchedulerSpec("single_band", 0),),
     )
-    rep, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=2)
+    state = SimState(cfg, cfg.schedulers[0], seed=2)
+    rep = state.run()
     lat = [sum(fr.lat) / len(fr.lat) for fr in state.flows]
     assert lat[0] == pytest.approx(lat[1], rel=0.1)
 
@@ -193,7 +198,8 @@ def test_feedback_estimates_converge_to_true_rates():
         flows=(FlowConfig(sta=0, ac=0, lambda_pps=9.0, packets=8000),),
         schedulers=(SchedulerSpec("leaky_bucket"),),
     )
-    rep, state = run_scenario_detailed(cfg, cfg.schedulers[0], seed=3)
+    state = SimState(cfg, cfg.schedulers[0], seed=3)
+    rep = state.run()
     sched = state.flows[0].scheduler
     assert sched.stats[0].mu == pytest.approx(17.5, rel=1e-6)
     assert sched.stats[1].mu == pytest.approx(10.0, rel=1e-6)
@@ -211,8 +217,6 @@ def test_timestamps_monotone_and_bands_emit_in_flow_order():
     # Instrument the receive path: every packet's timestamps must be
     # monotone and each band must deliver a flow's packets in the order
     # they were assigned.
-    from bandsplit.engine import SimState
-
     cfg = ScenarioConfig(
         name="order",
         bands=(

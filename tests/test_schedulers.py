@@ -14,18 +14,13 @@ from bandsplit.errors import (
 )
 from bandsplit.model import BandStats
 from bandsplit.optimizer import optimize
-from bandsplit.schedulers import (
-    AvailabilityMask,
-    SchedulerSpec,
-    make_scheduler,
-    update_availability,
-)
+from bandsplit.schedulers import SchedulerSpec, make_scheduler
 
 TWO_EQUAL = [BandStats(10.0, 0.02, 0.1, 0.011), BandStats(10.0, 0.02, 0.1, 0.011)]
 TWO_ASYM = [BandStats(20.0, 2 / 400, 0.1, 0.011), BandStats(10.0, 2 / 100, 0.1, 0.011)]
 
 
-def build(kind, stats=None, lam=8.0, band=None, mask=None, flow_index=0, seed=0):
+def build(kind, stats=None, lam=8.0, band=None, avail=None, flow_index=0, seed=0):
     stats = stats if stats is not None else TWO_EQUAL
     spec = SchedulerSpec(kind, band=band)
     return make_scheduler(
@@ -34,7 +29,7 @@ def build(kind, stats=None, lam=8.0, band=None, mask=None, flow_index=0, seed=0)
         stats=stats,
         lambda_total=lam,
         flow_index=flow_index,
-        mask=mask,
+        avail=avail,
         rng=np.random.default_rng(seed),
     )
 
@@ -53,29 +48,29 @@ def test_leaky_token_trace_half_quarter():
     # R=(0.5, 0.25): rounds fill to (1.0, 0.5) -> band 0; (1.0, 1.0) ->
     # band 0 on the tie; leftover (0, 1.0) -> band 1; repeat.
     sched = build("leaky_bucket")
-    sched.token_state.increments = [0.5, 0.25]
-    sched.token_state.tokens = [0.0, 0.0]
+    sched.increments = [0.5, 0.25]
+    sched.tokens = [0.0, 0.0]
     picks = [sched.next_band() for _ in range(9)]
     assert picks == [0, 0, 1, 0, 0, 1, 0, 0, 1]
 
 
 def test_leaky_token_trace_equal_rates_alternates():
     sched = build("leaky_bucket")
-    sched.token_state.increments = [0.5, 0.5]
-    sched.token_state.tokens = [0.0, 0.0]
+    sched.increments = [0.5, 0.5]
+    sched.tokens = [0.0, 0.0]
     picks = [sched.next_band() for _ in range(8)]
     assert picks == [0, 1, 0, 1, 0, 1, 0, 1]
 
 
 def test_leaky_selected_token_was_full_and_stays_bounded():
     sched = build("leaky_bucket", stats=TWO_ASYM, lam=12.0)
-    incr_sum = sum(sched.token_state.increments)
+    incr_sum = sum(sched.increments)
     lo, hi = -1.0, 1.0 + incr_sum
     for _ in range(5000):
         j = sched.next_band()
         # the chosen bucket held at least one token before the debit
-        assert sched.token_state.tokens[j] >= -1e-12
-        for t in sched.token_state.tokens:
+        assert sched.tokens[j] >= -1e-12
+        for t in sched.tokens:
             assert lo <= t <= hi
             assert not math.isnan(t)
 
@@ -84,7 +79,7 @@ def test_leaky_equal_rate_bands_match_own_rate_credit():
     # With equal service rates the reference-rate credit coincides with
     # the per-band target-over-own-rate form.
     sched = build("leaky_bucket", stats=TWO_EQUAL, lam=8.0)
-    for r, lam_j, st in zip(sched.token_state.increments, sched.lambda_star, TWO_EQUAL):
+    for r, lam_j, st in zip(sched.increments, sched.lambda_star, TWO_EQUAL):
         assert r == pytest.approx(lam_j / st.mu, rel=1e-12)
 
 
@@ -163,26 +158,27 @@ def test_single_band_policy():
 
 def test_masked_band_never_returned_for_any_policy():
     for kind in ("even_split", "load_balancing", "band_per_flow", "minimum_delay", "leaky_bucket"):
-        sched = build(kind, stats=TWO_ASYM, lam=8.0, mask=AvailabilityMask((False, True)))
+        sched = build(kind, stats=TWO_ASYM, lam=8.0, avail=(1,))
         assert all(sched.next_band() == 1 for _ in range(200)), kind
 
 
 def test_update_availability_contract():
-    mask = AvailabilityMask((True, True))
-    new = update_availability(mask, [True, False])
-    assert new.bits == (True, False)
+    sched = build("even_split")
+    sched.update_availability([True, False])
+    assert sched.avail == (0,)
     with pytest.raises(AllBandsUnavailable):
-        update_availability(mask, [False, False])
+        sched.update_availability([False, False])
     with pytest.raises(ConfigInvalid):
-        update_availability(mask, [True])
+        sched.update_availability([True])
+    assert sched.avail == (0,)
 
 
 def test_feedback_recomputes_split_and_credits():
     sched = build("leaky_bucket", stats=TWO_EQUAL, lam=8.0)
-    before = list(sched.token_state.increments)
+    before = list(sched.increments)
     # Band 0 doubles its service rate: the split and credits must move.
     sched.update_feedback(TWO_ASYM, 8.0)
-    after = list(sched.token_state.increments)
+    after = list(sched.increments)
     assert after != before
     sol = optimize(8.0, TWO_ASYM)
     mu_ref = 20.0
@@ -192,20 +188,29 @@ def test_feedback_recomputes_split_and_credits():
 
 def test_feedback_idempotent_on_identical_stats():
     sched = build("leaky_bucket", stats=TWO_ASYM, lam=8.0)
-    first = list(sched.token_state.increments)
+    first = list(sched.increments)
     sched.update_feedback(TWO_ASYM, 8.0)
-    assert sched.token_state.increments == pytest.approx(first, rel=1e-12)
+    assert sched.increments == pytest.approx(first, rel=1e-12)
 
 
 def test_feedback_failure_keeps_previous_split():
     sched = build("leaky_bucket", stats=TWO_ASYM, lam=12.0)
-    keep_r = list(sched.token_state.increments)
+    keep_r = list(sched.increments)
     keep_l = list(sched.lambda_star)
     shrunk = [BandStats(5.0, 2 / 25, 0.1, 0.011), BandStats(5.0, 2 / 25, 0.1, 0.011)]
     with pytest.raises(Overload):
         sched.update_feedback(shrunk, 12.0)  # 12 >= 0.999 * 10
-    assert sched.token_state.increments == keep_r
+    assert sched.increments == keep_r
     assert sched.lambda_star == keep_l
+
+
+def test_availability_change_that_overloads_keeps_previous_state():
+    sched = build("leaky_bucket", stats=TWO_ASYM, lam=12.0)
+    keep = (sched.avail, list(sched.lambda_star), list(sched.increments))
+    with pytest.raises(Overload):
+        sched.update_availability([False, True])  # 12 >= 0.999 * 10
+    assert (sched.avail, sched.lambda_star, sched.increments) == keep
+    assert {sched.next_band() for _ in range(20)} == {0, 1}
 
 
 def test_availability_change_resolves_over_subset():
