@@ -70,7 +70,9 @@ class Sampler:
     """Chunked draws from one distribution, one RNG stream.
 
     Pre-drawing in blocks keeps the per-event cost down without changing
-    the consumption order of the stream, so runs stay reproducible.
+    the consumption order of the stream, so runs stay reproducible.  A
+    block is kept as a list of Python floats, so a draw is one list
+    index rather than a numpy scalar.
     """
 
     __slots__ = ("_spec", "_rng", "_chunk", "_buf", "_idx")
@@ -79,22 +81,22 @@ class Sampler:
         self._spec = spec
         self._rng = rng
         self._chunk = chunk
-        self._buf: np.ndarray | None = None
-        self._idx = 0
+        self._buf: list[float] = []
+        self._idx = chunk
 
     def _refill(self) -> None:
         spec = self._spec
         if spec.kind == "deterministic":
-            self._buf = np.full(self._chunk, spec.mean)
+            self._buf = [spec.mean] * self._chunk
         elif spec.kind == "exponential":
-            self._buf = self._rng.exponential(spec.mean, self._chunk)
+            self._buf = self._rng.exponential(spec.mean, self._chunk).tolist()
         else:
-            self._buf = self._rng.lognormal(spec.mu_log, spec.sigma_log, self._chunk)
+            self._buf = self._rng.lognormal(spec.mu_log, spec.sigma_log, self._chunk).tolist()
         self._idx = 0
 
     def draw(self) -> float:
-        if self._buf is None or self._idx >= self._chunk:
+        if self._idx >= self._chunk:
             self._refill()
         val = self._buf[self._idx]
         self._idx += 1
-        return float(val)
+        return val

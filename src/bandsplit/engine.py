@@ -11,6 +11,18 @@ derived from the run seed, and simultaneous events are ordered by
 (time, event-kind priority, insertion counter) with departures first.
 Identical (config, scheduler, seed) triples therefore reproduce
 bit-identical reports.
+
+Parametric vacations run as lazy chains.  An idle band keeps the end of
+its current vacation in its own state (``vac_end``) and pushes no event
+for it.  The first packet that joins the band while it is away runs the
+chain forward to the packet's arrival time, drawing and accounting each
+vacation it passes in the order the band would have taken them one by
+one (a vacation ending exactly at the arrival instant counts as passed,
+as vacation ends sort before arrivals), and pushes one event for the end
+of the vacation the packet waits out.  A band that no packet reaches
+therefore costs no events.  Two bands' vacation ends that fall on the
+same instant keep the order one event per vacation would give them (see
+``BandServer.__lt__``), so the records do not depend on the laziness.
 """
 
 from __future__ import annotations
@@ -99,6 +111,9 @@ class BandServer:
         "busy",
         "on_vacation",
         "vac_dur",
+        "vac_end",
+        "vac_starts",
+        "vac_seq",
         "occupied",
         "current",
         "current_dur",
@@ -124,12 +139,39 @@ class BandServer:
         self.busy = False
         self.on_vacation = False
         self.vac_dur = 0.0
+        self.vac_end = 0.0
+        # Start times of the vacations of the current chain, oldest first;
+        # the first is when the band went idle, the chain's vac_seq-th
+        # start in the run.
+        self.vac_starts = array("d")
+        self.vac_seq = 0
         self.occupied = 0.0
         self.current: Packet | None = None
         self.current_dur = 0.0
         self.service = service
         self.vacation = vacation
         self.prop_latency = prop_latency
+
+    def __lt__(self, other: "BandServer") -> bool:
+        """Heap order of two bands' vacation ends at the same instant.
+
+        With one event per vacation, the ends at one instant pop in the
+        order they were pushed, that is in the order of their start
+        times; starts at one instant are ordered by the events that made
+        them: a band going idle (a departure, or the run's start) comes
+        before a vacation ending, and two bands going idle keep their
+        order.  Walking both chains back from the current vacation
+        gives that order without the events.
+        """
+        a, b = self.vac_starts, other.vac_starts
+        i, j = len(a) - 1, len(b) - 1
+        while i and j and a[i] == b[j]:
+            i -= 1
+            j -= 1
+        return (a[i], self.vac_seq if i == 0 else math.inf) < (
+            b[j],
+            other.vac_seq if j == 0 else math.inf,
+        )
 
     def pick_queue(self, num_stas: int):
         """Next queue under strict AC priority, round-robin across STAs."""
@@ -292,6 +334,7 @@ class SimState:
         self.stopped_at_time_limit = False
         self._heap: list = []
         self._counter = 0
+        self._vacation_chains = 0
 
     # -- event plumbing -------------------------------------------------
 
@@ -317,7 +360,24 @@ class SimState:
         dur = srv.vacation.draw()
         srv.on_vacation = True
         srv.vac_dur = dur
-        self._push(t + dur, _EV_VACATION, srv.index)
+        srv.vac_end = t + dur
+        srv.vac_starts = array("d", (t,))
+        self._vacation_chains += 1
+        srv.vac_seq = self._vacation_chains
+
+    def _wake(self, srv: BandServer, t: float) -> None:
+        """Run an idle band's vacation chain up to ``t`` and push the end
+        of the vacation in progress, which the arriving packet waits for."""
+        end = srv.vac_end
+        starts = srv.vac_starts
+        while end <= t:
+            srv.occupied += srv.vac_dur
+            starts.append(end)
+            dur = srv.vacation.draw()
+            srv.vac_dur = dur
+            end += dur
+        srv.vac_end = end
+        heappush(self._heap, (end, _EV_VACATION, srv, srv.index, None))
 
     def _feedback(self, fr: _FlowRuntime) -> None:
         stats = []
@@ -382,8 +442,11 @@ class SimState:
             raise OverloadDetected(
                 f"band {band} queue exceeded cap {self.config.queue_cap} at t={t:.6f}"
             )
-        if not srv.busy and not srv.on_vacation:
-            self._start_service(srv, t)
+        if not srv.busy:
+            if not srv.on_vacation:
+                self._start_service(srv, t)
+            elif srv.qlen == 1:
+                self._wake(srv, t)
         if fr.generated < fr.cfg.packets:
             self._push(t + fr.arrivals.draw(), _EV_ARRIVAL, fi)
 
@@ -419,10 +482,7 @@ class SimState:
         srv = self.servers[bi]
         srv.on_vacation = False
         srv.occupied += srv.vac_dur
-        if srv.qlen > 0:
-            self._start_service(srv, t)
-        elif self.total_released < self.total_target:
-            self._start_vacation(srv, t)
+        self._start_service(srv, t)
 
     # -- main loop ---------------------------------------------------------
 

@@ -2,8 +2,11 @@
 priority discipline, termination modes, and quick queueing-theory checks
 (the full-scale validations live in the acceptance module)."""
 
+import heapq
+
 import pytest
 
+from bandsplit import engine
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.engine import SimState, bootstrap_stats, run_scenario
@@ -258,8 +261,8 @@ def test_run_requires_single_scheduler():
     assert run_scenario(cfg, cfg.schedulers[1], seed=1).delivered == 100
 
 
-def test_parametric_vacations_with_two_flows_complete():
-    cfg = ScenarioConfig(
+def two_flow_parametric_cfg(**kw):
+    return ScenarioConfig(
         name="pv2",
         bands=(
             BandConfig(service=DistributionSpec("exponential", mean=0.04)),
@@ -273,7 +276,46 @@ def test_parametric_vacations_with_two_flows_complete():
         schedulers=(SchedulerSpec("leaky_bucket"),),
         vacation_mode="parametric",
         vacation_dist=DistributionSpec("exponential", mean=0.01),
+        **kw,
     )
+
+
+def test_parametric_vacations_with_two_flows_complete():
+    cfg = two_flow_parametric_cfg()
     rep = run_scenario(cfg, cfg.schedulers[0], seed=8)
     assert rep.delivered == 6000
     assert rep.queued_at_end == 0 and rep.in_flight_at_end == 0
+
+
+def test_time_capped_parametric_run_keeps_conservation():
+    cfg = two_flow_parametric_cfg(max_sim_time_s=100.0)
+    state = SimState(cfg, cfg.schedulers[0], seed=8)
+    rep = state.run()
+    assert state.stopped_at_time_limit
+    assert rep.generated < 6000
+    assert rep.generated == rep.delivered + rep.queued_at_end + rep.in_flight_at_end
+
+
+def test_idle_vacations_push_no_heap_events(monkeypatch):
+    # Criterion-1 config at rho = 0.3.  With one event per vacation the
+    # idle band costs about 6.7 pushes per packet; lazily it costs at
+    # most one arrival, one departure and one wake-up per packet.
+    pushes = 0
+
+    def counting_heappush(heap, item):
+        nonlocal pushes
+        pushes += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(engine, "heappush", counting_heappush)
+    cfg = one_band_cfg(
+        lam=3.0,
+        packets=20_000,
+        kind="deterministic",
+        mean=0.1,
+        vacation_mode="parametric",
+        vacation_dist=DistributionSpec("deterministic", mean=0.05),
+    )
+    rep = run_scenario(cfg, cfg.schedulers[0], seed=101)
+    assert rep.delivered == 20_000
+    assert pushes < 3 * rep.generated
