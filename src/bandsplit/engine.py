@@ -20,9 +20,10 @@ vacation it passes in the order the band would have taken them one by
 one (a vacation ending exactly at the arrival instant counts as passed,
 as vacation ends sort before arrivals), and pushes one event for the end
 of the vacation the packet waits out.  A band that no packet reaches
-therefore costs no events.  Two bands' vacation ends that fall on the
-same instant keep the order one event per vacation would give them (see
-``BandServer.__lt__``), so the records do not depend on the laziness.
+therefore costs no events.  A vacation-end event carries its band in
+place of the insertion counter, and two bands' vacation ends at the same
+instant pop in the order one event per vacation would have given them
+(``BandServer.__lt__``), so the records do not depend on the laziness.
 """
 
 from __future__ import annotations
@@ -140,9 +141,9 @@ class BandServer:
         self.on_vacation = False
         self.vac_dur = 0.0
         self.vac_end = 0.0
-        # Start times of the vacations of the current chain, oldest first;
-        # the first is when the band went idle, the chain's vac_seq-th
-        # start in the run.
+        # The current vacation chain: the start time of each of its
+        # vacations, oldest first (the first is when the band went idle),
+        # and the chain's number among all chains of the run.
         self.vac_starts = array("d")
         self.vac_seq = 0
         self.occupied = 0.0
@@ -445,7 +446,7 @@ class SimState:
         if not srv.busy:
             if not srv.on_vacation:
                 self._start_service(srv, t)
-            elif srv.qlen == 1:
+            elif srv.qlen == 1:  # the first packet to wait: no end event yet
                 self._wake(srv, t)
         if fr.generated < fr.cfg.packets:
             self._push(t + fr.arrivals.draw(), _EV_ARRIVAL, fi)
