@@ -41,7 +41,6 @@ from .model import (
     DelayBreakdown,
     FlowKey,
     RateAllocation,
-    TrafficSpec,
     aggregate_delay,
     band_delay,
     feasible,

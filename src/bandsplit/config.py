@@ -1,28 +1,32 @@
-"""Scenario configuration: parsing, validation, round-trippable JSON form.
+"""Scenario configuration: the dataclasses, their validation, and the
+strict JSON loader.
 
-A scenario file is a single JSON document:
+A scenario file is a single JSON document; this one gives only the
+required keys and one optional key:
 
     {
       "name": "two_band_asym",
       "bands": [
-        {"service": {"kind": "deterministic", "mean": 0.0571}, "prop_latency_s": 0.0},
-        {"service": {"kind": "deterministic", "mean": 0.1}}
+        {"service": {"kind": "deterministic", "mean": 0.0571}},
+        {"service": {"kind": "deterministic", "mean": 0.1}, "prop_latency_s": 0.015}
       ],
-      "stas": 1,
-      "acs": [0],
       "flows": [{"sta": 0, "ac": 0, "lambda_pps": 8.0, "packets": 30000}],
       "schedulers": ["even_split", {"kind": "single_band", "band": 0}],
-      "vacation_mode": "emergent",
-      "feedback_interval_pkts": 100,
-      "warmup_frac": 0.1,
-      "seed_base": 1,
       "replications": 10
     }
 
+The dataclasses below are the one schema.  A JSON key names a dataclass
+field and is passed on only when present, so every default lives in its
+dataclass; a key that names no field is rejected with its path (say
+``bands[0].prop_latency``), at every level, and so is a missing field
+that has no default.  Every failure raises ConfigInvalid, which the CLI
+turns into exit code 2.
+
 ``acs`` lists the active access categories in priority order (first entry
 is served first).  A flow may restrict itself to a subset of bands with
-``available_bands``.  ``vacation_mode`` is either "emergent" (idle bands
-wait for work; vacations arise from serving other queues) or
+``available_bands``.  The JSON key ``vacation_mode`` sets the field
+``vacation``: either "emergent" (``None``: idle bands wait for work;
+vacations arise from serving other queues) or
 {"kind": "parametric", "dist": {...}} (idle bands take vacations drawn
 from the given distribution, back to back while idle).
 """
@@ -30,15 +34,13 @@ from the given distribution, back to back while idle).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .distributions import DistributionSpec
 from .errors import ConfigInvalid
 from .model import RHO_MAX, FlowKey
 from .schedulers import SchedulerSpec
-
-VACATION_MODES = ("emergent", "parametric")
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,12 @@ class ScenarioConfig:
     schedulers: tuple[SchedulerSpec, ...]
     stas: int = 1
     acs: tuple[int, ...] = (0,)
-    vacation_mode: str = "emergent"
-    vacation_dist: DistributionSpec | None = None
+    vacation: DistributionSpec | None = None  # None: emergent vacations
     feedback_interval_pkts: int = 100
     warmup_frac: float = 0.1
     seed_base: int = 1
     replications: int = 1
     queue_cap: int = 1_000_000
-    estimator_window: int = 512
-    min_samples: int = 30
     max_sim_time_s: float | None = None
 
     def validate(self) -> None:
@@ -143,16 +142,8 @@ class ScenarioConfig:
             raise ConfigInvalid("replications: must be >= 1")
         if self.queue_cap < 1:
             raise ConfigInvalid("queue_cap: must be >= 1")
-        if self.estimator_window < 1:
-            raise ConfigInvalid("estimator_window: must be >= 1")
-        if self.min_samples < 1:
-            raise ConfigInvalid("min_samples: must be >= 1")
         if self.max_sim_time_s is not None and not self.max_sim_time_s > 0:
             raise ConfigInvalid("max_sim_time_s: must be > 0 when set")
-        if self.vacation_mode not in VACATION_MODES:
-            raise ConfigInvalid(f"vacation_mode: unknown mode {self.vacation_mode!r}")
-        if self.vacation_mode == "parametric" and self.vacation_dist is None:
-            raise ConfigInvalid("vacation_mode: parametric mode needs a vacation distribution")
         # Stability margin: keep total offered load clear of the capacity pole.
         offered = sum(fl.lambda_pps for fl in self.flows)
         capacity = sum(1.0 / b.service.moments()[0] for b in self.bands)
@@ -164,112 +155,12 @@ class ScenarioConfig:
 
     # -- JSON form -----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        d: dict = {
-            "name": self.name,
-            "bands": [
-                {"service": b.service.to_dict(), "prop_latency_s": b.prop_latency_s}
-                for b in self.bands
-            ],
-            "stas": self.stas,
-            "acs": list(self.acs),
-            "flows": [],
-            "schedulers": [
-                {"kind": s.kind, "band": s.band} if s.kind == "single_band" else s.kind
-                for s in self.schedulers
-            ],
-            "vacation_mode": self.vacation_mode,
-            "feedback_interval_pkts": self.feedback_interval_pkts,
-            "warmup_frac": self.warmup_frac,
-            "seed_base": self.seed_base,
-            "replications": self.replications,
-            "queue_cap": self.queue_cap,
-            "estimator_window": self.estimator_window,
-            "min_samples": self.min_samples,
-        }
-        for fl in self.flows:
-            fd = {
-                "sta": fl.sta,
-                "ac": fl.ac,
-                "lambda_pps": fl.lambda_pps,
-                "packets": fl.packets,
-            }
-            if fl.available_bands is not None:
-                fd["available_bands"] = list(fl.available_bands)
-            d["flows"].append(fd)
-        if self.vacation_dist is not None:
-            d["vacation_dist"] = self.vacation_dist.to_dict()
-        if self.max_sim_time_s is not None:
-            d["max_sim_time_s"] = self.max_sim_time_s
-        return d
-
     @staticmethod
     def from_dict(d: dict) -> "ScenarioConfig":
-        if not isinstance(d, dict):
-            raise ConfigInvalid("config: expected a JSON object")
-
-        def need(key: str):
-            if key not in d:
-                raise ConfigInvalid(f"{key}: missing required field")
-            return d[key]
-
-        bands = []
-        for i, bd in enumerate(_as_list(need("bands"), "bands")):
-            if not isinstance(bd, dict) or "service" not in bd:
-                raise ConfigInvalid(f"bands[{i}]: expected an object with 'service'")
-            bands.append(
-                BandConfig(
-                    service=DistributionSpec.from_dict(bd["service"], f"bands[{i}].service"),
-                    prop_latency_s=_as_float(bd.get("prop_latency_s", 0.0), f"bands[{i}].prop_latency_s"),
-                )
-            )
-        flows = []
-        for i, fd in enumerate(_as_list(need("flows"), "flows")):
-            if not isinstance(fd, dict):
-                raise ConfigInvalid(f"flows[{i}]: expected an object")
-            avail = fd.get("available_bands")
-            flows.append(
-                FlowConfig(
-                    sta=_as_int(fd.get("sta", 0), f"flows[{i}].sta"),
-                    ac=_as_int(fd.get("ac", 0), f"flows[{i}].ac"),
-                    lambda_pps=_as_float(fd.get("lambda_pps"), f"flows[{i}].lambda_pps"),
-                    packets=_as_int(fd.get("packets"), f"flows[{i}].packets"),
-                    available_bands=None if avail is None else tuple(
-                        _as_int(b, f"flows[{i}].available_bands") for b in _as_list(avail, f"flows[{i}].available_bands")
-                    ),
-                )
-            )
-        schedulers = tuple(
-            SchedulerSpec.parse(s, f"schedulers[{i}]")
-            for i, s in enumerate(_as_list(need("schedulers"), "schedulers"))
-        )
-        vmode = d.get("vacation_mode", "emergent")
-        vdist = None
-        if isinstance(vmode, dict):
-            if vmode.get("kind") != "parametric":
-                raise ConfigInvalid("vacation_mode: object form must have kind 'parametric'")
-            vdist = DistributionSpec.from_dict(vmode.get("dist", {}), "vacation_mode.dist")
-            vmode = "parametric"
-        elif "vacation_dist" in d:
-            vdist = DistributionSpec.from_dict(d["vacation_dist"], "vacation_dist")
-        cfg = ScenarioConfig(
-            name=str(need("name")),
-            bands=tuple(bands),
-            flows=tuple(flows),
-            schedulers=schedulers,
-            stas=_as_int(d.get("stas", 1), "stas"),
-            acs=tuple(_as_int(a, "acs") for a in _as_list(d.get("acs", [0]), "acs")),
-            vacation_mode=vmode,
-            vacation_dist=vdist,
-            feedback_interval_pkts=_as_int(d.get("feedback_interval_pkts", 100), "feedback_interval_pkts"),
-            warmup_frac=_as_float(d.get("warmup_frac", 0.1), "warmup_frac"),
-            seed_base=_as_int(d.get("seed_base", 1), "seed_base"),
-            replications=_as_int(d.get("replications", 1), "replications"),
-            queue_cap=_as_int(d.get("queue_cap", 1_000_000), "queue_cap"),
-            estimator_window=_as_int(d.get("estimator_window", 512), "estimator_window"),
-            min_samples=_as_int(d.get("min_samples", 30), "min_samples"),
-            max_sim_time_s=None if d.get("max_sim_time_s") is None else _as_float(d["max_sim_time_s"], "max_sim_time_s"),
-        )
+        kw = _parse_object(d, "", _SCENARIO_KEYS)
+        if "vacation_mode" in kw:
+            kw["vacation"] = kw.pop("vacation_mode")
+        cfg = _construct(ScenarioConfig, kw, "")
         cfg.validate()
         return cfg
 
@@ -284,6 +175,58 @@ class ScenarioConfig:
     @staticmethod
     def from_file(path: str | Path) -> "ScenarioConfig":
         return ScenarioConfig.from_json(Path(path).read_text(encoding="utf-8"))
+
+
+def _parse_object(d, where: str, parsers: dict) -> dict:
+    """Each key of the JSON object ``d`` parsed by ``parsers[key](value,
+    path)``; a key with no parser is rejected with its path."""
+    if not isinstance(d, dict):
+        raise ConfigInvalid(f"{where or 'config'}: expected a JSON object")
+    kw = {}
+    for key, value in d.items():
+        path = _path(where, key)
+        if key not in parsers:
+            raise ConfigInvalid(f"{path}: unknown field (known: {', '.join(parsers)})")
+        kw[key] = parsers[key](value, path)
+    return kw
+
+
+def _construct(cls, kw: dict, where: str):
+    """``cls(**kw)``; a field with no dataclass default must be in ``kw``."""
+    for f in fields(cls):
+        if f.default is MISSING and f.name not in kw:
+            raise ConfigInvalid(f"{_path(where, f.name)}: missing required field")
+    return cls(**kw)
+
+
+def _path(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _object_of(cls, parsers: dict):
+    return lambda v, where: _construct(cls, _parse_object(v, where, parsers), where)
+
+
+def _tuple_of(parse):
+    def parse_list(v, where: str) -> tuple:
+        return tuple(parse(x, f"{where}[{i}]") for i, x in enumerate(_as_list(v, where)))
+
+    return parse_list
+
+
+def _optional(parse):
+    return lambda v, where: None if v is None else parse(v, where)
+
+
+def _vacation(v, where: str) -> DistributionSpec | None:
+    if v == "emergent":
+        return None
+    if not isinstance(v, dict) or v.get("kind") != "parametric":
+        raise ConfigInvalid(f'{where}: expected "emergent" or {{"kind": "parametric", "dist": {{...}}}}')
+    parsed = _parse_object(v, where, {"kind": lambda k, _: k, "dist": DistributionSpec.from_dict})
+    if "dist" not in parsed:
+        raise ConfigInvalid(f"{where}.dist: missing required field")
+    return parsed["dist"]
 
 
 def _as_list(v, where: str) -> list:
@@ -302,3 +245,28 @@ def _as_float(v, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigInvalid(f"{where}: expected a number, got {v!r}")
     return float(v)
+
+
+_BAND_KEYS = {"service": DistributionSpec.from_dict, "prop_latency_s": _as_float}
+_FLOW_KEYS = {
+    "sta": _as_int,
+    "ac": _as_int,
+    "lambda_pps": _as_float,
+    "packets": _as_int,
+    "available_bands": _optional(_tuple_of(_as_int)),
+}
+_SCENARIO_KEYS = {
+    "name": lambda v, where: str(v),
+    "bands": _tuple_of(_object_of(BandConfig, _BAND_KEYS)),
+    "flows": _tuple_of(_object_of(FlowConfig, _FLOW_KEYS)),
+    "schedulers": _tuple_of(SchedulerSpec.parse),
+    "stas": _as_int,
+    "acs": _tuple_of(_as_int),
+    "vacation_mode": _vacation,
+    "feedback_interval_pkts": _as_int,
+    "warmup_frac": _as_float,
+    "seed_base": _as_int,
+    "replications": _as_int,
+    "queue_cap": _as_int,
+    "max_sim_time_s": _optional(_as_float),
+}

@@ -15,7 +15,12 @@ import numpy as np
 
 from .errors import ConfigInvalid
 
-KINDS = ("deterministic", "exponential", "lognormal")
+# Each kind with the parameters its JSON object must give.
+KINDS = {
+    "deterministic": ("mean",),
+    "exponential": ("mean",),
+    "lognormal": ("mu_log", "sigma_log"),
+}
 
 
 @dataclass(frozen=True)
@@ -44,26 +49,27 @@ class DistributionSpec:
         m2 = math.exp(2.0 * self.mu_log + 2.0 * self.sigma_log**2)
         return m1, m2
 
-    def to_dict(self) -> dict:
-        if self.kind == "lognormal":
-            return {"kind": self.kind, "mu_log": self.mu_log, "sigma_log": self.sigma_log}
-        return {"kind": self.kind, "mean": self.mean}
-
     @staticmethod
     def from_dict(d: dict, where: str = "distribution") -> "DistributionSpec":
+        """Parse a JSON object: ``kind`` plus exactly that kind's parameters."""
         if not isinstance(d, dict) or "kind" not in d:
             raise ConfigInvalid(f"{where}: expected an object with a 'kind' field")
         kind = d["kind"]
-        try:
-            if kind == "lognormal":
-                return DistributionSpec(
-                    kind=kind,
-                    mu_log=float(d.get("mu_log", 0.0)),
-                    sigma_log=float(d.get("sigma_log", 0.0)),
-                )
-            return DistributionSpec(kind=kind, mean=float(d.get("mean", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"{where}: {exc}") from exc
+        params = KINDS.get(kind) if isinstance(kind, str) else None
+        if params is None:
+            raise ConfigInvalid(f"{where}.kind: unknown distribution kind {kind!r}")
+        for key in d:
+            if key != "kind" and key not in params:
+                raise ConfigInvalid(f"{where}.{key}: unknown field (known: kind, {', '.join(params)})")
+        values = {}
+        for key in params:
+            if key not in d:
+                raise ConfigInvalid(f"{where}.{key}: missing required field")
+            try:
+                values[key] = float(d[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigInvalid(f"{where}.{key}: {exc}") from exc
+        return DistributionSpec(kind=kind, **values)
 
 
 class Sampler:

@@ -94,9 +94,9 @@ class _Tap:
 
     __slots__ = ("service", "vacation", "last_occupied")
 
-    def __init__(self, window: int):
-        self.service = MomentEstimator(window)
-        self.vacation = MomentEstimator(window)
+    def __init__(self):
+        self.service = MomentEstimator()
+        self.vacation = MomentEstimator()
         self.last_occupied: float | None = None
 
 
@@ -214,9 +214,7 @@ class _FlowRuntime:
         "ooo_count",
         "measured",
         "band_counts",
-        "band_delay_sums",
         "wait_sum",
-        "service_sum",
         "min_created",
         "max_released",
     )
@@ -242,9 +240,7 @@ class _FlowRuntime:
         self.ooo_count = 0
         self.measured = 0
         self.band_counts = None
-        self.band_delay_sums = None
         self.wait_sum = 0.0
-        self.service_sum = 0.0
         self.min_created = math.inf
         self.max_released = -math.inf
 
@@ -278,15 +274,14 @@ class SimState:
         self.num_stas = config.stas
         self.rank_of_ac = {ac: rank for rank, ac in enumerate(config.acs)}
 
-        parametric = config.vacation_mode == "parametric"
         self.servers = [
             BandServer(
                 index=j,
                 num_ranks=len(config.acs),
                 num_stas=config.stas,
                 service=Sampler(band.service, _stream(seed, _DOM_SERVICE, j)),
-                vacation=Sampler(config.vacation_dist, _stream(seed, _DOM_VACATION, j))
-                if parametric
+                vacation=Sampler(config.vacation, _stream(seed, _DOM_VACATION, j))
+                if config.vacation is not None
                 else None,
                 prop_latency=band.prop_latency_s,
             )
@@ -310,7 +305,7 @@ class SimState:
                 _stream(seed, _DOM_ARRIVAL, i),
             )
             taps = (
-                [_Tap(config.estimator_window) for _ in range(self.num_bands)]
+                [_Tap() for _ in range(self.num_bands)]
                 if sched.uses_feedback
                 else None
             )
@@ -326,7 +321,6 @@ class SimState:
                 taps=taps,
             )
             fr.band_counts = [0] * self.num_bands
-            fr.band_delay_sums = [0.0] * self.num_bands
             self.flows.append(fr)
 
         self.total_target = sum(fl.packets for fl in config.flows)
@@ -385,9 +379,7 @@ class SimState:
         for j in range(self.num_bands):
             tap = fr.taps[j]
             try:
-                st = band_stats_from_windows(
-                    tap.service, tap.vacation, self.config.min_samples
-                )
+                st = band_stats_from_windows(tap.service, tap.vacation)
             except InsufficientSamples:
                 st = fr.scheduler.stats[j]
             stats.append(st)
@@ -415,12 +407,8 @@ class SimState:
                 fr.reseq_sum += reseq
                 if reseq > fr.reseq_max:
                     fr.reseq_max = reseq
-                band = rp.enqueued_band
-                fr.band_counts[band] += 1
-                prop = self.servers[band].prop_latency
-                fr.band_delay_sums[band] += rp.received_at - rp.created_at
+                fr.band_counts[rp.enqueued_band] += 1
                 fr.wait_sum += rp.service_start - rp.created_at
-                fr.service_sum += rp.received_at - prop - rp.service_start
                 if rp.created_at < fr.min_created:
                     fr.min_created = rp.created_at
                 if rp.released_at > fr.max_released:
@@ -530,7 +518,7 @@ class SimState:
                 if fr.taps is None:
                     raise InsufficientSamples("run did not collect feedback windows")
                 tap = fr.taps[band]
-                return band_stats_from_windows(tap.service, tap.vacation, self.config.min_samples)
+                return band_stats_from_windows(tap.service, tap.vacation)
         raise KeyError(f"unknown flow {flow}")
 
     def _report(self) -> MetricsReport:
@@ -552,22 +540,15 @@ class SimState:
         reseq_max = max((fr.reseq_max for fr in self.flows), default=0.0)
         ooo = sum(fr.ooo_count for fr in self.flows)
         band_counts = [0] * self.num_bands
-        band_delay_sums = [0.0] * self.num_bands
         for fr in self.flows:
             for j in range(self.num_bands):
                 band_counts[j] += fr.band_counts[j]
-                band_delay_sums[j] += fr.band_delay_sums[j]
         frac = tuple(c / measured if measured else 0.0 for c in band_counts)
-        band_mean_delay = tuple(
-            band_delay_sums[j] / band_counts[j] if band_counts[j] else 0.0
-            for j in range(self.num_bands)
-        )
         min_created = min((fr.min_created for fr in self.flows), default=math.inf)
         max_released = max((fr.max_released for fr in self.flows), default=-math.inf)
         span = max_released - min_created
         goodput = measured / span if measured and span > 0 else 0.0
         wait_sum = sum(fr.wait_sum for fr in self.flows)
-        service_sum = sum(fr.service_sum for fr in self.flows)
         return MetricsReport(
             scenario=self.config.name,
             scheduler=self.scheduler_spec.name,
@@ -582,9 +563,7 @@ class SimState:
             max_reseq_delay_s=reseq_max,
             out_of_order_frac=ooo / measured if measured else 0.0,
             per_band_frac=frac,
-            per_band_mean_delay=band_mean_delay,
             mean_wait_s=wait_sum / measured if measured else 0.0,
-            mean_service_s=service_sum / measured if measured else 0.0,
             queued_at_end=self.queued_total(),
             in_flight_at_end=self.in_transit + self.pending_reorder(),
         )

@@ -19,7 +19,8 @@ from .model import BandStats
 VACATION_FLOOR = 1e-9
 
 DEFAULT_WINDOW = 512
-DEFAULT_MIN_SAMPLES = 30
+# Samples each window needs before band_stats_from_windows trusts it.
+MIN_SAMPLES = 30
 
 
 class MomentEstimator:
@@ -74,26 +75,21 @@ class MomentEstimator:
         return self._sum_sq / len(self._ring)
 
 
-def band_stats_from_windows(
-    service: MomentEstimator,
-    vacation: MomentEstimator,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-    vacation_floor: float = VACATION_FLOOR,
-) -> BandStats:
+def band_stats_from_windows(service: MomentEstimator, vacation: MomentEstimator) -> BandStats:
     """BandStats from measurement windows.
 
     mu is the reciprocal mean service time and x2 the windowed second
     moment, so x2 >= (1/mu)^2 holds by construction.  All-zero vacation
     windows are floored to keep the stats usable downstream.
     """
-    if len(service) < min_samples or len(vacation) < min_samples:
+    if len(service) < MIN_SAMPLES or len(vacation) < MIN_SAMPLES:
         raise InsufficientSamples(
-            f"need {min_samples} service and vacation samples, "
+            f"need {MIN_SAMPLES} service and vacation samples, "
             f"have {len(service)}/{len(vacation)}"
         )
     mean_service = service.mean()
     if mean_service <= 0.0:
         raise InsufficientSamples("degenerate service window (non-positive mean)")
-    vbar = max(vacation.mean(), vacation_floor)
+    vbar = max(vacation.mean(), VACATION_FLOOR)
     v2 = max(vacation.mean_sq(), vbar**2)
     return BandStats(mu=1.0 / mean_service, x2=service.mean_sq(), vbar=vbar, v2=v2)

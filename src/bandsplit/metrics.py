@@ -6,8 +6,8 @@ band_frac_<j> per band.  Writing (MetricsReport.record, record_columns),
 reading (runner.read_records) and comparing (runner.compare) all derive
 from it.
 
-Extra diagnostic fields (generated counts, waiting/service split,
-per-band transport delay) live on the report object only.
+Extra diagnostic fields (generated and measured counts, mean wait,
+packets left queued or in flight) live on the report object only.
 """
 
 from __future__ import annotations
@@ -47,9 +47,7 @@ class MetricsReport:
     max_reseq_delay_s: float
     out_of_order_frac: float
     per_band_frac: tuple[float, ...]
-    per_band_mean_delay: tuple[float, ...]
     mean_wait_s: float
-    mean_service_s: float
     queued_at_end: int
     in_flight_at_end: int
 

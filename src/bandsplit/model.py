@@ -101,18 +101,6 @@ class RateAllocation:
         return sum(self.lambdas)
 
 
-@dataclass(frozen=True)
-class TrafficSpec:
-    """Offered load of one flow: total packet rate plus its queue identity."""
-
-    lambda_total: float
-    flow: FlowKey
-
-    def __post_init__(self) -> None:
-        if not self.lambda_total > 0.0:
-            raise ValueError(f"lambda_total must be > 0, got {self.lambda_total}")
-
-
 def band_delay(lambda_j: float, stats: BandStats) -> DelayBreakdown:
     """Mean delay of one band at arrival rate ``lambda_j``.
 

@@ -122,7 +122,6 @@ class PairedDelta:
     baseline: str
     metric: str
     mean_value: float
-    mean_baseline: float
     mean_delta: float
     wins: int  # seeds where scheduler value < baseline value
     seeds: int
@@ -205,7 +204,6 @@ def compare(records: list[dict], baseline: str | None = None) -> ComparisonSumma
                         baseline=base,
                         metric=metric,
                         mean_value=sum(vals) / len(vals),
-                        mean_baseline=sum(bvals) / len(bvals),
                         mean_delta=sum(v - b for v, b in zip(vals, bvals)) / len(vals),
                         wins=wins,
                         seeds=len(base_seeds),

@@ -67,6 +67,8 @@ class SchedulerSpec:
             raise ConfigInvalid(f"unknown scheduler kind {self.kind!r}")
         if self.kind == "single_band" and self.band is None:
             raise ConfigInvalid("single_band needs a 'band' index")
+        if self.kind != "single_band" and self.band is not None:
+            raise ConfigInvalid(f"{self.kind} takes no band index")
 
     @property
     def name(self) -> str:
@@ -83,6 +85,9 @@ class SchedulerSpec:
                     raise ConfigInvalid(f"{where}: bad band index in {obj!r}") from exc
             return SchedulerSpec(kind=obj)
         if isinstance(obj, dict):
+            for key in obj:
+                if key not in ("kind", "band"):
+                    raise ConfigInvalid(f"{where}.{key}: unknown field (known: kind, band)")
             kind = obj.get("kind")
             band = obj.get("band")
             return SchedulerSpec(kind=kind, band=None if band is None else int(band))

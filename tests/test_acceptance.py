@@ -56,8 +56,7 @@ def test_criterion_1_pk_vacation_delay_validation():
             PACKETS_FULL,
             "deterministic",
             1.0 / mu,
-            vacation_mode="parametric",
-            vacation_dist=DistributionSpec("deterministic", mean=vac),
+            vacation=DistributionSpec("deterministic", mean=vac),
         )
         t0 = time.monotonic()
         rep = run_scenario(cfg, cfg.schedulers[0], seed=101)
@@ -276,8 +275,7 @@ def _random_config(rng: np.random.Generator, index: int) -> ScenarioConfig:
         stas=n_flows,
         flows=flows,
         schedulers=(spec,),
-        vacation_mode="parametric" if parametric else "emergent",
-        vacation_dist=DistributionSpec("exponential", mean=0.01) if parametric else None,
+        vacation=DistributionSpec("exponential", mean=0.01) if parametric else None,
         warmup_frac=float(rng.uniform(0.0, 0.3)),
         max_sim_time_s=40.0 if index % 5 == 0 else None,
         feedback_interval_pkts=int(rng.integers(40, 200)),

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from bandsplit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 MINI = {
@@ -115,3 +117,35 @@ def test_single_band_on_a_masked_band_is_config_error(tmp_path, capsys):
     p.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert "available_bands" in capsys.readouterr().err
+
+
+def _band0(**service):
+    return [{"service": service}, *MINI["bands"][1:]]
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"feedback_interval": 10}, "feedback_interval"),
+        ({"vacation_dist": {"kind": "deterministic", "mean": 0.05}}, "vacation_dist"),
+        (
+            {"vacation_mode": "parametric", "vacation_dist": {"kind": "deterministic", "mean": 0.05}},
+            "vacation_mode",
+        ),
+        ({"estimator_window": 64}, "estimator_window"),
+        (
+            {"flows": [{**MINI["flows"][0], "available_band": [1]}]},
+            "flows[0].available_band",
+        ),
+        ({"bands": [{**MINI["bands"][0], "prop_latency": 0.5}, MINI["bands"][1]]}, "bands[0].prop_latency"),
+        ({"bands": _band0(kind="lognormal", mean=0.05)}, "bands[0].service.mean"),
+        ({"bands": _band0(kind="lognormal", mu_log=-3.0)}, "bands[0].service.sigma_log"),
+        ({"schedulers": [{"kind": "single_band", "band": 0, "bnd": 1}]}, "schedulers[0].bnd"),
+        ({"schedulers": [{"kind": "even_split", "band": 1}]}, "even_split"),
+    ],
+)
+def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**MINI, **patch}), encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert path in capsys.readouterr().err

@@ -51,7 +51,7 @@ def test_band_stats_constant_service():
     for _ in range(40):
         svc.add(0.1)
         vac.add(0.0)
-    st = band_stats_from_windows(svc, vac, min_samples=30)
+    st = band_stats_from_windows(svc, vac)
     assert st.mu == pytest.approx(10.0, rel=1e-12)
     assert st.x2 == pytest.approx(0.01, rel=1e-12)
     # All-zero vacations get floored but stay negligible.
@@ -67,7 +67,7 @@ def test_band_stats_exponential_second_moment():
     for x in rng.exponential(0.1, 100_000):
         svc.add(float(x))
         vac.add(0.01)
-    st = band_stats_from_windows(svc, vac, min_samples=30)
+    st = band_stats_from_windows(svc, vac)
     assert st.x2 == pytest.approx(2 * 0.1**2, rel=0.03)
 
 
@@ -78,7 +78,7 @@ def test_band_stats_insufficient_samples():
         svc.add(0.1)
         vac.add(0.0)
     with pytest.raises(InsufficientSamples):
-        band_stats_from_windows(svc, vac, min_samples=30)
+        band_stats_from_windows(svc, vac)
 
 
 def test_distribution_moments():

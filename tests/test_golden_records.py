@@ -47,8 +47,7 @@ def _criterion_1(rho: float) -> ScenarioConfig:
         bands=(BandConfig(service=DistributionSpec("deterministic", mean=1.0 / mu)),),
         flows=(FlowConfig(sta=0, ac=0, lambda_pps=rho * mu, packets=20_000),),
         schedulers=(SchedulerSpec("single_band", 0),),
-        vacation_mode="parametric",
-        vacation_dist=DistributionSpec("deterministic", mean=0.05),
+        vacation=DistributionSpec("deterministic", mean=0.05),
         seed_base=101,
     )
 
@@ -80,8 +79,7 @@ def _three_band(vacation: str, max_sim_time_s: float | None = None) -> ScenarioC
                 "leaky_bucket",
             )
         ),
-        vacation_mode="parametric",
-        vacation_dist=_VACATIONS[vacation],
+        vacation=_VACATIONS[vacation],
         feedback_interval_pkts=10,
         seed_base=7,
         max_sim_time_s=max_sim_time_s,

@@ -9,7 +9,6 @@ from bandsplit.model import (
     BandStats,
     FlowKey,
     RateAllocation,
-    TrafficSpec,
     aggregate_delay,
     band_delay,
     feasible,
@@ -103,15 +102,13 @@ def test_feasible_cases():
         feasible(RateAllocation((1.0,)), two, 1.0)
 
 
-def test_flow_key_and_traffic_spec_invariants():
+def test_flow_key_invariants():
     key = FlowKey(sta_id=2, ac=3)
     assert key.sta_id == 2
     with pytest.raises(ValueError):
         FlowKey(sta_id=-1, ac=0)
     with pytest.raises(ValueError):
         FlowKey(sta_id=0, ac=4)
-    with pytest.raises(ValueError):
-        TrafficSpec(lambda_total=0.0, flow=key)
 
 
 def test_total_delay_strictly_increasing_in_rate():
