@@ -2,7 +2,7 @@
 
 Library surface:
 
-* model        per-band delay formula, aggregate objective, feasibility
+* model        per-band delay formula, aggregate objective
 * optimizer    optimal rate split (exact solver, heavy-traffic closed form,
                grid oracle)
 * schedulers   per-packet band selection policies (token bucket and rivals)
@@ -15,7 +15,6 @@ from .config import BandConfig, FlowConfig, ScenarioConfig
 from .distributions import DistributionSpec
 from .engine import Packet, SimState, run_scenario
 from .errors import (
-    AllBandsUnavailable,
     BandsplitError,
     BracketFailure,
     ConfigInvalid,
@@ -27,7 +26,6 @@ from .errors import (
     InvalidStats,
     LengthMismatch,
     MismatchedSeeds,
-    NoAvailableBand,
     NoFeasibleBranch,
     OptimizerError,
     OptimizerFailure,
@@ -43,7 +41,6 @@ from .model import (
     RateAllocation,
     aggregate_delay,
     band_delay,
-    feasible,
     objective,
 )
 from .optimizer import (

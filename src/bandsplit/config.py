@@ -34,6 +34,7 @@ from the given distribution, back to back while idle).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -242,9 +243,15 @@ def _as_int(v, where: str) -> int:
 
 
 def _as_float(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigInvalid(f"{where}: expected a number, got {v!r}")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ConfigInvalid(f"{where}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _as_str(v, where: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigInvalid(f"{where}: expected a string, got {v!r}")
+    return v
 
 
 _BAND_KEYS = {"service": DistributionSpec.from_dict, "prop_latency_s": _as_float}
@@ -256,7 +263,7 @@ _FLOW_KEYS = {
     "available_bands": _optional(_tuple_of(_as_int)),
 }
 _SCENARIO_KEYS = {
-    "name": lambda v, where: str(v),
+    "name": _as_str,
     "bands": _tuple_of(_object_of(BandConfig, _BAND_KEYS)),
     "flows": _tuple_of(_object_of(FlowConfig, _FLOW_KEYS)),
     "schedulers": _tuple_of(SchedulerSpec.parse),

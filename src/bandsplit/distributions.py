@@ -65,10 +65,10 @@ class DistributionSpec:
         for key in params:
             if key not in d:
                 raise ConfigInvalid(f"{where}.{key}: missing required field")
-            try:
-                values[key] = float(d[key])
-            except (TypeError, ValueError) as exc:
-                raise ConfigInvalid(f"{where}.{key}: {exc}") from exc
+            v = d[key]
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise ConfigInvalid(f"{where}.{key}: expected a finite number, got {v!r}")
+            values[key] = float(v)
         return DistributionSpec(kind=kind, **values)
 
 

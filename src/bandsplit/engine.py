@@ -8,7 +8,8 @@ per-flow reorder buffer that releases in sequence order.
 
 Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, and simultaneous events are ordered by
-(time, event-kind priority, insertion counter) with departures first.
+(time, event-kind priority, insertion counter) with departures first:
+same-instant events of one kind pop in the order they were pushed.
 Identical (config, scheduler, seed) triples therefore reproduce
 bit-identical reports.
 
@@ -20,10 +21,9 @@ vacation it passes in the order the band would have taken them one by
 one (a vacation ending exactly at the arrival instant counts as passed,
 as vacation ends sort before arrivals), and pushes one event for the end
 of the vacation the packet waits out.  A band that no packet reaches
-therefore costs no events.  A vacation-end event carries its band in
-place of the insertion counter, and two bands' vacation ends at the same
-instant pop in the order one event per vacation would have given them
-(``BandServer.__lt__``), so the records do not depend on the laziness.
+therefore costs no events.  Like every other event, that vacation end
+takes the insertion counter at its push, so two bands' vacation ends at
+the same instant pop in the order their waking packets arrived.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from .errors import (
 )
 from .estimators import VACATION_FLOOR, MomentEstimator, band_stats_from_windows
 from .metrics import MetricsReport
-from .model import BandStats, FlowKey
+from .model import BandStats
 from .reorder import ReorderBuffer
 from .schedulers import SchedulerSpec, make_scheduler
 
@@ -113,8 +113,6 @@ class BandServer:
         "on_vacation",
         "vac_dur",
         "vac_end",
-        "vac_starts",
-        "vac_seq",
         "occupied",
         "current",
         "current_dur",
@@ -141,38 +139,12 @@ class BandServer:
         self.on_vacation = False
         self.vac_dur = 0.0
         self.vac_end = 0.0
-        # The current vacation chain: the start time of each of its
-        # vacations, oldest first (the first is when the band went idle),
-        # and the chain's number among all chains of the run.
-        self.vac_starts = array("d")
-        self.vac_seq = 0
         self.occupied = 0.0
         self.current: Packet | None = None
         self.current_dur = 0.0
         self.service = service
         self.vacation = vacation
         self.prop_latency = prop_latency
-
-    def __lt__(self, other: "BandServer") -> bool:
-        """Heap order of two bands' vacation ends at the same instant.
-
-        With one event per vacation, the ends at one instant pop in the
-        order they were pushed, that is in the order of their start
-        times; starts at one instant are ordered by the events that made
-        them: a band going idle (a departure, or the run's start) comes
-        before a vacation ending, and two bands going idle keep their
-        order.  Walking both chains back from the current vacation
-        gives that order without the events.
-        """
-        a, b = self.vac_starts, other.vac_starts
-        i, j = len(a) - 1, len(b) - 1
-        while i and j and a[i] == b[j]:
-            i -= 1
-            j -= 1
-        return (a[i], self.vac_seq if i == 0 else math.inf) < (
-            b[j],
-            other.vac_seq if j == 0 else math.inf,
-        )
 
     def pick_queue(self, num_stas: int):
         """Next queue under strict AC priority, round-robin across STAs."""
@@ -329,7 +301,6 @@ class SimState:
         self.stopped_at_time_limit = False
         self._heap: list = []
         self._counter = 0
-        self._vacation_chains = 0
 
     # -- event plumbing -------------------------------------------------
 
@@ -356,23 +327,18 @@ class SimState:
         srv.on_vacation = True
         srv.vac_dur = dur
         srv.vac_end = t + dur
-        srv.vac_starts = array("d", (t,))
-        self._vacation_chains += 1
-        srv.vac_seq = self._vacation_chains
 
     def _wake(self, srv: BandServer, t: float) -> None:
         """Run an idle band's vacation chain up to ``t`` and push the end
         of the vacation in progress, which the arriving packet waits for."""
         end = srv.vac_end
-        starts = srv.vac_starts
         while end <= t:
             srv.occupied += srv.vac_dur
-            starts.append(end)
             dur = srv.vacation.draw()
             srv.vac_dur = dur
             end += dur
         srv.vac_end = end
-        heappush(self._heap, (end, _EV_VACATION, srv, srv.index, None))
+        self._push(end, _EV_VACATION, srv.index)
 
     def _feedback(self, fr: _FlowRuntime) -> None:
         stats = []
@@ -510,16 +476,6 @@ class SimState:
 
     def pending_reorder(self) -> int:
         return sum(len(fr.reorder) for fr in self.flows)
-
-    def estimate_stats(self, band: int, flow: FlowKey) -> BandStats:
-        """Measured BandStats of (band, flow) from the current windows."""
-        for fr in self.flows:
-            if fr.key == flow:
-                if fr.taps is None:
-                    raise InsufficientSamples("run did not collect feedback windows")
-                tap = fr.taps[band]
-                return band_stats_from_windows(tap.service, tap.vacation)
-        raise KeyError(f"unknown flow {flow}")
 
     def _report(self) -> MetricsReport:
         generated = sum(fr.generated for fr in self.flows)

@@ -43,14 +43,6 @@ class DimensionTooLarge(OptimizerError):
     """Grid search requested beyond its supported dimensionality."""
 
 
-class NoAvailableBand(BandsplitError):
-    """Scheduler asked to pick a band while every usable band is masked."""
-
-
-class AllBandsUnavailable(BandsplitError):
-    """Availability update would leave a flow with no usable band."""
-
-
 class OptimizerFailure(BandsplitError):
     """A scheduler needed a rate split but the solver chain never succeeded."""
 

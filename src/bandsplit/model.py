@@ -23,9 +23,6 @@ from .errors import Infeasible, InvalidStats, LengthMismatch
 # moments sitting exactly on the Jensen boundary are not rejected.
 _MOMENT_SLACK = 1e-9
 
-# Relative tolerance on sum(lambdas) == lambda_total in feasibility checks.
-SUM_RTOL = 1e-9
-
 # Utilisations at or above this are treated as unstable by the optimizer
 # and the simulator; the pole of the waiting-time formula makes anything
 # closer numerically useless.
@@ -141,22 +138,3 @@ def objective(
     for lam_j, st in zip(lambdas, stats):
         weighted += band_delay(lam_j, st).total * lam_j
     return weighted / lambda_total
-
-
-def feasible(
-    alloc: RateAllocation, stats: Sequence[BandStats], lambda_total: float
-) -> bool:
-    """True iff the split satisfies the constraint set.
-
-    Every component strictly positive, strictly under its service rate,
-    and the components summing to lambda_total within SUM_RTOL relative.
-    Total function: never raises on length-matched inputs.
-    """
-    if len(alloc) != len(stats):
-        raise LengthMismatch(f"{len(alloc)} rates vs {len(stats)} band stats")
-    for lam_j, st in zip(alloc.lambdas, stats):
-        if not lam_j > 0.0:
-            return False
-        if not lam_j < st.mu:
-            return False
-    return abs(alloc.total - lambda_total) <= SUM_RTOL * abs(lambda_total)

@@ -1,15 +1,13 @@
 """Per-packet band selection policies.
 
 One scheduler instance serves one flow.  All policies share the same
-surface: ``next_band()`` picks a band for the next packet,
+surface: ``next_band()`` picks a band for the next packet and
 ``update_feedback()`` refreshes the measured band statistics (and, for
-the optimizing policies, the target split), ``update_availability()``
-takes one flag per band and replaces ``avail``, the sorted, never empty
-tuple of usable band indices (built from the flow's ``available_bands``;
-None means every band).  A masked band is never returned; ``single_band``
-raises ``NoAvailableBand`` when its band is masked.  ``uses_feedback``
-marks the policies that read measured stats; the engine keeps
-measurement windows only for those.
+the optimizing policies, the target split).  ``avail`` is the sorted,
+never empty tuple of usable band indices, built once from the flow's
+``available_bands`` (None means every band); a masked band is never
+returned.  ``uses_feedback`` marks the policies that read measured
+stats; the engine keeps measurement windows only for those.
 
 Policy names as they appear in config files:
 
@@ -31,13 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AllBandsUnavailable,
-    ConfigInvalid,
-    NoAvailableBand,
-    OptimizerError,
-    OptimizerFailure,
-)
+from .errors import ConfigInvalid, OptimizerFailure
 from .model import BandStats
 from .optimizer import optimize
 
@@ -79,18 +71,18 @@ class SchedulerSpec:
         if isinstance(obj, str):
             if ":" in obj:
                 kind, _, idx = obj.partition(":")
-                try:
-                    return SchedulerSpec(kind=kind, band=int(idx))
-                except ValueError as exc:
-                    raise ConfigInvalid(f"{where}: bad band index in {obj!r}") from exc
+                if not (idx.isascii() and idx.isdigit()):
+                    raise ConfigInvalid(f"{where}: bad band index in {obj!r}")
+                return SchedulerSpec(kind=kind, band=int(idx))
             return SchedulerSpec(kind=obj)
         if isinstance(obj, dict):
             for key in obj:
                 if key not in ("kind", "band"):
                     raise ConfigInvalid(f"{where}.{key}: unknown field (known: kind, band)")
-            kind = obj.get("kind")
             band = obj.get("band")
-            return SchedulerSpec(kind=kind, band=None if band is None else int(band))
+            if band is not None and (isinstance(band, bool) or not isinstance(band, int)):
+                raise ConfigInvalid(f"{where}.band: expected an integer, got {band!r}")
+            return SchedulerSpec(kind=obj.get("kind"), band=band)
         raise ConfigInvalid(f"{where}: expected a name or an object, got {type(obj).__name__}")
 
 
@@ -109,7 +101,7 @@ class Scheduler:
         self.stats = list(stats)
         self.avail = tuple(range(num_bands)) if avail is None else tuple(sorted(set(avail)))
         if not self.avail:
-            raise AllBandsUnavailable("no usable band")
+            raise ConfigInvalid("no usable band")
         if not 0 <= self.avail[0] <= self.avail[-1] < num_bands:
             raise ConfigInvalid(f"usable bands {self.avail} outside 0..{num_bands - 1}")
 
@@ -121,30 +113,17 @@ class Scheduler:
             raise ConfigInvalid("stats length does not match band count")
         self.stats = list(stats)
 
-    def update_availability(self, bits: Sequence[bool]) -> None:
-        """Replace the usable bands with the indices whose flag is set."""
-        if len(bits) != self.num_bands:
-            raise ConfigInvalid(
-                f"mask length {len(bits)} does not match band count {self.num_bands}"
-            )
-        avail = tuple(j for j, b in enumerate(bits) if b)
-        if not avail:
-            raise AllBandsUnavailable("mask has no usable band")
-        self.avail = avail
-
 
 class SingleBand(Scheduler):
     kind = "single_band"
 
     def __init__(self, num_bands, stats, avail, band: int):
         super().__init__(num_bands, stats, avail)
-        if not 0 <= band < num_bands:
-            raise ConfigInvalid(f"single_band index {band} out of range")
+        if band not in self.avail:
+            raise ConfigInvalid(f"single_band index {band} is not among usable bands {self.avail}")
         self.band = band
 
     def next_band(self) -> int:
-        if self.band not in self.avail:
-            raise NoAvailableBand(f"band {self.band} is masked")
         return self.band
 
 
@@ -208,12 +187,6 @@ class BandPerFlow(Scheduler):
     def next_band(self) -> int:
         return self.band
 
-    def update_availability(self, bits: Sequence[bool]) -> None:
-        super().update_availability(bits)
-        if self.band not in self.avail:
-            # Pinned band lost: re-pin to the first usable one and stay there.
-            self.band = self.avail[0]
-
 
 class _OptimizingScheduler(Scheduler):
     """Shared optimizer plumbing for minimum_delay and leaky_bucket.
@@ -249,15 +222,6 @@ class _OptimizingScheduler(Scheduler):
         super().update_feedback(stats, lambda_total)
         self.lambda_total = float(lambda_total)
         self._resolve()
-
-    def update_availability(self, bits: Sequence[bool]) -> None:
-        old = self.avail
-        super().update_availability(bits)
-        try:
-            self._resolve()
-        except OptimizerError:
-            self.avail = old  # the kept split is over the old bands
-            raise
 
 
 class MinimumDelay(_OptimizingScheduler):

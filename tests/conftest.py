@@ -1,12 +1,14 @@
-"""Shared test helpers: random feasible instances and the acceptance
-summary hook (one PASS/FAIL line per criterion in the terminal summary).
+"""Shared test helpers: random feasible instances, the feasibility check
+of a split, and the acceptance summary hook (one PASS/FAIL line per
+criterion in the terminal summary).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from bandsplit.model import BandStats
+from bandsplit.errors import LengthMismatch
+from bandsplit.model import BandStats, RateAllocation
 
 ACCEPTANCE_RESULTS: dict[int, str] = {}
 ACCEPTANCE_TOTAL = 9
@@ -32,6 +34,18 @@ def random_instance(
     stats = [random_stats(rng) for _ in range(m)]
     lam = float(rng.uniform(*load)) * sum(st.mu for st in stats)
     return lam, stats
+
+
+def feasible(alloc: RateAllocation, stats: list[BandStats], lambda_total: float) -> bool:
+    """True iff the split satisfies the constraint set: every component
+    strictly positive and strictly under its service rate, and the
+    components summing to ``lambda_total`` within 1e-9 relative."""
+    if len(alloc) != len(stats):
+        raise LengthMismatch(f"{len(alloc)} rates vs {len(stats)} band stats")
+    for lam_j, st in zip(alloc.lambdas, stats):
+        if not 0.0 < lam_j < st.mu:
+            return False
+    return abs(alloc.total - lambda_total) <= 1e-9 * abs(lambda_total)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

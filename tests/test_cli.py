@@ -142,6 +142,16 @@ def _band0(**service):
         ({"bands": _band0(kind="lognormal", mu_log=-3.0)}, "bands[0].service.sigma_log"),
         ({"schedulers": [{"kind": "single_band", "band": 0, "bnd": 1}]}, "schedulers[0].bnd"),
         ({"schedulers": [{"kind": "even_split", "band": 1}]}, "even_split"),
+        ({"schedulers": [{"kind": "single_band", "band": 1.9}]}, "schedulers[0].band"),
+        ({"schedulers": [{"kind": "single_band", "band": True}]}, "schedulers[0].band"),
+        ({"schedulers": [{"kind": "single_band", "band": "1"}]}, "schedulers[0].band"),
+        ({"bands": _band0(kind="deterministic", mean=True)}, "bands[0].service.mean"),
+        ({"bands": _band0(kind="deterministic", mean="0.05")}, "bands[0].service.mean"),
+        ({"name": None}, "name"),
+        ({"name": 5}, "name"),
+        ({"bands": [{**MINI["bands"][0], "prop_latency_s": float("nan")}, MINI["bands"][1]]}, "bands[0].prop_latency_s"),
+        ({"bands": _band0(kind="exponential", mean=float("inf"))}, "bands[0].service.mean"),
+        ({"schedulers": ["even_split", "single_band:0_1"]}, "schedulers[1]"),
     ],
 )
 def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path):

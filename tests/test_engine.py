@@ -11,7 +11,7 @@ from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.engine import SimState, bootstrap_stats, run_scenario
 from bandsplit.errors import ConfigInvalid, ConservationViolated, OverloadDetected
-from bandsplit.model import FlowKey
+from bandsplit.estimators import band_stats_from_windows
 from bandsplit.schedulers import SchedulerSpec
 
 
@@ -113,8 +113,9 @@ def test_emergent_vacations_measured_for_coexisting_flows():
     state = SimState(cfg, cfg.schedulers[0], seed=9)
     rep = state.run()
     assert rep.delivered == 8000
-    for sta in (0, 1):
-        st = state.estimate_stats(0, FlowKey(sta_id=sta, ac=0))
+    for fr in state.flows:
+        tap = fr.taps[0]
+        st = band_stats_from_windows(tap.service, tap.vacation)
         st.validate()
         assert st.mu == pytest.approx(10.0, rel=0.02)
         # Vacations are whole service periods of the other station.

@@ -14,8 +14,9 @@ vacation path:
 - the same config cut short by ``max_sim_time_s``.
 
 A change that alters records on purpose re-pins with
-``PYTHONPATH=src python tests/test_golden_records.py`` and states which
-records changed and why.
+``PYTHONPATH=src python tests/test_golden_records.py``, which prints each
+``(case, row index)`` whose digest differs from the pinned file before it
+writes, and states which records changed and why.  Row 0 is the header.
 """
 
 from __future__ import annotations
@@ -110,6 +111,12 @@ def test_golden_file_covers_every_case():
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
+    pinned = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     digests = {case: row_digests(build()) for case, build in sorted(CASES.items())}
+    for case, rows in digests.items():
+        old = pinned.get(case, [])
+        for i in range(max(len(rows), len(old))):
+            if rows[i : i + 1] != old[i : i + 1]:
+                print(f"changed: {case} row {i}")
+    GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")

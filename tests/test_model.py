@@ -11,10 +11,9 @@ from bandsplit.model import (
     RateAllocation,
     aggregate_delay,
     band_delay,
-    feasible,
     objective,
 )
-from conftest import random_stats
+from conftest import feasible, random_stats
 
 ST = BandStats(mu=10.0, x2=0.02, vbar=0.2, v2=0.05)
 

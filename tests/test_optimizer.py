@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bandsplit.errors import DimensionTooLarge, NoFeasibleBranch, Overload
-from bandsplit.model import BandStats, RateAllocation, aggregate_delay, feasible, objective
+from bandsplit.model import BandStats, RateAllocation, aggregate_delay, objective
 from bandsplit.optimizer import (
     CLOSED_FORM,
     NUMERIC,
@@ -17,7 +17,7 @@ from bandsplit.optimizer import (
     solve_closed_form,
     solve_grid,
 )
-from conftest import random_instance
+from conftest import feasible, random_instance
 
 
 def sym_stats(mu=8.0, n=2):

@@ -1,17 +1,12 @@
 """Policy tests: token traces and fractions, masking for every policy,
-round-robin balance, feedback and availability updates."""
+round-robin balance, feedback updates and the usable-band contract."""
 
 import math
 
 import numpy as np
 import pytest
 
-from bandsplit.errors import (
-    AllBandsUnavailable,
-    ConfigInvalid,
-    NoAvailableBand,
-    Overload,
-)
+from bandsplit.errors import ConfigInvalid, Overload
 from bandsplit.model import BandStats
 from bandsplit.optimizer import optimize
 from bandsplit.schedulers import SchedulerSpec, make_scheduler
@@ -108,10 +103,9 @@ def test_even_split_counts_within_one():
 
 
 def test_even_split_mask_rotation():
-    sched = build("even_split")
-    sched.update_availability([True, False])
+    sched = build("even_split", avail=(0,))
     assert {sched.next_band() for _ in range(10)} == {0}
-    sched.update_availability([True, True])
+    sched = build("even_split", avail=(0, 1))
     picks = [sched.next_band() for _ in range(4)]
     assert sorted(set(picks)) == [0, 1]
 
@@ -151,9 +145,8 @@ def test_every_policy_degenerates_on_one_band():
 def test_single_band_policy():
     sched = build("single_band", band=1)
     assert sched.next_band() == 1
-    sched.update_availability([True, False])
-    with pytest.raises(NoAvailableBand):
-        sched.next_band()
+    with pytest.raises(ConfigInvalid):
+        build("single_band", band=1, avail=(0,))
 
 
 def test_masked_band_never_returned_for_any_policy():
@@ -162,15 +155,13 @@ def test_masked_band_never_returned_for_any_policy():
         assert all(sched.next_band() == 1 for _ in range(200)), kind
 
 
-def test_update_availability_contract():
-    sched = build("even_split")
-    sched.update_availability([True, False])
-    assert sched.avail == (0,)
-    with pytest.raises(AllBandsUnavailable):
-        sched.update_availability([False, False])
-    with pytest.raises(ConfigInvalid):
-        sched.update_availability([True])
-    assert sched.avail == (0,)
+def test_usable_bands_contract():
+    assert build("even_split", avail=(1, 0, 1)).avail == (0, 1)
+    assert build("even_split").avail == (0, 1)
+    for kind in ("even_split", "band_per_flow", "leaky_bucket"):
+        for avail in ((), (2,), (-1, 0)):
+            with pytest.raises(ConfigInvalid):
+                build(kind, avail=avail)
 
 
 def test_feedback_recomputes_split_and_credits():
@@ -204,18 +195,8 @@ def test_feedback_failure_keeps_previous_split():
     assert sched.lambda_star == keep_l
 
 
-def test_availability_change_that_overloads_keeps_previous_state():
-    sched = build("leaky_bucket", stats=TWO_ASYM, lam=12.0)
-    keep = (sched.avail, list(sched.lambda_star), list(sched.increments))
-    with pytest.raises(Overload):
-        sched.update_availability([False, True])  # 12 >= 0.999 * 10
-    assert (sched.avail, sched.lambda_star, sched.increments) == keep
-    assert {sched.next_band() for _ in range(20)} == {0, 1}
-
-
 def test_availability_change_resolves_over_subset():
-    sched = build("leaky_bucket", stats=TWO_ASYM, lam=8.0)
-    sched.update_availability([False, True])
+    sched = build("leaky_bucket", stats=TWO_ASYM, lam=8.0, avail=(1,))
     assert sched.lambda_star[0] == 0.0
     assert sched.lambda_star[1] == pytest.approx(8.0, rel=1e-9)
     assert all(sched.next_band() == 1 for _ in range(50))
