@@ -12,11 +12,14 @@ whose only root below mu_j is
 
 (the other root exceeds mu_j and is never feasible).
 
-* optimize: the exact split.  gamma is found by bisection on
-  sum(lam_j(gamma)) - lam, which is monotone in gamma; bands driven
-  non-positive are excluded and the reduced system re-solved (active
-  set).  Falls back to the grid oracle if bracketing or the active-set
-  step fails.
+* optimize: the exact split.  gamma is the root of sum(lam_j(gamma)) - lam,
+  which is monotone in gamma.  Safeguarded Newton steps locate the root,
+  and the result is pinned to the endpoint of a fixed bisection path:
+  the Newton points decide most of its midpoints without evaluating
+  them, so the returned bits do not depend on the Newton iterates.
+  Bands driven non-positive are excluded and the reduced system
+  re-solved (active set).  Falls back to the grid oracle if bracketing
+  or the active-set step fails.
 * solve_closed_form: the paper's heavy-traffic split, lam_j(gamma) at the
   approximate multiplier gamma_approx rescaled onto the sum constraint;
   close to the optimum only when 2*lam is much larger than every mu_j.
@@ -41,8 +44,24 @@ GRID = "grid_fallback"
 
 _GRID_RESOLUTION = 256
 _GRID_REFINE_ROUNDS = 2
+# _GAMMA_BRACKET and _TOLERANCE define the bisection path whose endpoint
+# _bisect_gamma returns, not the work it does: the Newton phase decides
+# most midpoints of that path without evaluating them.
 _GAMMA_BRACKET = (1e-12, 1.0)
 _TOLERANCE = 1e-12
+# A Newton point decides bisection midpoints only when its rounded sum
+# clears lam by this relative margin, about 4 ulps of lam.  The replay is
+# exact without it, as the rounded sum is monotone in gamma (see
+# _bisect_gamma); the margin keeps a decision from resting on the last
+# ulps of one comparison, and costs about one evaluation per root only
+# at utilisations above 0.99.
+_TRUST_RTOL = 1e-15
+# Cap on Newton steps per root; the bisection replay returns the exact
+# result however many ran.
+_MAX_NEWTON = 50
+
+# Per-band constants (mu, vbar, a, q, c) of lam_j(gamma); see _band_terms.
+_Bands = list[tuple[float, float, float, float, float]]
 
 
 @dataclass(frozen=True)
@@ -140,17 +159,98 @@ def solve_closed_form(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
     return _finish(gamma, cand, stats, CLOSED_FORM)
 
 
-def _sum_minus_branch(
-    gamma: float, stats: Sequence[BandStats], lambda_total: float
-) -> float | None:
-    """sum_j lam_j(gamma), None below its domain."""
-    total = 0.0
+def _band_terms(stats: Sequence[BandStats], lambda_total: float) -> _Bands:
+    """Per-band constants of lam_j(gamma): (mu, vbar, a, q, c) with
+    a = mu^2 * vbar * x2 - mu * v2 and q = mu^2 * sqrt(vbar * x2), each
+    rounded exactly as _radicand and lambda_star_given_gamma round them,
+    and c = q * lam * mu * vbar for the slope."""
+    out = []
     for st in stats:
-        d = _radicand(gamma, st, lambda_total)
+        q = st.mu**2 * math.sqrt(st.vbar * st.x2)
+        a = st.mu**2 * st.vbar * st.x2 - st.mu * st.v2
+        out.append((st.mu, st.vbar, a, q, q * lambda_total * st.mu * st.vbar))
+    return out
+
+
+def _sum_minus_branch(
+    gamma: float, bands: _Bands, lambda_total: float
+) -> tuple[float | None, float]:
+    """sum_j lam_j(gamma) and its slope, the closed form
+    d/dgamma sum_j lam_j = sum_j mu_j^3 * lam * vbar_j * sqrt(vbar_j * x2_j)
+    * D_j^(-3/2); (None, 0.0) below the domain.  ``bands`` comes from
+    _band_terms, and each term of the sum is lambda_star_given_gamma's,
+    bit for bit."""
+    two_lam = 2.0 * lambda_total
+    total = 0.0
+    slope = 0.0
+    for mu, vbar, a, q, c in bands:
+        d = a + (two_lam * gamma * mu - 2.0) * vbar
         if d <= 0.0:
-            return None
-        total += st.mu - st.mu**2 * math.sqrt(st.vbar * st.x2) / math.sqrt(d)
-    return total
+            return None, 0.0
+        root = math.sqrt(d)
+        total += mu - q / root
+        slope += c / (d * root)
+    return total, slope
+
+
+def _locate(
+    lambda_total: float, bands: _Bands, gamma: float, s: float, slope: float
+) -> tuple[float, float]:
+    """Verified bracket (below, above) of the root, about one bisection
+    tolerance wide, found by safeguarded Newton from (gamma, s, slope), a
+    point whose sum s is >= lam.
+
+    ``below``'s rounded sum is < lam - margin (or undefined) and
+    ``above``'s is >= lam + margin.  The starting point is kept as
+    ``above`` whatever its margin: it is the top of the bisection path,
+    so it decides no midpoint.  Newton runs in tau = (gamma - e)^(-1/2),
+    where e >= 0 is the domain edge max_j(-A_j / B_j) of the radicands
+    D_j = A_j + B_j * gamma, B_j = 2 * lam * mu_j * vbar_j (at e = 0, tau
+    is t = gamma^(-1/2)).  Each rate is then
+    mu_j - q_j * tau / sqrt(A'_j * tau^2 + B_j) with A'_j = D_j(e) >= 0,
+    so the sum is convex and decreasing in tau, and Newton from above the
+    root approaches it from above without overshooting.  A target outside
+    the bracket is replaced by the bracket's geometric mean.  Each target
+    is nudged above Newton's root by a quarter tolerance, or by the gamma
+    step that moves the sum two margins if that is larger; once a step is
+    that small, the target is nudged below instead, so the two closest
+    points straddle the root.  A point within the margin doubles the
+    nudge.
+    """
+    margin = _TRUST_RTOL * lambda_total
+    two_lam = 2.0 * lambda_total
+    edge = 0.0
+    for mu, vbar, a, _, _ in bands:
+        edge = max(edge, (2.0 * vbar - a) / (two_lam * mu * vbar))
+    below, above = 0.0, gamma
+    widen = 1.0
+    nudge = 0.0
+    for _ in range(_MAX_NEWTON):
+        if s is None or s < lambda_total - margin:
+            below = gamma
+        elif s >= lambda_total + margin:
+            above = gamma
+        else:
+            widen *= 2.0
+        if slope > 0.0:
+            nudge = widen * max(0.25 * _TOLERANCE * max(gamma, 1.0), 2.0 * margin / slope)
+        if above - below <= 4.0 * nudge:
+            break
+        lo = max(below, edge, _GAMMA_BRACKET[0])
+        target = math.inf
+        if slope > 0.0:
+            # Newton in tau: tau' = tau + (s - lam) / (2 u^(3/2) slope), u = gamma - e.
+            u = gamma - edge
+            tau = 1.0 / math.sqrt(u) + (s - lambda_total) / (2.0 * u * math.sqrt(u) * slope)
+            if tau > 0.0:
+                root = edge + 1.0 / (tau * tau)
+                if s >= lambda_total and gamma - root <= 2.0 * nudge:
+                    target = root - nudge
+                else:
+                    target = root + nudge
+        gamma = target if lo < target < above else math.sqrt(lo * above)
+        s, slope = _sum_minus_branch(gamma, bands, lambda_total)
+    return below, above
 
 
 def _bisect_gamma(
@@ -158,28 +258,46 @@ def _bisect_gamma(
 ) -> tuple[float, list[float]]:
     """Root of sum(lam_j(gamma)) = lam.
 
-    lam_j(gamma) is non-decreasing in gamma wherever its radicand is
+    lam_j(gamma) is increasing in gamma wherever its radicand is
     positive, so the sum crosses lam exactly once between the radicand
-    domain edge and large gamma.
+    domain edge and large gamma.  The result is the endpoint of a fixed
+    bisection path from (_GAMMA_BRACKET[0], H), with H the first doubling
+    of the bracket top whose sum reaches lam.  Newton locates the root
+    (_locate) and the path pins the result.  The rounded sum is itself
+    monotone in gamma: each operation on a gamma-dependent value in it is
+    a correctly rounded +, -, sqrt, or * or / with a positive constant,
+    and each of those is monotone in that value.  So a point whose
+    rounded sum is verified below lam decides every midpoint under it,
+    and one verified at or above lam every midpoint over it, without
+    evaluating them; only midpoints between the two are evaluated.  The
+    returned gamma and rates are those of the plain bisection, bit for
+    bit.
     """
+    bands = _band_terms(stats, lambda_total)
     lo = _GAMMA_BRACKET[0]
     hi = max(gamma_approx(lambda_total, [st.mu for st in stats]) * 2.0, _GAMMA_BRACKET[1])
     for _ in range(60):
-        s = _sum_minus_branch(hi, stats, lambda_total)
+        s, slope = _sum_minus_branch(hi, bands, lambda_total)
         if s is not None and s >= lambda_total:
             break
         hi *= 2.0
     else:
         raise BracketFailure(f"no sign change up to gamma={hi}")
+    below, above = _locate(lambda_total, bands, hi, s, slope)
     for _ in range(500):
         if hi - lo <= _TOLERANCE * max(hi, 1.0):
             break
         mid = 0.5 * (lo + hi)
-        s = _sum_minus_branch(mid, stats, lambda_total)
-        if s is None or s < lambda_total:
+        if mid <= below:
             lo = mid
-        else:
+        elif mid >= above:
             hi = mid
+        else:
+            s, _ = _sum_minus_branch(mid, bands, lambda_total)
+            if s is None or s < lambda_total:
+                lo = mid
+            else:
+                hi = mid
     return hi, lambda_star_given_gamma(hi, stats, lambda_total)
 
 

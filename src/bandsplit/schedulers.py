@@ -287,15 +287,20 @@ class LeakyBucket(_OptimizingScheduler):
         avail = self.avail
         tokens = self.tokens
         incr = self.increments
-        if not any(tokens[j] >= 1.0 - TOKEN_EPS for j in avail):
-            rounds = None
-            for j in avail:
-                r = incr[j]
-                if r > 0.0:
-                    need = math.ceil((1.0 - TOKEN_EPS - tokens[j]) / r)
-                    need = max(need, 1)
-                    rounds = need if rounds is None else min(rounds, need)
-            if rounds is None:
+        full = 1.0 - TOKEN_EPS
+        # One pass: stop at a full bucket, else find the fewest rounds
+        # (at least one) that fill some bucket.
+        rounds = 0
+        for j in avail:
+            if tokens[j] >= full:
+                break
+            r = incr[j]
+            if r > 0.0:
+                need = max(math.ceil((full - tokens[j]) / r), 1)
+                if rounds == 0 or need < rounds:
+                    rounds = need
+        else:
+            if rounds == 0:
                 raise OptimizerFailure("all token increments are zero")
             for j in avail:
                 tokens[j] += rounds * incr[j]

@@ -1,0 +1,183 @@
+"""The multiplier search against the plain bisection it replays.
+
+``_reference_bisect_gamma`` is the gamma bisection the optimizer ran
+before Newton steps located the root, kept verbatim (with the sum it
+evaluated) as a test-side oracle, as solve_grid is for the split.
+``optimizer._bisect_gamma`` must return its multiplier and rates bit for
+bit, and ``optimize`` the same split, multiplier and method, on random
+instances with M = 2..6 at light and heavy load, with radicand domain
+edges above the bracket floor and with bands that active-set exclusion
+drops.  A second test counts sum evaluations per root find.
+"""
+
+import math
+from typing import Sequence
+
+import numpy as np
+import pytest
+
+import bandsplit.optimizer as optimizer
+from bandsplit.errors import BracketFailure, OptimizerError
+from bandsplit.model import BandStats
+from bandsplit.optimizer import (
+    _GAMMA_BRACKET,
+    _TOLERANCE,
+    gamma_approx,
+    lambda_star_given_gamma,
+    optimize,
+)
+from conftest import random_stats
+
+
+def _radicand(gamma: float, st: BandStats, lambda_total: float) -> float:
+    return (
+        st.mu**2 * st.vbar * st.x2
+        - st.mu * st.v2
+        + (2.0 * lambda_total * gamma * st.mu - 2.0) * st.vbar
+    )
+
+
+def _sum_minus_branch(
+    gamma: float, stats: Sequence[BandStats], lambda_total: float
+) -> float | None:
+    """sum_j lam_j(gamma), None below its domain."""
+    total = 0.0
+    for st in stats:
+        d = _radicand(gamma, st, lambda_total)
+        if d <= 0.0:
+            return None
+        total += st.mu - st.mu**2 * math.sqrt(st.vbar * st.x2) / math.sqrt(d)
+    return total
+
+
+def _reference_bisect_gamma(
+    lambda_total: float, stats: Sequence[BandStats]
+) -> tuple[float, list[float]]:
+    """Root of sum(lam_j(gamma)) = lam.
+
+    lam_j(gamma) is non-decreasing in gamma wherever its radicand is
+    positive, so the sum crosses lam exactly once between the radicand
+    domain edge and large gamma.
+    """
+    lo = _GAMMA_BRACKET[0]
+    hi = max(gamma_approx(lambda_total, [st.mu for st in stats]) * 2.0, _GAMMA_BRACKET[1])
+    for _ in range(60):
+        s = _sum_minus_branch(hi, stats, lambda_total)
+        if s is not None and s >= lambda_total:
+            break
+        hi *= 2.0
+    else:
+        raise BracketFailure(f"no sign change up to gamma={hi}")
+    for _ in range(500):
+        if hi - lo <= _TOLERANCE * max(hi, 1.0):
+            break
+        mid = 0.5 * (lo + hi)
+        s = _sum_minus_branch(mid, stats, lambda_total)
+        if s is None or s < lambda_total:
+            lo = mid
+        else:
+            hi = mid
+    return hi, lambda_star_given_gamma(hi, stats, lambda_total)
+
+
+def _weak_band(rng):
+    """A slow band with long, highly variable vacations: at light load
+    the active set drops it."""
+    mu = float(rng.uniform(0.3, 2.0))
+    vbar = float(rng.uniform(0.5, 2.0))
+    shape = float(rng.uniform(1.0, 3.0))
+    spread = float(rng.uniform(20.0, 100.0))
+    return BandStats(mu=mu, x2=shape / mu**2, vbar=vbar, v2=spread * vbar**2)
+
+
+def _instances(n, seed):
+    """n instances cycling M = 2..6, 0-2 weak bands, light and heavy
+    load; in every fifth instance one band's vacation moments sit at the
+    estimator's floor (vbar 1e-9 s), as for an all-zero vacation window."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        m = 2 + i % 5
+        weak = min(i % 3, m - 1)
+        stats = [random_stats(rng) for _ in range(m - weak)]
+        stats += [_weak_band(rng) for _ in range(weak)]
+        if i % 5 == 0:
+            mu = stats[0].mu
+            stats[0] = BandStats(mu=mu, x2=stats[0].x2, vbar=1e-9, v2=1e-18)
+        stats = [stats[j] for j in rng.permutation(m)]
+        load = (0.05, 0.4) if i % 2 else (0.8, 0.99)
+        yield float(rng.uniform(*load)) * sum(st.mu for st in stats), stats
+
+
+def _domain_edge(lambda_total, stats):
+    # max_j(-A_j / B_j) for D_j(gamma) = A_j + B_j * gamma.
+    return max(
+        (st.mu * st.v2 + 2.0 * st.vbar - st.mu**2 * st.vbar * st.x2)
+        / (2.0 * lambda_total * st.mu * st.vbar)
+        for st in stats
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except OptimizerError as exc:
+        return type(exc)
+
+
+def _solution_bits(sol):
+    """gamma, rates and method; floats as float.hex, so that == compares
+    bits (a grid fallback's NaN gamma included)."""
+    if isinstance(sol, type):
+        return sol
+    return (sol.gamma.hex(), [x.hex() for x in sol.alloc.lambdas], sol.method)
+
+
+def test_replayed_bisection_is_bit_identical(monkeypatch):
+    edges = 0
+    drops = {1: 0, 2: 0}
+    n = 2400
+    for lam, stats in _instances(n, seed=7):
+        expected = _outcome(_reference_bisect_gamma, lam, stats)
+        assert _outcome(optimizer._bisect_gamma, lam, stats) == expected
+        sol = _outcome(optimize, lam, stats)
+        with monkeypatch.context() as mp:
+            mp.setattr(optimizer, "_bisect_gamma", _reference_bisect_gamma)
+            assert _solution_bits(sol) == _solution_bits(_outcome(optimize, lam, stats))
+        edges += _domain_edge(lam, stats) > _GAMMA_BRACKET[0]
+        if not isinstance(sol, type) and sol.alloc.lambdas.count(0.0) in drops:
+            drops[sol.alloc.lambdas.count(0.0)] += 1
+    assert edges >= n // 2
+    assert drops[1] >= 100 and drops[2] >= 50
+
+
+def _four_band_feedback_stats():
+    """The service shapes of the benchmark's four_band_feedback bands
+    (deterministic 0.02 s, exponential 0.04 s, lognormal mu_log -3 /
+    sigma_log 0.5, deterministic 0.1 s) with fixed vacation moments."""
+    ln_mean = math.exp(-3.0 + 0.5**2 / 2.0)
+    ln_x2 = math.exp(2.0 * -3.0 + 2.0 * 0.5**2)
+    service = [(50.0, 0.02**2), (25.0, 2.0 * 0.04**2), (1.0 / ln_mean, ln_x2), (10.0, 0.1**2)]
+    vacations = [(0.01, 2e-4), (0.02, 6e-4), (0.03, 1.2e-3), (0.05, 4e-3)]
+    return [
+        BandStats(mu=mu, x2=x2, vbar=vb, v2=v2) for (mu, x2), (vb, v2) in zip(service, vacations)
+    ]
+
+
+def test_root_find_costs_at_most_15_sum_evaluations(monkeypatch):
+    # Counts, not times, so host load cannot move the result.  At the
+    # flow's 40 pps the active set drops band 3 and solves twice; the
+    # plain bisection spends 42-43 evaluations per root here.
+    counts = {"sums": 0, "roots": 0}
+
+    def counted(fn, key):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, key in (("_sum_minus_branch", "sums"), ("_bisect_gamma", "roots")):
+        monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), key))
+    sol = optimize(40.0, _four_band_feedback_stats())
+    assert sol.alloc.lambdas[3] == 0.0 and counts["roots"] == 2
+    assert counts["sums"] <= 15 * counts["roots"], counts
