@@ -11,7 +11,11 @@ vacation path:
   deterministic, so their events tie exactly, under deterministic,
   exponential and lognormal vacations and five policies, with feedback
   every 10 packets;
-- the same config cut short by ``max_sim_time_s``.
+- the same config cut short by ``max_sim_time_s``;
+- the bundled ``two_band_high_rtt`` (100 ms propagation, so deep
+  reordering) and ``two_sta_mixed`` (one AC, two stations sharing a
+  band's queues round-robin, one flow masked to the slow band), all
+  their schemes at 2 seeds and 2,000 packets per flow.
 
 A change that alters records on purpose re-pins with
 ``PYTHONPATH=src python tests/test_golden_records.py``, which prints each
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from bandsplit import scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.runner import render_csv, run_suite
@@ -87,10 +93,17 @@ def _three_band(vacation: str, max_sim_time_s: float | None = None) -> ScenarioC
     )
 
 
+def _bundled(name: str) -> ScenarioConfig:
+    cfg = scenarios.load(name)
+    flows = tuple(replace(fl, packets=2000) for fl in cfg.flows)
+    return replace(cfg, flows=flows, replications=2)
+
+
 CASES = {
     **{f"criterion1_rho{rho}": (lambda rho=rho: _criterion_1(rho)) for rho in (0.3, 0.6, 0.9)},
     **{f"three_band_{v}": (lambda v=v: _three_band(v)) for v in _VACATIONS},
     **{f"three_band_{v}_capped": (lambda v=v: _three_band(v, 40.0)) for v in _VACATIONS},
+    **{name: (lambda name=name: _bundled(name)) for name in ("two_band_high_rtt", "two_sta_mixed")},
 }
 
 
