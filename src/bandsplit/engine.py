@@ -6,6 +6,21 @@ categories and round-robin across stations inside one category.  Served
 packets cross an optional fixed propagation latency and land in a
 per-flow reorder buffer that releases in sequence order.
 
+Per-packet work is kept to what each packet needs:
+
+- A packet received in order while its flow's buffer holds nothing is
+  released on receipt, without a ``ReorderBuffer.release`` call.  Every
+  other packet goes through ``release``, the one place that holds a
+  packet and rejects a duplicate sequence number.
+- Out of order is derived, not stored: a packet is out of order when
+  some lower sequence number of its flow had not been received at its
+  receipt.  Those are exactly the packets the buffer held, so in a
+  ``release`` run every packet but the one just received counts, also
+  when they are released at the instant they arrived.
+- A band with one (AC, station) queue takes its next packet from that
+  queue; only a band with several queues walks strict priority and the
+  round-robin pointer (``BandServer.pick_queue``).
+
 Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, and simultaneous events are ordered by
 (time, event-kind priority, insertion counter) with departures first:
@@ -75,18 +90,16 @@ class Packet:
         "received_at",
         "released_at",
         "flow_idx",
-        "out_of_order",
     )
 
-    def __init__(self, seq: int, created_at: float, flow_idx: int):
+    def __init__(self, seq: int, created_at: float, flow_idx: int, band: int):
         self.seq = seq
         self.created_at = created_at
         self.flow_idx = flow_idx
-        self.enqueued_band = -1
+        self.enqueued_band = band
         self.service_start = math.nan
         self.received_at = math.nan
         self.released_at = math.nan
-        self.out_of_order = False
 
 
 class _Tap:
@@ -106,6 +119,7 @@ class BandServer:
     __slots__ = (
         "index",
         "queues",
+        "only_queue",
         "rank_counts",
         "rr",
         "qlen",
@@ -132,6 +146,9 @@ class BandServer:
     ):
         self.index = index
         self.queues = [[deque() for _ in range(num_stas)] for _ in range(num_ranks)]
+        # With one (AC, station) queue, priority and round-robin have one
+        # choice: _start_service takes it without walking the ranks.
+        self.only_queue = self.queues[0][0] if num_ranks == 1 and num_stas == 1 else None
         self.rank_counts = [0] * num_ranks
         self.rr = [0] * num_ranks
         self.qlen = 0
@@ -167,6 +184,7 @@ class BandServer:
 class _FlowRuntime:
     __slots__ = (
         "cfg",
+        "packets",
         "index",
         "key",
         "rank",
@@ -193,6 +211,7 @@ class _FlowRuntime:
 
     def __init__(self, cfg, index, key, rank, scheduler, reorder, arrivals, warmup_cut, taps):
         self.cfg = cfg
+        self.packets = cfg.packets
         self.index = index
         self.key = key
         self.rank = rank
@@ -244,6 +263,8 @@ class SimState:
         self.seed = seed
         self.num_bands = len(config.bands)
         self.num_stas = config.stas
+        self.queue_cap = config.queue_cap
+        self.feedback_interval = config.feedback_interval_pkts
         self.rank_of_ac = {ac: rank for rank, ac in enumerate(config.acs)}
 
         self.servers = [
@@ -309,9 +330,13 @@ class SimState:
         heappush(self._heap, (t, kind, self._counter, a, payload))
 
     def _start_service(self, srv: BandServer, t: float) -> None:
-        rank, q = srv.pick_queue(self.num_stas)
+        q = srv.only_queue
         if q is None:
-            return
+            rank, q = srv.pick_queue(self.num_stas)
+            if q is None:
+                return
+        else:
+            rank = 0
         pkt = q.popleft()
         srv.rank_counts[rank] -= 1
         srv.qlen -= 1
@@ -357,15 +382,30 @@ class SimState:
     def _receive(self, fr: _FlowRuntime, pkt: Packet, t: float) -> None:
         pkt.received_at = t
         buf = fr.reorder
-        # Out of order = some lower-seq packet of this flow had not yet
-        # been received at this packet's receive instant.
-        pkt.out_of_order = pkt.seq > buf.next_seq
+        if pkt.seq == buf.next_seq and not buf.pending:
+            # In order with nothing held: released on receipt.
+            pkt.released_at = t
+            buf.next_seq += 1
+            fr.delivered += 1
+            self.total_released += 1
+            if pkt.seq >= fr.warmup_cut:
+                fr.measured += 1
+                fr.lat.append(t - pkt.created_at)
+                fr.band_counts[pkt.enqueued_band] += 1
+                fr.wait_sum += pkt.service_start - pkt.created_at
+                if pkt.created_at < fr.min_created:
+                    fr.min_created = pkt.created_at
+                if t > fr.max_released:
+                    fr.max_released = t
+            return
         for rp in buf.release(pkt, t):
             fr.delivered += 1
             self.total_released += 1
             if rp.seq >= fr.warmup_cut:
                 fr.measured += 1
-                if rp.out_of_order:
+                # Every packet released after the one just received was
+                # held, so some lower seq had not arrived at its receipt.
+                if rp is not pkt:
                     fr.ooo_count += 1
                 lat = rp.released_at - rp.created_at
                 fr.lat.append(lat)
@@ -384,25 +424,22 @@ class SimState:
 
     def _on_arrival(self, fi: int, t: float) -> None:
         fr = self.flows[fi]
-        pkt = Packet(fr.next_seq, t, fi)
+        band = fr.scheduler.next_band()
+        pkt = Packet(fr.next_seq, t, fi, band)
         fr.next_seq += 1
         fr.generated += 1
-        band = fr.scheduler.next_band()
-        pkt.enqueued_band = band
         srv = self.servers[band]
         srv.queues[fr.rank][fr.sta].append(pkt)
         srv.rank_counts[fr.rank] += 1
         srv.qlen += 1
-        if srv.qlen > self.config.queue_cap:
-            raise OverloadDetected(
-                f"band {band} queue exceeded cap {self.config.queue_cap} at t={t:.6f}"
-            )
+        if srv.qlen > self.queue_cap:
+            raise OverloadDetected(f"band {band} queue exceeded cap {self.queue_cap} at t={t:.6f}")
         if not srv.busy:
             if not srv.on_vacation:
                 self._start_service(srv, t)
             elif srv.qlen == 1:  # the first packet to wait: no end event yet
                 self._wake(srv, t)
-        if fr.generated < fr.cfg.packets:
+        if fr.generated < fr.packets:
             self._push(t + fr.arrivals.draw(), _EV_ARRIVAL, fi)
 
     def _on_depart(self, bi: int, t: float) -> None:
@@ -421,7 +458,7 @@ class SimState:
                 tap.vacation.add(vac if vac > 0.0 else 0.0)
             tap.last_occupied = srv.occupied
             fr.served += 1
-            if fr.served % self.config.feedback_interval_pkts == 0:
+            if fr.served % self.feedback_interval == 0:
                 self._feedback(fr)
         if srv.prop_latency == 0.0:
             self._receive(fr, pkt, t)
@@ -448,22 +485,30 @@ class SimState:
             if srv.vacation is not None:
                 self._start_vacation(srv, 0.0)
         limit = self.config.max_sim_time_s
+        if limit is None:
+            limit = math.inf
+        target = self.total_target
         heap = self._heap
+        flows = self.flows
+        on_depart = self._on_depart
+        receive = self._receive
+        on_vacation_end = self._on_vacation_end
+        on_arrival = self._on_arrival
         while heap:
             t, kind, _, a, payload = heappop(heap)
-            if limit is not None and t > limit:
+            if t > limit:
                 self.stopped_at_time_limit = True
                 break
             if kind == _EV_DEPART:
-                self._on_depart(a, t)
+                on_depart(a, t)
             elif kind == _EV_RECEIVE:
                 self.in_transit -= 1
-                self._receive(self.flows[a], payload, t)
+                receive(flows[a], payload, t)
             elif kind == _EV_VACATION:
-                self._on_vacation_end(a, t)
+                on_vacation_end(a, t)
             else:
-                self._on_arrival(a, t)
-            if self.total_released >= self.total_target:
+                on_arrival(a, t)
+            if self.total_released >= target:
                 break
         return self._report()
 

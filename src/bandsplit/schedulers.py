@@ -244,16 +244,20 @@ class MinimumDelay(_OptimizingScheduler):
     def _on_new_split(self) -> None:
         total = sum(self.lambda_star)
         self.fractions = [lam / total for lam in self.lambda_star]
+        # (cumulative fraction, band) over the available bands, summed in
+        # avail order, so a pick only compares.
+        acc = 0.0
+        self._bounds = []
+        for j in self.avail:
+            acc += self.fractions[j]
+            self._bounds.append((acc, j))
 
     def next_band(self) -> int:
-        avail = self.avail
         u = self._rng.random()
-        acc = 0.0
-        for j in avail:
-            acc += self.fractions[j]
-            if u < acc:
+        for bound, j in self._bounds:
+            if u < bound:
                 return j
-        return avail[-1]
+        return self.avail[-1]
 
 
 class LeakyBucket(_OptimizingScheduler):

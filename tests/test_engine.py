@@ -3,10 +3,13 @@ priority discipline, termination modes, and quick queueing-theory checks
 (the full-scale validations live in the acceptance module)."""
 
 import heapq
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
-from bandsplit import engine
+from bandsplit import engine, scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.engine import SimState, bootstrap_stats, run_scenario
@@ -316,3 +319,106 @@ def test_idle_vacations_push_no_heap_events(monkeypatch):
     rep = run_scenario(cfg, cfg.schedulers[0], seed=101)
     assert rep.delivered == 20_000
     assert pushes < 3 * rep.generated
+
+
+def _receive_log(cfg, spec, seed):
+    """Run with a spy on the receive entry point; return the report and
+    each flow's (seq, t) receipts in call order."""
+    log = [[] for _ in cfg.flows]
+    original = SimState._receive
+
+    def spy(self, fr, pkt, t):
+        log[fr.index].append((pkt.seq, t))
+        original(self, fr, pkt, t)
+
+    SimState._receive = spy
+    try:
+        state = SimState(cfg, spec, seed)
+        rep = state.run()
+    finally:
+        SimState._receive = original
+    return rep, state, log
+
+
+def _tied_deterministic_bands_cfg():
+    # Two identical deterministic bands behind identical deterministic
+    # vacations: chains that start together end together, so both bands
+    # serve and deliver at one instant.
+    tie = DistributionSpec("deterministic", mean=0.1)
+    return ScenarioConfig(
+        name="tie",
+        bands=(BandConfig(service=tie), BandConfig(service=tie)),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=6.0, packets=3000),),
+        schedulers=(SchedulerSpec("even_split"),),
+        vacation=DistributionSpec("deterministic", mean=0.05),
+    )
+
+
+def _high_rtt_cfg():
+    cfg = scenarios.load("two_band_high_rtt")
+    return replace(cfg, flows=tuple(replace(fl, packets=2000) for fl in cfg.flows))
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (_tied_deterministic_bands_cfg, "even_split"),
+        (_high_rtt_cfg, "even_split"),
+        (_high_rtt_cfg, "minimum_delay"),
+        (_high_rtt_cfg, "leaky_bucket"),
+    ],
+)
+def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(build, kind):
+    # The definition, from receipts alone: a measured packet is out of
+    # order when some lower seq of its flow had not been received (by
+    # call order, so same-instant receipts count in the order they ran).
+    cfg = build()
+    rep, state, log = _receive_log(cfg, SchedulerSpec(kind), seed=3)
+    assert rep.delivered == sum(fl.packets for fl in cfg.flows)
+    ahead = 0
+    ahead_at_a_tie = 0
+    for fr, receipts in zip(state.flows, log):
+        per_instant = Counter(t for _, t in receipts)
+        got = set()
+        missing = 0  # lowest seq not yet received
+        for seq, t in receipts:
+            if seq > missing and seq >= fr.warmup_cut:
+                ahead += 1
+                ahead_at_a_tie += per_instant[t] > 1
+            got.add(seq)
+            while missing in got:
+                missing += 1
+    assert ahead > 0
+    # The report divides the same integers, so equality is exact.
+    assert ahead / rep.measured == rep.out_of_order_frac
+    if build is _tied_deterministic_bands_cfg:
+        assert ahead_at_a_tie > 0
+
+
+def test_python_calls_per_packet_on_a_single_path_run():
+    # The engine's per-packet cost as a count that host load cannot
+    # move: Python function calls per delivered packet, on the
+    # asym_schemes config (two_band_asym) under single_band:0.  Each
+    # packet takes an arrival, a scheduler pick, a Packet, two draws,
+    # two pushes, a service start, a departure and a receipt: 10.03 per
+    # packet with the run's fixed calls, where a reorder-buffer call and
+    # a queue walk per packet gave 12.03.
+    cfg = scenarios.load("two_band_asym")
+    cfg = replace(cfg, flows=tuple(replace(fl, packets=3000) for fl in cfg.flows))
+    spec = SchedulerSpec("single_band", 0)
+    SimState(cfg, spec, seed=1).run()  # first-run imports and caches
+    state = SimState(cfg, spec, seed=1)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        rep = state.run()
+    finally:
+        sys.setprofile(None)
+    assert rep.delivered == 3000
+    assert calls / rep.delivered < 10.5
