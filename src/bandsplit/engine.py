@@ -383,7 +383,8 @@ class SimState:
         pkt.received_at = t
         buf = fr.reorder
         if pkt.seq == buf.next_seq and not buf.pending:
-            # In order with nothing held: released on receipt.
+            # In order with nothing held: released on receipt, so its
+            # resequencing delay is 0.0 and the reseq sum and max stay.
             pkt.released_at = t
             buf.next_seq += 1
             fr.delivered += 1
