@@ -37,7 +37,6 @@ from .metrics import MetricsReport
 from .model import (
     BandStats,
     DelayBreakdown,
-    FlowKey,
     RateAllocation,
     aggregate_delay,
     band_delay,

@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .distributions import DistributionSpec
 from .errors import ConfigInvalid
-from .model import RHO_MAX, FlowKey
+from .model import RHO_MAX
 from .schedulers import SchedulerSpec
 
 
@@ -57,10 +57,6 @@ class FlowConfig:
     lambda_pps: float
     packets: int
     available_bands: tuple[int, ...] | None = None
-
-    @property
-    def key(self) -> FlowKey:
-        return FlowKey(sta_id=self.sta, ac=self.ac)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ Per-packet work is kept to what each packet needs:
 - A band with one (AC, station) queue takes its next packet from that
   queue; only a band with several queues walks strict priority and the
   round-robin pointer (``BandServer.pick_queue``).
+- Each count is kept once.  A flow's generated packets are its next
+  sequence number, its delivered packets its reorder buffer's next
+  sequence number, and its measured packets the latencies it recorded;
+  a band is serving exactly when ``current`` holds a packet.  The
+  conservation check at the end compares these independent sources.
 
 Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, and simultaneous events are ordered by
@@ -123,8 +128,6 @@ class BandServer:
         "rank_counts",
         "rr",
         "qlen",
-        "busy",
-        "on_vacation",
         "vac_dur",
         "vac_end",
         "occupied",
@@ -152,8 +155,6 @@ class BandServer:
         self.rank_counts = [0] * num_ranks
         self.rr = [0] * num_ranks
         self.qlen = 0
-        self.busy = False
-        self.on_vacation = False
         self.vac_dur = 0.0
         self.vac_end = 0.0
         self.occupied = 0.0
@@ -183,18 +184,14 @@ class BandServer:
 
 class _FlowRuntime:
     __slots__ = (
-        "cfg",
         "packets",
         "index",
-        "key",
         "rank",
         "sta",
         "scheduler",
         "reorder",
         "arrivals",
         "next_seq",
-        "generated",
-        "delivered",
         "served",
         "warmup_cut",
         "taps",
@@ -202,26 +199,21 @@ class _FlowRuntime:
         "reseq_sum",
         "reseq_max",
         "ooo_count",
-        "measured",
         "band_counts",
         "wait_sum",
         "min_created",
         "max_released",
     )
 
-    def __init__(self, cfg, index, key, rank, scheduler, reorder, arrivals, warmup_cut, taps):
-        self.cfg = cfg
+    def __init__(self, cfg, index, rank, scheduler, reorder, arrivals, warmup_cut, taps):
         self.packets = cfg.packets
         self.index = index
-        self.key = key
         self.rank = rank
-        self.sta = key.sta_id
+        self.sta = cfg.sta
         self.scheduler = scheduler
         self.reorder = reorder
         self.arrivals = arrivals
         self.next_seq = 0
-        self.generated = 0
-        self.delivered = 0
         self.served = 0
         self.warmup_cut = warmup_cut
         self.taps = taps
@@ -229,7 +221,6 @@ class _FlowRuntime:
         self.reseq_sum = 0.0
         self.reseq_max = 0.0
         self.ooo_count = 0
-        self.measured = 0
         self.band_counts = None
         self.wait_sum = 0.0
         self.min_created = math.inf
@@ -305,7 +296,6 @@ class SimState:
             fr = _FlowRuntime(
                 cfg=fl,
                 index=i,
-                key=fl.key,
                 rank=self.rank_of_ac[fl.ac],
                 scheduler=sched,
                 reorder=ReorderBuffer(),
@@ -342,14 +332,12 @@ class SimState:
         srv.qlen -= 1
         pkt.service_start = t
         dur = srv.service.draw()
-        srv.busy = True
         srv.current = pkt
         srv.current_dur = dur
         self._push(t + dur, _EV_DEPART, srv.index)
 
     def _start_vacation(self, srv: BandServer, t: float) -> None:
         dur = srv.vacation.draw()
-        srv.on_vacation = True
         srv.vac_dur = dur
         srv.vac_end = t + dur
 
@@ -375,7 +363,7 @@ class SimState:
                 st = fr.scheduler.stats[j]
             stats.append(st)
         try:
-            fr.scheduler.update_feedback(stats, fr.cfg.lambda_pps)
+            fr.scheduler.update_feedback(stats)
         except OptimizerError:
             pass  # stale-but-safe: scheduler keeps its previous split
 
@@ -387,10 +375,8 @@ class SimState:
             # resequencing delay is 0.0 and the reseq sum and max stay.
             pkt.released_at = t
             buf.next_seq += 1
-            fr.delivered += 1
             self.total_released += 1
             if pkt.seq >= fr.warmup_cut:
-                fr.measured += 1
                 fr.lat.append(t - pkt.created_at)
                 fr.band_counts[pkt.enqueued_band] += 1
                 fr.wait_sum += pkt.service_start - pkt.created_at
@@ -400,10 +386,8 @@ class SimState:
                     fr.max_released = t
             return
         for rp in buf.release(pkt, t):
-            fr.delivered += 1
             self.total_released += 1
             if rp.seq >= fr.warmup_cut:
-                fr.measured += 1
                 # Every packet released after the one just received was
                 # held, so some lower seq had not arrived at its receipt.
                 if rp is not pkt:
@@ -428,26 +412,27 @@ class SimState:
         band = fr.scheduler.next_band()
         pkt = Packet(fr.next_seq, t, fi, band)
         fr.next_seq += 1
-        fr.generated += 1
         srv = self.servers[band]
         srv.queues[fr.rank][fr.sta].append(pkt)
         srv.rank_counts[fr.rank] += 1
         srv.qlen += 1
         if srv.qlen > self.queue_cap:
             raise OverloadDetected(f"band {band} queue exceeded cap {self.queue_cap} at t={t:.6f}")
-        if not srv.busy:
-            if not srv.on_vacation:
+        if srv.current is None:
+            # A parametric band with nothing in service is on vacation
+            # while the run goes on: _on_depart starts the next one unless
+            # the last packet was released, and the loop stops right there.
+            if srv.vacation is None:
                 self._start_service(srv, t)
             elif srv.qlen == 1:  # the first packet to wait: no end event yet
                 self._wake(srv, t)
-        if fr.generated < fr.packets:
+        if fr.next_seq < fr.packets:
             self._push(t + fr.arrivals.draw(), _EV_ARRIVAL, fi)
 
     def _on_depart(self, bi: int, t: float) -> None:
         srv = self.servers[bi]
         pkt = srv.current
         dur = srv.current_dur
-        srv.busy = False
         srv.current = None
         srv.occupied += dur
         fr = self.flows[pkt.flow_idx]
@@ -473,7 +458,6 @@ class SimState:
 
     def _on_vacation_end(self, bi: int, t: float) -> None:
         srv = self.servers[bi]
-        srv.on_vacation = False
         srv.occupied += srv.vac_dur
         self._start_service(srv, t)
 
@@ -515,18 +499,12 @@ class SimState:
 
     # -- accounting ----------------------------------------------------
 
-    def queued_total(self) -> int:
-        n = sum(srv.qlen for srv in self.servers)
-        n += sum(1 for srv in self.servers if srv.busy)
-        return n
-
-    def pending_reorder(self) -> int:
-        return sum(len(fr.reorder) for fr in self.flows)
-
     def _report(self) -> MetricsReport:
-        generated = sum(fr.generated for fr in self.flows)
-        delivered = sum(fr.delivered for fr in self.flows)
-        held = self.queued_total() + self.in_transit + self.pending_reorder()
+        generated = sum(fr.next_seq for fr in self.flows)
+        delivered = sum(fr.reorder.next_seq for fr in self.flows)
+        queued = sum(srv.qlen + (srv.current is not None) for srv in self.servers)
+        in_flight = self.in_transit + sum(len(fr.reorder) for fr in self.flows)
+        held = queued + in_flight
         if generated != delivered + held:
             raise ConservationViolated(
                 f"generated {generated} != delivered {delivered} + held {held}"
@@ -566,8 +544,8 @@ class SimState:
             out_of_order_frac=ooo / measured if measured else 0.0,
             per_band_frac=frac,
             mean_wait_s=wait_sum / measured if measured else 0.0,
-            queued_at_end=self.queued_total(),
-            in_flight_at_end=self.in_transit + self.pending_reorder(),
+            queued_at_end=queued,
+            in_flight_at_end=in_flight,
         )
 
 

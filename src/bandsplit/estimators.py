@@ -32,7 +32,7 @@ class MomentEstimator:
     moments.
     """
 
-    __slots__ = ("window", "_ring", "_pos", "count", "_sum", "_sum_sq")
+    __slots__ = ("window", "_ring", "_pos", "_sum", "_sum_sq")
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
@@ -40,7 +40,6 @@ class MomentEstimator:
         self.window = window
         self._ring: list[float] = []
         self._pos = 0
-        self.count = 0
         self._sum = 0.0
         self._sum_sq = 0.0
 
@@ -55,7 +54,6 @@ class MomentEstimator:
             self._sum += x - old
             self._sum_sq += x * x - old * old
         self._pos += 1
-        self.count += 1
         if self._pos >= self.window:
             self._pos = 0
             self._sum = math.fsum(self._ring)

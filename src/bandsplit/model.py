@@ -30,20 +30,6 @@ RHO_MAX = 0.999
 
 
 @dataclass(frozen=True)
-class FlowKey:
-    """Identifies one (station, access-category) virtual queue."""
-
-    sta_id: int
-    ac: int
-
-    def __post_init__(self) -> None:
-        if self.sta_id < 0:
-            raise ValueError(f"sta_id must be >= 0, got {self.sta_id}")
-        if not 0 <= self.ac < 4:
-            raise ValueError(f"ac must be in 0..3, got {self.ac}")
-
-
-@dataclass(frozen=True)
 class BandStats:
     """Measured moments of one band as seen by one flow.
 

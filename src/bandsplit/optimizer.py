@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailure, DimensionTooLarge, NoFeasibleBranch, Overload
-from .model import RHO_MAX, BandStats, RateAllocation, aggregate_delay
+from .model import RHO_MAX, BandStats, RateAllocation
 
 CLOSED_FORM = "closed_form_approx"
 NUMERIC = "numeric_gamma"
@@ -76,7 +76,6 @@ class LagrangeSolution:
 
     gamma: float
     alloc: RateAllocation
-    objective: float
     method: str
 
 
@@ -96,14 +95,6 @@ def gamma_approx(lambda_total: float, mus: Sequence[float]) -> float:
     return num / (2.0 * lambda_total * (mu_sum - lambda_total) ** 2)
 
 
-def _radicand(gamma: float, st: BandStats, lambda_total: float) -> float:
-    return (
-        st.mu**2 * st.vbar * st.x2
-        - st.mu * st.v2
-        + (2.0 * lambda_total * gamma * st.mu - 2.0) * st.vbar
-    )
-
-
 def lambda_star_given_gamma(
     gamma: float, stats: Sequence[BandStats], lambda_total: float
 ) -> list[float]:
@@ -112,12 +103,13 @@ def lambda_star_given_gamma(
     No feasibility guarantee; callers filter.  Raises NoFeasibleBranch
     when any radicand is non-positive.
     """
+    two_lam = 2.0 * lambda_total
     out = []
-    for st in stats:
-        d = _radicand(gamma, st, lambda_total)
+    for mu, vbar, a, q, _ in _band_terms(stats, lambda_total):
+        d = a + (two_lam * gamma * mu - 2.0) * vbar
         if d <= 0.0:
             raise NoFeasibleBranch(f"radicand {d} <= 0 at gamma={gamma}")
-        out.append(st.mu - st.mu**2 * math.sqrt(st.vbar * st.x2) / math.sqrt(d))
+        out.append(mu - q / math.sqrt(d))
     return out
 
 
@@ -131,15 +123,6 @@ def _validate_instance(lambda_total: float, stats: Sequence[BandStats]) -> None:
         raise Overload(f"lambda={lambda_total} >= {RHO_MAX} * capacity ({cap})")
     if lambda_total <= 0:
         raise ValueError("lambda_total must be positive")
-
-
-def _finish(
-    gamma: float, lambdas: Sequence[float], stats: Sequence[BandStats], method: str
-) -> LagrangeSolution:
-    alloc = RateAllocation(lambdas)
-    return LagrangeSolution(
-        gamma=gamma, alloc=alloc, objective=aggregate_delay(alloc, stats), method=method
-    )
 
 
 def solve_closed_form(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
@@ -156,14 +139,14 @@ def solve_closed_form(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
     cand = [lam * scale for lam in cand]
     if any(lam > RHO_MAX * st.mu for lam, st in zip(cand, stats)):
         raise NoFeasibleBranch(f"rate above the utilisation cap at gamma={gamma}")
-    return _finish(gamma, cand, stats, CLOSED_FORM)
+    return LagrangeSolution(gamma, RateAllocation(cand), CLOSED_FORM)
 
 
 def _band_terms(stats: Sequence[BandStats], lambda_total: float) -> _Bands:
     """Per-band constants of lam_j(gamma): (mu, vbar, a, q, c) with
-    a = mu^2 * vbar * x2 - mu * v2 and q = mu^2 * sqrt(vbar * x2), each
-    rounded exactly as _radicand and lambda_star_given_gamma round them,
-    and c = q * lam * mu * vbar for the slope."""
+    a = mu^2 * vbar * x2 - mu * v2, q = mu^2 * sqrt(vbar * x2) and
+    c = q * lam * mu * vbar for the slope.  The radicand is then
+    D_j = a + (2 * lam * gamma * mu - 2) * vbar and the rate mu - q / sqrt(D_j)."""
     out = []
     for st in stats:
         q = st.mu**2 * math.sqrt(st.vbar * st.x2)
@@ -179,7 +162,7 @@ def _sum_minus_branch(
     d/dgamma sum_j lam_j = sum_j mu_j^3 * lam * vbar_j * sqrt(vbar_j * x2_j)
     * D_j^(-3/2); (None, 0.0) below the domain.  ``bands`` comes from
     _band_terms, and each term of the sum is lambda_star_given_gamma's,
-    bit for bit."""
+    bit for bit, as both evaluate the same expression."""
     two_lam = 2.0 * lambda_total
     total = 0.0
     slope = 0.0
@@ -321,7 +304,7 @@ def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
     for j in active:
         if full[j] >= RHO_MAX * stats[j].mu:
             raise NoFeasibleBranch(f"band {j} at utilisation cap in numeric solution")
-    return _finish(gamma, full, stats, NUMERIC)
+    return LagrangeSolution(gamma, RateAllocation(full), NUMERIC)
 
 
 def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
@@ -333,8 +316,8 @@ def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolutio
     """
     _validate_instance(lambda_total, stats)
     if len(stats) == 1:
-        return _finish(
-            gamma_approx(lambda_total, [stats[0].mu]), [lambda_total], stats, CLOSED_FORM
+        return LagrangeSolution(
+            gamma_approx(lambda_total, [stats[0].mu]), RateAllocation([lambda_total]), CLOSED_FORM
         )
     try:
         return _solve_active_set(lambda_total, stats)
@@ -390,7 +373,7 @@ def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolut
     if m > 4:
         raise DimensionTooLarge(f"grid oracle supports M <= 4, got {m}")
     if m == 1:
-        return _finish(math.nan, [lambda_total], stats, GRID)
+        return LagrangeSolution(math.nan, RateAllocation([lambda_total]), GRID)
 
     n = _GRID_RESOLUTION if m <= 3 else 64
     tiny = 1e-9 * lambda_total
@@ -418,4 +401,4 @@ def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolut
     lams = list(best_pt)
     # Snap the dependent coordinate so the components sum exactly.
     lams[-1] = lambda_total - sum(lams[:-1])
-    return _finish(math.nan, lams, stats, GRID)
+    return LagrangeSolution(math.nan, RateAllocation(lams), GRID)

@@ -108,7 +108,7 @@ class Scheduler:
     def next_band(self) -> int:
         raise NotImplementedError
 
-    def update_feedback(self, stats: Sequence[BandStats], lambda_total: float) -> None:
+    def update_feedback(self, stats: Sequence[BandStats]) -> None:
         if len(stats) != self.num_bands:
             raise ConfigInvalid("stats length does not match band count")
         self.stats = list(stats)
@@ -160,8 +160,8 @@ class LoadBalancing(Scheduler):
         super().__init__(num_bands, stats, avail)
         self.counts = [0] * num_bands
 
-    def update_feedback(self, stats, lambda_total: float) -> None:
-        super().update_feedback(stats, lambda_total)
+    def update_feedback(self, stats) -> None:
+        super().update_feedback(stats)
         self.counts = [0] * self.num_bands
 
     def next_band(self) -> int:
@@ -218,9 +218,8 @@ class _OptimizingScheduler(Scheduler):
     def _on_new_split(self) -> None:
         raise NotImplementedError
 
-    def update_feedback(self, stats: Sequence[BandStats], lambda_total: float) -> None:
-        super().update_feedback(stats, lambda_total)
-        self.lambda_total = float(lambda_total)
+    def update_feedback(self, stats: Sequence[BandStats]) -> None:
+        super().update_feedback(stats)
         self._resolve()
 
 

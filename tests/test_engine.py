@@ -58,12 +58,34 @@ def test_conservation_when_stopped_by_time_limit():
     assert rep.delivered <= rep.generated
 
 
-def test_conservation_mismatch_is_an_explicit_error():
+def _count_one_more_in_transit(state):
+    state.in_transit += 1
+
+
+def _lose_a_queued_packet(state):
+    srv = state.servers[0]
+    srv.queues[0][0].pop()
+    srv.qlen -= 1
+
+
+def _phantom_packet(state):
+    state.flows[0].next_seq += 1
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_count_one_more_in_transit, _lose_a_queued_packet, _phantom_packet],
+    ids=["in_transit", "lost_queued", "phantom"],
+)
+def test_conservation_mismatch_is_an_explicit_error(tamper):
     # Kept under python -O: the check is an exception, not an assert.
-    cfg = one_band_cfg(packets=500)
+    # Stopped by the time limit with packets still queued, so each case
+    # breaks one source of the count the others must match.
+    cfg = one_band_cfg(lam=9.0, packets=5000, max_sim_time_s=10.0)
     state = SimState(cfg, cfg.schedulers[0], seed=4)
     state.run()
-    state.in_transit += 1
+    assert state.stopped_at_time_limit and state.servers[0].qlen > 0
+    tamper(state)
     with pytest.raises(ConservationViolated):
         state._report()
 

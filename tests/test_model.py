@@ -7,7 +7,6 @@ import pytest
 from bandsplit.errors import Infeasible, InvalidStats, LengthMismatch
 from bandsplit.model import (
     BandStats,
-    FlowKey,
     RateAllocation,
     aggregate_delay,
     band_delay,
@@ -99,15 +98,6 @@ def test_feasible_cases():
     assert feasible(RateAllocation((9.0, 1.0)), two, 10.0)
     with pytest.raises(LengthMismatch):
         feasible(RateAllocation((1.0,)), two, 1.0)
-
-
-def test_flow_key_invariants():
-    key = FlowKey(sta_id=2, ac=3)
-    assert key.sta_id == 2
-    with pytest.raises(ValueError):
-        FlowKey(sta_id=-1, ac=0)
-    with pytest.raises(ValueError):
-        FlowKey(sta_id=0, ac=4)
 
 
 def test_total_delay_strictly_increasing_in_rate():

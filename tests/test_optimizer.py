@@ -98,7 +98,7 @@ def test_known_instance_matches_grid_argmin():
     sol = optimize(lam, stats)
     assert abs(sol.alloc.lambdas[0] - 10.0791) <= 1e-3 * lam
     assert abs(sol.alloc.lambdas[1] - 1.9209) <= 1e-3 * lam
-    assert sol.objective == pytest.approx(0.13623969857, rel=1e-8)
+    assert aggregate_delay(sol.alloc, stats) == pytest.approx(0.13623969857, rel=1e-8)
     g = solve_grid(lam, stats)
     assert abs(g.alloc.lambdas[0] - sol.alloc.lambdas[0]) <= 1e-3 * lam
 
@@ -110,7 +110,7 @@ def test_numeric_never_worse_than_forced_approximation():
     assert forced.method == CLOSED_FORM
     exact = optimize(lam, stats)
     assert exact.method == NUMERIC
-    assert exact.objective <= forced.objective + 1e-9
+    assert aggregate_delay(exact.alloc, stats) <= aggregate_delay(forced.alloc, stats) + 1e-9
 
 
 def test_closed_form_trusted_in_heavy_traffic_regime():
@@ -122,19 +122,20 @@ def test_closed_form_trusted_in_heavy_traffic_regime():
     assert sol.method == CLOSED_FORM
     assert sum(sol.alloc.lambdas) == pytest.approx(lam, rel=1e-12)
     exact = optimize(lam, stats)
-    assert sol.objective <= exact.objective * 1.01
+    assert aggregate_delay(sol.alloc, stats) <= aggregate_delay(exact.alloc, stats) * 1.01
 
 
 def test_active_set_excludes_weak_band():
     # Band 2 is nearly useless: tiny rate, enormous vacation second moment.
     strong = BandStats(mu=20.0, x2=2 / 400, vbar=0.05, v2=0.005)
     weak = BandStats(mu=0.5, x2=2 / 0.25, vbar=1.0, v2=50.0)
+    stats = [strong, weak]
     lam = 10.0
-    sol = optimize(lam, [strong, weak])
+    sol = optimize(lam, stats)
     assert sol.alloc.lambdas[1] == 0.0
     assert sol.alloc.lambdas[0] == pytest.approx(lam, rel=1e-12)
-    g = solve_grid(lam, [strong, weak])
-    assert sol.objective <= g.objective + 1e-9
+    g = solve_grid(lam, stats)
+    assert aggregate_delay(sol.alloc, stats) <= aggregate_delay(g.alloc, stats) + 1e-9
 
 
 def test_grid_dimension_cap():
@@ -175,7 +176,8 @@ def test_oracle_agreement_sample():
         if any(l == 0.0 for l in sol.alloc.lambdas):
             continue
         g = solve_grid(lam, stats)
-        assert sol.objective <= g.objective + max(1e-4 * g.objective, 1e-9)
+        g_f = aggregate_delay(g.alloc, stats)
+        assert aggregate_delay(sol.alloc, stats) <= g_f + max(1e-4 * g_f, 1e-9)
         checked += 1
 
 
@@ -190,7 +192,7 @@ def test_dominance_over_even_and_rate_proportional_splits():
         prop = RateAllocation([lam * mu / sum(mus) for mu in mus])
         for rival in (even, prop):
             if feasible(rival, stats, lam):
-                assert sol.objective <= aggregate_delay(rival, stats) + 1e-12
+                assert aggregate_delay(sol.alloc, stats) <= aggregate_delay(rival, stats) + 1e-12
 
 
 def test_grid_oracle_dominates_reference_splits_m3():
@@ -202,7 +204,7 @@ def test_grid_oracle_dominates_reference_splits_m3():
     prop = RateAllocation([lam * mu / sum(mus) for mu in mus])
     for rival in (even, prop):
         if feasible(rival, stats, lam):
-            assert g.objective <= aggregate_delay(rival, stats) + 1e-9
+            assert aggregate_delay(g.alloc, stats) <= aggregate_delay(rival, stats) + 1e-9
 
 
 def test_dimensional_scaling():

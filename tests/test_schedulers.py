@@ -168,7 +168,7 @@ def test_feedback_recomputes_split_and_credits():
     sched = build("leaky_bucket", stats=TWO_EQUAL, lam=8.0)
     before = list(sched.increments)
     # Band 0 doubles its service rate: the split and credits must move.
-    sched.update_feedback(TWO_ASYM, 8.0)
+    sched.update_feedback(TWO_ASYM)
     after = list(sched.increments)
     assert after != before
     sol = optimize(8.0, TWO_ASYM)
@@ -180,7 +180,7 @@ def test_feedback_recomputes_split_and_credits():
 def test_feedback_idempotent_on_identical_stats():
     sched = build("leaky_bucket", stats=TWO_ASYM, lam=8.0)
     first = list(sched.increments)
-    sched.update_feedback(TWO_ASYM, 8.0)
+    sched.update_feedback(TWO_ASYM)
     assert sched.increments == pytest.approx(first, rel=1e-12)
 
 
@@ -190,7 +190,7 @@ def test_feedback_failure_keeps_previous_split():
     keep_l = list(sched.lambda_star)
     shrunk = [BandStats(5.0, 2 / 25, 0.1, 0.011), BandStats(5.0, 2 / 25, 0.1, 0.011)]
     with pytest.raises(Overload):
-        sched.update_feedback(shrunk, 12.0)  # 12 >= 0.999 * 10
+        sched.update_feedback(shrunk)  # 12 >= 0.999 * 10
     assert sched.increments == keep_r
     assert sched.lambda_star == keep_l
 
