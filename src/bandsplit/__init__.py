@@ -27,6 +27,7 @@ from .errors import (
     LengthMismatch,
     MismatchedSeeds,
     NoFeasibleBranch,
+    NoMeasuredPackets,
     OptimizerError,
     OptimizerFailure,
     Overload,
@@ -37,7 +38,6 @@ from .metrics import MetricsReport
 from .model import (
     BandStats,
     DelayBreakdown,
-    RateAllocation,
     aggregate_delay,
     band_delay,
     objective,

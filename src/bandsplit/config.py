@@ -1,5 +1,5 @@
-"""Scenario configuration: the dataclasses, their validation, and the
-strict JSON loader.
+"""Scenario configuration: the dataclasses, which validate themselves,
+and the strict JSON loader.
 
 A scenario file is a single JSON document; this one gives only the
 required keys and one optional key:
@@ -19,8 +19,11 @@ The dataclasses below are the one schema.  A JSON key names a dataclass
 field and is passed on only when present, so every default lives in its
 dataclass; a key that names no field is rejected with its path (say
 ``bands[0].prop_latency``), at every level, and so is a missing field
-that has no default.  Every failure raises ConfigInvalid, which the CLI
-turns into exit code 2.
+that has no default.  ``ScenarioConfig`` checks its cross-field
+contract in ``__post_init__``, so every instance, whether loaded,
+built in code or derived with ``dataclasses.replace``, is valid once it
+exists.  Every failure raises ConfigInvalid, which the CLI turns into
+exit code 2.
 
 ``acs`` lists the active access categories in priority order (first entry
 is served first).  A flow may restrict itself to a subset of bands with
@@ -75,7 +78,7 @@ class ScenarioConfig:
     queue_cap: int = 1_000_000
     max_sim_time_s: float | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.name:
             raise ConfigInvalid("name: must be non-empty")
         if not self.bands:
@@ -157,9 +160,7 @@ class ScenarioConfig:
         kw = _parse_object(d, "", _SCENARIO_KEYS)
         if "vacation_mode" in kw:
             kw["vacation"] = kw.pop("vacation_mode")
-        cfg = _construct(ScenarioConfig, kw, "")
-        cfg.validate()
-        return cfg
+        return _construct(ScenarioConfig, kw, "")
 
     @staticmethod
     def from_json(text: str) -> "ScenarioConfig":

@@ -22,6 +22,9 @@ KINDS = {
     "lognormal": ("mu_log", "sigma_log"),
 }
 
+# Draws a Sampler takes from its stream per refill.
+_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -81,27 +84,26 @@ class Sampler:
     index rather than a numpy scalar.
     """
 
-    __slots__ = ("_spec", "_rng", "_chunk", "_buf", "_idx")
+    __slots__ = ("_spec", "_rng", "_buf", "_idx")
 
-    def __init__(self, spec: DistributionSpec, rng: np.random.Generator, chunk: int = 4096):
+    def __init__(self, spec: DistributionSpec, rng: np.random.Generator):
         self._spec = spec
         self._rng = rng
-        self._chunk = chunk
         self._buf: list[float] = []
-        self._idx = chunk
+        self._idx = _BLOCK
 
     def _refill(self) -> None:
         spec = self._spec
         if spec.kind == "deterministic":
-            self._buf = [spec.mean] * self._chunk
+            self._buf = [spec.mean] * _BLOCK
         elif spec.kind == "exponential":
-            self._buf = self._rng.exponential(spec.mean, self._chunk).tolist()
+            self._buf = self._rng.exponential(spec.mean, _BLOCK).tolist()
         else:
-            self._buf = self._rng.lognormal(spec.mu_log, spec.sigma_log, self._chunk).tolist()
+            self._buf = self._rng.lognormal(spec.mu_log, spec.sigma_log, _BLOCK).tolist()
         self._idx = 0
 
     def draw(self) -> float:
-        if self._idx >= self._chunk:
+        if self._idx >= _BLOCK:
             self._refill()
         val = self._buf[self._idx]
         self._idx += 1

@@ -61,6 +61,7 @@ from .errors import (
     ConfigInvalid,
     ConservationViolated,
     InsufficientSamples,
+    NoMeasuredPackets,
     OptimizerError,
     OverloadDetected,
 )
@@ -246,7 +247,6 @@ class SimState:
     """
 
     def __init__(self, config: ScenarioConfig, scheduler_spec: SchedulerSpec, seed: int):
-        config.validate()
         if seed < 0:
             raise ConfigInvalid("seed: must be >= 0")
         self.config = config
@@ -277,7 +277,6 @@ class SimState:
         for i, fl in enumerate(config.flows):
             sched = make_scheduler(
                 scheduler_spec,
-                num_bands=self.num_bands,
                 stats=initial,
                 lambda_total=fl.lambda_pps,
                 flow_index=i,
@@ -510,12 +509,15 @@ class SimState:
                 f"generated {generated} != delivered {delivered} + held {held}"
             )
 
-        lat_all = np.concatenate([np.frombuffer(fr.lat, dtype=float) for fr in self.flows]) if any(
-            len(fr.lat) for fr in self.flows
-        ) else np.empty(0)
+        lat_all = np.concatenate([np.frombuffer(fr.lat, dtype=float) for fr in self.flows])
         measured = int(lat_all.size)
-        mean_lat = float(lat_all.mean()) if measured else 0.0
-        p95 = float(np.percentile(lat_all, 95)) if measured else 0.0
+        if not measured:
+            raise NoMeasuredPackets(
+                f"run measured no packet: {delivered} of {self.total_target} delivered, "
+                "none past warm-up"
+            )
+        mean_lat = float(lat_all.mean())
+        p95 = float(np.percentile(lat_all, 95))
         reseq_sum = sum(fr.reseq_sum for fr in self.flows)
         reseq_max = max((fr.reseq_max for fr in self.flows), default=0.0)
         ooo = sum(fr.ooo_count for fr in self.flows)
@@ -523,11 +525,11 @@ class SimState:
         for fr in self.flows:
             for j in range(self.num_bands):
                 band_counts[j] += fr.band_counts[j]
-        frac = tuple(c / measured if measured else 0.0 for c in band_counts)
+        frac = tuple(c / measured for c in band_counts)
         min_created = min((fr.min_created for fr in self.flows), default=math.inf)
         max_released = max((fr.max_released for fr in self.flows), default=-math.inf)
         span = max_released - min_created
-        goodput = measured / span if measured and span > 0 else 0.0
+        goodput = measured / span if span > 0 else 0.0
         wait_sum = sum(fr.wait_sum for fr in self.flows)
         return MetricsReport(
             scenario=self.config.name,
@@ -539,11 +541,11 @@ class SimState:
             goodput_pps=goodput,
             mean_latency_s=mean_lat,
             p95_latency_s=p95,
-            mean_reseq_delay_s=reseq_sum / measured if measured else 0.0,
+            mean_reseq_delay_s=reseq_sum / measured,
             max_reseq_delay_s=reseq_max,
-            out_of_order_frac=ooo / measured if measured else 0.0,
+            out_of_order_frac=ooo / measured,
             per_band_frac=frac,
-            mean_wait_s=wait_sum / measured if measured else 0.0,
+            mean_wait_s=wait_sum / measured,
             queued_at_end=queued,
             in_flight_at_end=in_flight,
         )

@@ -63,6 +63,11 @@ class ConservationViolated(BandsplitError):
     """Packet accounting does not balance at the end of a run (an engine bug)."""
 
 
+class NoMeasuredPackets(BandsplitError):
+    """A run ended (at its time cap) before any packet past warm-up was
+    delivered, so it has no record to report."""
+
+
 class OverloadDetected(BandsplitError):
     """A simulated queue exceeded its configured occupancy cap."""
 

@@ -7,9 +7,11 @@ vacation moments ``vbar``/``v2``, the mean per-packet delay on a band is
     T(lam) = lam * x2 / (2 * (1 - lam/mu)) + v2 / (2 * vbar) + 1/mu
 
 and the objective for a split (lam_1, ..., lam_M) of a total rate ``lam``
-is the arrival-weighted mean of the per-band delays.  Everything here is
-a pure function over immutable values; estimation and optimization live
-elsewhere.
+is the arrival-weighted mean of the per-band delays.  A split is a plain
+sequence of per-band rates, packets/second.  Everything here is a pure
+function over immutable values; BandStats checks its moments when it is
+built, so no function here re-checks them.  Estimation and optimization
+live elsewhere.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ class BandStats:
     vbar  mean vacation length, s
     v2    second moment of the vacation length, s^2
 
-    Mean service time is 1/mu and is not stored separately.
+    Mean service time is 1/mu and is not stored separately.  Construction
+    raises InvalidStats when the moments are inconsistent.
     """
 
     mu: float
@@ -46,7 +49,7 @@ class BandStats:
     vbar: float
     v2: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.mu > 0.0:
             raise InvalidStats(f"mu must be > 0, got {self.mu}")
         mean_sq = (1.0 / self.mu) ** 2
@@ -67,31 +70,12 @@ class DelayBreakdown:
     total: float
 
 
-@dataclass(frozen=True)
-class RateAllocation:
-    """Per-band arrival rates, packets/second."""
-
-    lambdas: tuple[float, ...]
-
-    def __init__(self, lambdas: Sequence[float]):
-        object.__setattr__(self, "lambdas", tuple(float(x) for x in lambdas))
-
-    def __len__(self) -> int:
-        return len(self.lambdas)
-
-    @property
-    def total(self) -> float:
-        return sum(self.lambdas)
-
-
 def band_delay(lambda_j: float, stats: BandStats) -> DelayBreakdown:
     """Mean delay of one band at arrival rate ``lambda_j``.
 
     Accepts lambda_j == 0 (the zero-arrival limit keeps the residual
-    vacation term).  Raises Infeasible at or beyond the stability limit,
-    InvalidStats if the moments are inconsistent.
+    vacation term).  Raises Infeasible at or beyond the stability limit.
     """
-    stats.validate()
     if lambda_j < 0.0:
         raise Infeasible(f"negative arrival rate {lambda_j}")
     if lambda_j >= stats.mu:
@@ -102,9 +86,9 @@ def band_delay(lambda_j: float, stats: BandStats) -> DelayBreakdown:
     return DelayBreakdown(waiting=waiting, service=service, total=waiting + service)
 
 
-def aggregate_delay(alloc: RateAllocation, stats: Sequence[BandStats]) -> float:
+def aggregate_delay(lambdas: Sequence[float], stats: Sequence[BandStats]) -> float:
     """Arrival-weighted mean delay over all bands: sum(T_j * lam_j) / sum(lam_j)."""
-    return objective(alloc.lambdas, stats, alloc.total)
+    return objective(lambdas, stats, sum(lambdas))
 
 
 def objective(

@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BracketFailure, DimensionTooLarge, NoFeasibleBranch, Overload
-from .model import RHO_MAX, BandStats, RateAllocation
+from .model import RHO_MAX, BandStats
 
 CLOSED_FORM = "closed_form_approx"
 NUMERIC = "numeric_gamma"
@@ -69,13 +69,14 @@ class LagrangeSolution:
     """Result of one solve.
 
     ``gamma`` is the sum-constraint multiplier (NaN for the grid oracle),
-    ``method`` one of CLOSED_FORM / NUMERIC / GRID.  ``alloc`` components
-    are strictly positive except for bands excluded by the active-set
-    step, which are exactly 0.0.
+    ``method`` one of CLOSED_FORM / NUMERIC / GRID.  ``lambdas`` holds the
+    per-band rates in the order of the stats solved over, each strictly
+    positive except for bands excluded by the active-set step, which
+    are exactly 0.0.
     """
 
     gamma: float
-    alloc: RateAllocation
+    lambdas: tuple[float, ...]
     method: str
 
 
@@ -114,10 +115,11 @@ def lambda_star_given_gamma(
 
 
 def _validate_instance(lambda_total: float, stats: Sequence[BandStats]) -> None:
+    """Checks what the stats alone cannot: a band set, a positive rate,
+    and a total below capacity (measured stats can overload a band).
+    Each BandStats checked its own moments when it was built."""
     if not stats:
         raise ValueError("need at least one band")
-    for st in stats:
-        st.validate()
     cap = RHO_MAX * sum(st.mu for st in stats)
     if lambda_total >= cap:
         raise Overload(f"lambda={lambda_total} >= {RHO_MAX} * capacity ({cap})")
@@ -139,7 +141,7 @@ def solve_closed_form(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
     cand = [lam * scale for lam in cand]
     if any(lam > RHO_MAX * st.mu for lam, st in zip(cand, stats)):
         raise NoFeasibleBranch(f"rate above the utilisation cap at gamma={gamma}")
-    return LagrangeSolution(gamma, RateAllocation(cand), CLOSED_FORM)
+    return LagrangeSolution(gamma, tuple(cand), CLOSED_FORM)
 
 
 def _band_terms(stats: Sequence[BandStats], lambda_total: float) -> _Bands:
@@ -304,7 +306,7 @@ def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
     for j in active:
         if full[j] >= RHO_MAX * stats[j].mu:
             raise NoFeasibleBranch(f"band {j} at utilisation cap in numeric solution")
-    return LagrangeSolution(gamma, RateAllocation(full), NUMERIC)
+    return LagrangeSolution(gamma, tuple(full), NUMERIC)
 
 
 def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
@@ -317,7 +319,7 @@ def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolutio
     _validate_instance(lambda_total, stats)
     if len(stats) == 1:
         return LagrangeSolution(
-            gamma_approx(lambda_total, [stats[0].mu]), RateAllocation([lambda_total]), CLOSED_FORM
+            gamma_approx(lambda_total, [stats[0].mu]), (float(lambda_total),), CLOSED_FORM
         )
     try:
         return _solve_active_set(lambda_total, stats)
@@ -373,7 +375,7 @@ def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolut
     if m > 4:
         raise DimensionTooLarge(f"grid oracle supports M <= 4, got {m}")
     if m == 1:
-        return LagrangeSolution(math.nan, RateAllocation([lambda_total]), GRID)
+        return LagrangeSolution(math.nan, (float(lambda_total),), GRID)
 
     n = _GRID_RESOLUTION if m <= 3 else 64
     tiny = 1e-9 * lambda_total
@@ -401,4 +403,4 @@ def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolut
     lams = list(best_pt)
     # Snap the dependent coordinate so the components sum exactly.
     lams[-1] = lambda_total - sum(lams[:-1])
-    return LagrangeSolution(math.nan, RateAllocation(lams), GRID)
+    return LagrangeSolution(math.nan, tuple(float(x) for x in lams), GRID)

@@ -13,15 +13,15 @@ from .errors import DuplicateSeq
 class ReorderBuffer:
     """In-order release of a single flow's packets.
 
-    Packets are any objects carrying ``seq``, ``received_at`` and a
-    writable ``released_at``; release() stamps ``released_at`` on
-    everything it emits.
+    Sequence numbers start at 0.  Packets are any objects carrying
+    ``seq``, ``received_at`` and a writable ``released_at``; release()
+    stamps ``released_at`` on everything it emits.
     """
 
     __slots__ = ("next_seq", "pending")
 
-    def __init__(self, first_seq: int = 0):
-        self.next_seq = first_seq
+    def __init__(self):
+        self.next_seq = 0
         self.pending: dict[int, object] = {}
 
     def __len__(self) -> int:

@@ -41,7 +41,6 @@ def run_suite(
 ) -> list[MetricsReport]:
     """Execute every (scheduler, seed) pair of a scenario, optionally
     writing the records to ``out_path``."""
-    config.validate()
     reps = seeds if seeds is not None else config.replications
     if reps < 1:
         raise ConfigInvalid(f"seeds: must be >= 1, got {reps}")

@@ -3,7 +3,8 @@
 One scheduler instance serves one flow.  All policies share the same
 surface: ``next_band()`` picks a band for the next packet and
 ``update_feedback()`` refreshes the measured band statistics (and, for
-the optimizing policies, the target split).  ``avail`` is the sorted,
+the optimizing policies, the target split).  The band count is the
+length of the ``stats`` a policy is built with.  ``avail`` is the sorted,
 never empty tuple of usable band indices, built once from the flow's
 ``available_bands`` (None means every band); a masked band is never
 returned.  ``uses_feedback`` marks the policies that read measured
@@ -92,12 +93,8 @@ class Scheduler:
     kind = "base"
     uses_feedback = False
 
-    def __init__(self, num_bands: int, stats: Sequence[BandStats], avail: Sequence[int] | None):
-        if num_bands < 1:
-            raise ConfigInvalid("need at least one band")
-        if len(stats) != num_bands:
-            raise ConfigInvalid("stats length does not match band count")
-        self.num_bands = num_bands
+    def __init__(self, stats: Sequence[BandStats], avail: Sequence[int] | None):
+        num_bands = self.num_bands = len(stats)
         self.stats = list(stats)
         self.avail = tuple(range(num_bands)) if avail is None else tuple(sorted(set(avail)))
         if not self.avail:
@@ -117,8 +114,8 @@ class Scheduler:
 class SingleBand(Scheduler):
     kind = "single_band"
 
-    def __init__(self, num_bands, stats, avail, band: int):
-        super().__init__(num_bands, stats, avail)
+    def __init__(self, stats, avail, band: int):
+        super().__init__(stats, avail)
         if band not in self.avail:
             raise ConfigInvalid(f"single_band index {band} is not among usable bands {self.avail}")
         self.band = band
@@ -130,8 +127,8 @@ class SingleBand(Scheduler):
 class EvenSplit(Scheduler):
     kind = "even_split"
 
-    def __init__(self, num_bands, stats, avail):
-        super().__init__(num_bands, stats, avail)
+    def __init__(self, stats, avail):
+        super().__init__(stats, avail)
         self._ptr = 0
 
     def next_band(self) -> int:
@@ -156,9 +153,9 @@ class LoadBalancing(Scheduler):
     kind = "load_balancing"
     uses_feedback = True
 
-    def __init__(self, num_bands, stats, avail):
-        super().__init__(num_bands, stats, avail)
-        self.counts = [0] * num_bands
+    def __init__(self, stats, avail):
+        super().__init__(stats, avail)
+        self.counts = [0] * self.num_bands
 
     def update_feedback(self, stats) -> None:
         super().update_feedback(stats)
@@ -180,8 +177,8 @@ class BandPerFlow(Scheduler):
 
     kind = "band_per_flow"
 
-    def __init__(self, num_bands, stats, avail, flow_index: int):
-        super().__init__(num_bands, stats, avail)
+    def __init__(self, stats, avail, flow_index: int):
+        super().__init__(stats, avail)
         self.band = self.avail[flow_index % len(self.avail)]
 
     def next_band(self) -> int:
@@ -198,8 +195,8 @@ class _OptimizingScheduler(Scheduler):
 
     uses_feedback = True
 
-    def __init__(self, num_bands, stats, avail, lambda_total: float):
-        super().__init__(num_bands, stats, avail)
+    def __init__(self, stats, avail, lambda_total: float):
+        super().__init__(stats, avail)
         self.lambda_total = float(lambda_total)
         self._resolve()
 
@@ -207,7 +204,7 @@ class _OptimizingScheduler(Scheduler):
         sub = [self.stats[j] for j in self.avail]
         sol = optimize(self.lambda_total, sub)
         full = [0.0] * self.num_bands
-        for j, lam in zip(self.avail, sol.alloc.lambdas):
+        for j, lam in zip(self.avail, sol.lambdas):
             full[j] = lam
         return full
 
@@ -236,9 +233,9 @@ class MinimumDelay(_OptimizingScheduler):
 
     kind = "minimum_delay"
 
-    def __init__(self, num_bands, stats, avail, lambda_total, rng: np.random.Generator):
+    def __init__(self, stats, avail, lambda_total, rng: np.random.Generator):
         self._rng = rng
-        super().__init__(num_bands, stats, avail, lambda_total)
+        super().__init__(stats, avail, lambda_total)
 
     def _on_new_split(self) -> None:
         total = sum(self.lambda_star)
@@ -278,9 +275,9 @@ class LeakyBucket(_OptimizingScheduler):
 
     kind = "leaky_bucket"
 
-    def __init__(self, num_bands, stats, avail, lambda_total):
-        self.tokens = [0.0] * num_bands
-        super().__init__(num_bands, stats, avail, lambda_total)
+    def __init__(self, stats, avail, lambda_total):
+        self.tokens = [0.0] * len(stats)
+        super().__init__(stats, avail, lambda_total)
 
     def _on_new_split(self) -> None:
         mu_ref = max(self.stats[j].mu for j in self.avail)
@@ -318,7 +315,6 @@ class LeakyBucket(_OptimizingScheduler):
 def make_scheduler(
     spec: SchedulerSpec,
     *,
-    num_bands: int,
     stats: Sequence[BandStats],
     lambda_total: float,
     flow_index: int = 0,
@@ -328,17 +324,17 @@ def make_scheduler(
     """Build the policy ``spec`` names; ``avail`` lists the usable bands
     (None: every band)."""
     if spec.kind == "single_band":
-        return SingleBand(num_bands, stats, avail, band=spec.band)
+        return SingleBand(stats, avail, band=spec.band)
     if spec.kind == "even_split":
-        return EvenSplit(num_bands, stats, avail)
+        return EvenSplit(stats, avail)
     if spec.kind == "load_balancing":
-        return LoadBalancing(num_bands, stats, avail)
+        return LoadBalancing(stats, avail)
     if spec.kind == "band_per_flow":
-        return BandPerFlow(num_bands, stats, avail, flow_index=flow_index)
+        return BandPerFlow(stats, avail, flow_index=flow_index)
     if spec.kind == "minimum_delay":
         if rng is None:
             rng = np.random.default_rng(0)
-        return MinimumDelay(num_bands, stats, avail, lambda_total, rng)
+        return MinimumDelay(stats, avail, lambda_total, rng)
     if spec.kind == "leaky_bucket":
-        return LeakyBucket(num_bands, stats, avail, lambda_total)
+        return LeakyBucket(stats, avail, lambda_total)
     raise ConfigInvalid(f"unknown scheduler kind {spec.kind!r}")

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from bandsplit.errors import LengthMismatch
-from bandsplit.model import BandStats, RateAllocation
+from bandsplit.model import BandStats
 
 ACCEPTANCE_RESULTS: dict[int, str] = {}
 ACCEPTANCE_TOTAL = 9
@@ -36,16 +36,16 @@ def random_instance(
     return lam, stats
 
 
-def feasible(alloc: RateAllocation, stats: list[BandStats], lambda_total: float) -> bool:
+def feasible(lambdas: tuple[float, ...], stats: list[BandStats], lambda_total: float) -> bool:
     """True iff the split satisfies the constraint set: every component
     strictly positive and strictly under its service rate, and the
     components summing to ``lambda_total`` within 1e-9 relative."""
-    if len(alloc) != len(stats):
-        raise LengthMismatch(f"{len(alloc)} rates vs {len(stats)} band stats")
-    for lam_j, st in zip(alloc.lambdas, stats):
+    if len(lambdas) != len(stats):
+        raise LengthMismatch(f"{len(lambdas)} rates vs {len(stats)} band stats")
+    for lam_j, st in zip(lambdas, stats):
         if not 0.0 < lam_j < st.mu:
             return False
-    return abs(alloc.total - lambda_total) <= 1e-9 * abs(lambda_total)
+    return abs(sum(lambdas) - lambda_total) <= 1e-9 * abs(lambda_total)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,6 +1,7 @@
 """Config parsing/validation, suite runner records, output formats, and
 the paired comparison operation."""
 
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -38,7 +39,7 @@ def mini_config(**kw):
 
 def test_bundled_scenarios_load_and_omitted_keys_take_dataclass_defaults():
     for name in scenarios.names():
-        scenarios.load(name).validate()
+        assert scenarios.load(name).name == name
     minimal = {
         "name": "mini",
         "bands": [{"service": {"kind": "deterministic", "mean": 0.1}}],
@@ -77,27 +78,32 @@ def test_readme_scenario_example_loads():
     ],
 )
 def test_validation_rejects_bad_fields(patch, field):
-    cfg = mini_config(**patch)
+    # Construction validates, so neither a direct build nor a replace()
+    # of a valid config can produce an invalid instance.
     with pytest.raises(ConfigInvalid) as err:
-        cfg.validate()
+        mini_config(**patch)
+    assert field in str(err.value)
+    valid = mini_config()
+    with pytest.raises(ConfigInvalid) as err:
+        dataclasses.replace(valid, **patch)
     assert field in str(err.value)
 
 
 def test_validation_rejects_overload_and_bad_flow_fields():
     with pytest.raises(ConfigInvalid, match="offered load"):
-        mini_config(flows=(FlowConfig(0, 0, 30.0, 1000),)).validate()
+        mini_config(flows=(FlowConfig(0, 0, 30.0, 1000),))
     with pytest.raises(ConfigInvalid, match="flows\\[0\\].sta"):
-        mini_config(flows=(FlowConfig(2, 0, 1.0, 1000),)).validate()
+        mini_config(flows=(FlowConfig(2, 0, 1.0, 1000),))
     with pytest.raises(ConfigInvalid, match="flows\\[0\\].sta"):
-        mini_config(flows=(FlowConfig(-1, 0, 1.0, 1000),)).validate()
+        mini_config(flows=(FlowConfig(-1, 0, 1.0, 1000),))
     with pytest.raises(ConfigInvalid, match="flows\\[0\\].ac"):
-        mini_config(flows=(FlowConfig(0, 4, 1.0, 1000),)).validate()
+        mini_config(flows=(FlowConfig(0, 4, 1.0, 1000),))
     with pytest.raises(ConfigInvalid, match="flows\\[1\\]"):
         mini_config(
             flows=(FlowConfig(0, 0, 1.0, 1000), FlowConfig(0, 0, 1.0, 1000)), stas=1
-        ).validate()
+        )
     with pytest.raises(ConfigInvalid, match="available_bands"):
-        mini_config(flows=(FlowConfig(0, 0, 1.0, 1000, available_bands=(7,)),)).validate()
+        mini_config(flows=(FlowConfig(0, 0, 1.0, 1000, available_bands=(7,)),))
 
 
 def test_from_dict_field_diagnostics():

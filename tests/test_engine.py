@@ -13,8 +13,13 @@ from bandsplit import engine, scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.engine import SimState, bootstrap_stats, run_scenario
-from bandsplit.errors import ConfigInvalid, ConservationViolated, OverloadDetected
-from bandsplit.estimators import band_stats_from_windows
+from bandsplit.errors import (
+    ConfigInvalid,
+    ConservationViolated,
+    NoMeasuredPackets,
+    OverloadDetected,
+)
+from bandsplit.estimators import VACATION_FLOOR, band_stats_from_windows
 from bandsplit.schedulers import SchedulerSpec
 
 
@@ -49,13 +54,14 @@ def test_conservation_and_counts_at_natural_end():
 
 
 def test_conservation_when_stopped_by_time_limit():
-    cfg = one_band_cfg(lam=9.0, packets=50_000, max_sim_time_s=30.0)
+    # No warm-up, so the capped run measures what it delivered.
+    cfg = one_band_cfg(lam=9.0, packets=50_000, max_sim_time_s=30.0, warmup_frac=0.0)
     state = SimState(cfg, cfg.schedulers[0], seed=4)
     rep = state.run()
     assert state.stopped_at_time_limit
     assert rep.generated < 50_000
     assert rep.generated == rep.delivered + rep.queued_at_end + rep.in_flight_at_end
-    assert rep.delivered <= rep.generated
+    assert 0 < rep.measured == rep.delivered <= rep.generated
 
 
 def _count_one_more_in_transit(state):
@@ -80,10 +86,13 @@ def _phantom_packet(state):
 def test_conservation_mismatch_is_an_explicit_error(tamper):
     # Kept under python -O: the check is an exception, not an assert.
     # Stopped by the time limit with packets still queued, so each case
-    # breaks one source of the count the others must match.
+    # breaks one source of the count the others must match.  The cap
+    # falls inside the warm-up, and the conservation check runs before
+    # the measured-nothing check, so a broken count is never masked.
     cfg = one_band_cfg(lam=9.0, packets=5000, max_sim_time_s=10.0)
     state = SimState(cfg, cfg.schedulers[0], seed=4)
-    state.run()
+    with pytest.raises(NoMeasuredPackets):
+        state.run()
     assert state.stopped_at_time_limit and state.servers[0].qlen > 0
     tamper(state)
     with pytest.raises(ConservationViolated):
@@ -119,7 +128,7 @@ def test_pk_with_deterministic_vacations_quick():
 
 def test_unstable_config_rejected():
     with pytest.raises(ConfigInvalid):
-        one_band_cfg(lam=10.0).validate()
+        one_band_cfg(lam=10.0)
 
 
 def test_emergent_vacations_measured_for_coexisting_flows():
@@ -140,8 +149,7 @@ def test_emergent_vacations_measured_for_coexisting_flows():
     assert rep.delivered == 8000
     for fr in state.flows:
         tap = fr.taps[0]
-        st = band_stats_from_windows(tap.service, tap.vacation)
-        st.validate()
+        st = band_stats_from_windows(tap.service, tap.vacation)  # validated when built
         assert st.mu == pytest.approx(10.0, rel=0.02)
         # Vacations are whole service periods of the other station.
         assert st.vbar > 0.05
@@ -237,7 +245,7 @@ def test_bootstrap_stats_moments():
     st = bootstrap_stats(DistributionSpec("exponential", mean=0.1))
     assert st.mu == pytest.approx(10.0)
     assert st.x2 == pytest.approx(0.02)
-    st.validate()
+    assert st.vbar == VACATION_FLOOR and st.v2 == VACATION_FLOOR**2
 
 
 def test_timestamps_monotone_and_bands_emit_in_flow_order():

@@ -129,7 +129,7 @@ def _solution_bits(sol):
     bits (a grid fallback's NaN gamma included)."""
     if isinstance(sol, type):
         return sol
-    return (sol.gamma.hex(), [x.hex() for x in sol.alloc.lambdas], sol.method)
+    return (sol.gamma.hex(), [x.hex() for x in sol.lambdas], sol.method)
 
 
 def test_replayed_bisection_is_bit_identical(monkeypatch):
@@ -144,8 +144,8 @@ def test_replayed_bisection_is_bit_identical(monkeypatch):
             mp.setattr(optimizer, "_bisect_gamma", _reference_bisect_gamma)
             assert _solution_bits(sol) == _solution_bits(_outcome(optimize, lam, stats))
         edges += _domain_edge(lam, stats) > _GAMMA_BRACKET[0]
-        if not isinstance(sol, type) and sol.alloc.lambdas.count(0.0) in drops:
-            drops[sol.alloc.lambdas.count(0.0)] += 1
+        if not isinstance(sol, type) and sol.lambdas.count(0.0) in drops:
+            drops[sol.lambdas.count(0.0)] += 1
     assert edges >= n // 2
     assert drops[1] >= 100 and drops[2] >= 50
 
@@ -179,5 +179,5 @@ def test_root_find_costs_at_most_15_sum_evaluations(monkeypatch):
     for name, key in (("_sum_minus_branch", "sums"), ("_bisect_gamma", "roots")):
         monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), key))
     sol = optimize(40.0, _four_band_feedback_stats())
-    assert sol.alloc.lambdas[3] == 0.0 and counts["roots"] == 2
+    assert sol.lambdas[3] == 0.0 and counts["roots"] == 2
     assert counts["sums"] <= 15 * counts["roots"], counts

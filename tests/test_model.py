@@ -7,7 +7,6 @@ import pytest
 from bandsplit.errors import Infeasible, InvalidStats, LengthMismatch
 from bandsplit.model import (
     BandStats,
-    RateAllocation,
     aggregate_delay,
     band_delay,
     objective,
@@ -43,31 +42,35 @@ def test_band_delay_unstable_rejected():
 
 
 def test_band_delay_invalid_stats():
-    with pytest.raises(InvalidStats):
-        band_delay(1.0, BandStats(mu=-1.0, x2=0.02, vbar=0.1, v2=0.02))
-    with pytest.raises(InvalidStats):
-        band_delay(1.0, BandStats(mu=10.0, x2=0.001, vbar=0.1, v2=0.02))  # x2 < mean^2
-    with pytest.raises(InvalidStats):
-        band_delay(1.0, BandStats(mu=10.0, x2=0.02, vbar=0.0, v2=0.0))
-    with pytest.raises(InvalidStats):
-        band_delay(1.0, BandStats(mu=10.0, x2=0.02, vbar=0.2, v2=0.01))  # v2 < vbar^2
+    # Stats that band_delay would reject never exist: each invalid shape
+    # raises when it is built, before any delay is evaluated.
+    with pytest.raises(InvalidStats, match="mu"):
+        BandStats(mu=-1.0, x2=0.02, vbar=0.1, v2=0.02)
+    with pytest.raises(InvalidStats, match="mu"):
+        BandStats(mu=0.0, x2=0.02, vbar=0.1, v2=0.02)
+    with pytest.raises(InvalidStats, match="x2"):
+        BandStats(mu=10.0, x2=0.001, vbar=0.1, v2=0.02)  # x2 < mean^2
+    with pytest.raises(InvalidStats, match="vbar"):
+        BandStats(mu=10.0, x2=0.02, vbar=0.0, v2=0.0)
+    with pytest.raises(InvalidStats, match="v2"):
+        BandStats(mu=10.0, x2=0.02, vbar=0.2, v2=0.01)  # v2 < vbar^2
+    # The Jensen boundaries themselves are valid.
+    BandStats(mu=10.0, x2=0.01, vbar=0.2, v2=0.04)
 
 
 def test_aggregate_delay_symmetric_equals_single_band():
-    alloc = RateAllocation((5.0, 5.0))
-    assert aggregate_delay(alloc, [ST, ST]) == pytest.approx(0.325, rel=1e-12)
+    assert aggregate_delay((5.0, 5.0), [ST, ST]) == pytest.approx(0.325, rel=1e-12)
 
 
 def test_aggregate_delay_single_band_degenerate():
-    assert aggregate_delay(RateAllocation((5.0,)), [ST]) == pytest.approx(
+    assert aggregate_delay((5.0,), [ST]) == pytest.approx(
         band_delay(5.0, ST).total, rel=1e-15
     )
 
 
 def test_aggregate_delay_weighted_mean_hand_value():
     # (4, 8) on two identical bands: T(4)=0.2916667, T(8)=0.625
-    alloc = RateAllocation((4.0, 8.0))
-    f = aggregate_delay(alloc, [ST, ST])
+    f = aggregate_delay((4.0, 8.0), [ST, ST])
     t4 = band_delay(4.0, ST).total
     t8 = band_delay(8.0, ST).total
     assert f == pytest.approx((4 * t4 + 8 * t8) / 12.0, rel=1e-15)
@@ -76,14 +79,14 @@ def test_aggregate_delay_weighted_mean_hand_value():
 
 def test_aggregate_delay_errors():
     with pytest.raises(LengthMismatch):
-        aggregate_delay(RateAllocation((1.0,)), [ST, ST])
+        aggregate_delay((1.0,), [ST, ST])
     with pytest.raises(Infeasible):
-        aggregate_delay(RateAllocation((9.99, 10.2)), [ST, ST])
+        aggregate_delay((9.99, 10.2), [ST, ST])
 
 
 def test_objective_fixed_denominator():
     v = objective((4.0, 8.0), [ST, ST], 12.0)
-    assert v == pytest.approx(aggregate_delay(RateAllocation((4.0, 8.0)), [ST, ST]), rel=1e-15)
+    assert v == pytest.approx(aggregate_delay((4.0, 8.0), [ST, ST]), rel=1e-15)
     # Perturbing one coordinate does not change the denominator.
     up = objective((4.0, 8.1), [ST, ST], 12.0)
     assert up > v
@@ -91,13 +94,13 @@ def test_objective_fixed_denominator():
 
 def test_feasible_cases():
     two = [ST, ST]
-    assert feasible(RateAllocation((5.0, 5.0)), two, 10.0)
-    assert not feasible(RateAllocation((10.0, 0.0)), two, 10.0)  # both boundaries excluded
-    assert not feasible(RateAllocation((6.0, 5.0)), two, 10.0)  # sum mismatch
-    assert not feasible(RateAllocation((9.0, 1.0 + 1e-5)), two, 10.0)
-    assert feasible(RateAllocation((9.0, 1.0)), two, 10.0)
+    assert feasible((5.0, 5.0), two, 10.0)
+    assert not feasible((10.0, 0.0), two, 10.0)  # both boundaries excluded
+    assert not feasible((6.0, 5.0), two, 10.0)  # sum mismatch
+    assert not feasible((9.0, 1.0 + 1e-5), two, 10.0)
+    assert feasible((9.0, 1.0), two, 10.0)
     with pytest.raises(LengthMismatch):
-        feasible(RateAllocation((1.0,)), two, 1.0)
+        feasible((1.0,), two, 1.0)
 
 
 def test_total_delay_strictly_increasing_in_rate():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from bandsplit.errors import DimensionTooLarge, NoFeasibleBranch, Overload
-from bandsplit.model import BandStats, RateAllocation, aggregate_delay, objective
+from bandsplit.model import BandStats, aggregate_delay, objective
 from bandsplit.optimizer import (
     CLOSED_FORM,
     NUMERIC,
@@ -76,17 +76,17 @@ def test_solve_single_band_pins_rate():
     stats = [BandStats(mu=10.0, x2=0.02, vbar=0.2, v2=0.05)]
     for solver in (solve_closed_form, optimize, solve_grid):
         sol = solver(5.0, stats)
-        assert sol.alloc.lambdas == pytest.approx((5.0,))
+        assert sol.lambdas == pytest.approx((5.0,))
 
 
 def test_solve_symmetric_splits_evenly():
     stats = sym_stats()
     for solver in (solve_closed_form, optimize):
         sol = solver(10.0, stats)
-        assert sol.alloc.lambdas[0] == pytest.approx(5.0, rel=1e-9)
-        assert sol.alloc.lambdas[1] == pytest.approx(5.0, rel=1e-9)
+        assert sol.lambdas[0] == pytest.approx(5.0, rel=1e-9)
+        assert sol.lambdas[1] == pytest.approx(5.0, rel=1e-9)
     g = solve_grid(10.0, stats)
-    assert g.alloc.lambdas[0] == pytest.approx(5.0, rel=1e-4)
+    assert g.lambdas[0] == pytest.approx(5.0, rel=1e-4)
 
 
 def test_known_instance_matches_grid_argmin():
@@ -96,11 +96,11 @@ def test_known_instance_matches_grid_argmin():
     stats = [BandStats(20.0, 1 / 400, 0.1, 0.011), BandStats(10.0, 1 / 100, 0.1, 0.011)]
     lam = 12.0
     sol = optimize(lam, stats)
-    assert abs(sol.alloc.lambdas[0] - 10.0791) <= 1e-3 * lam
-    assert abs(sol.alloc.lambdas[1] - 1.9209) <= 1e-3 * lam
-    assert aggregate_delay(sol.alloc, stats) == pytest.approx(0.13623969857, rel=1e-8)
+    assert abs(sol.lambdas[0] - 10.0791) <= 1e-3 * lam
+    assert abs(sol.lambdas[1] - 1.9209) <= 1e-3 * lam
+    assert aggregate_delay(sol.lambdas, stats) == pytest.approx(0.13623969857, rel=1e-8)
     g = solve_grid(lam, stats)
-    assert abs(g.alloc.lambdas[0] - sol.alloc.lambdas[0]) <= 1e-3 * lam
+    assert abs(g.lambdas[0] - sol.lambdas[0]) <= 1e-3 * lam
 
 
 def test_numeric_never_worse_than_forced_approximation():
@@ -110,7 +110,7 @@ def test_numeric_never_worse_than_forced_approximation():
     assert forced.method == CLOSED_FORM
     exact = optimize(lam, stats)
     assert exact.method == NUMERIC
-    assert aggregate_delay(exact.alloc, stats) <= aggregate_delay(forced.alloc, stats) + 1e-9
+    assert aggregate_delay(exact.lambdas, stats) <= aggregate_delay(forced.lambdas, stats) + 1e-9
 
 
 def test_closed_form_trusted_in_heavy_traffic_regime():
@@ -120,9 +120,9 @@ def test_closed_form_trusted_in_heavy_traffic_regime():
     assert 2 * lam / max(st.mu for st in stats) >= 10.0
     sol = solve_closed_form(lam, stats)
     assert sol.method == CLOSED_FORM
-    assert sum(sol.alloc.lambdas) == pytest.approx(lam, rel=1e-12)
+    assert sum(sol.lambdas) == pytest.approx(lam, rel=1e-12)
     exact = optimize(lam, stats)
-    assert aggregate_delay(sol.alloc, stats) <= aggregate_delay(exact.alloc, stats) * 1.01
+    assert aggregate_delay(sol.lambdas, stats) <= aggregate_delay(exact.lambdas, stats) * 1.01
 
 
 def test_active_set_excludes_weak_band():
@@ -132,10 +132,10 @@ def test_active_set_excludes_weak_band():
     stats = [strong, weak]
     lam = 10.0
     sol = optimize(lam, stats)
-    assert sol.alloc.lambdas[1] == 0.0
-    assert sol.alloc.lambdas[0] == pytest.approx(lam, rel=1e-12)
+    assert sol.lambdas[1] == 0.0
+    assert sol.lambdas[0] == pytest.approx(lam, rel=1e-12)
     g = solve_grid(lam, stats)
-    assert aggregate_delay(sol.alloc, stats) <= aggregate_delay(g.alloc, stats) + 1e-9
+    assert aggregate_delay(sol.lambdas, stats) <= aggregate_delay(g.lambdas, stats) + 1e-9
 
 
 def test_grid_dimension_cap():
@@ -173,11 +173,11 @@ def test_oracle_agreement_sample():
         m = 2 + checked % 2
         lam, stats = random_instance(rng, m)
         sol = optimize(lam, stats)
-        if any(l == 0.0 for l in sol.alloc.lambdas):
+        if any(l == 0.0 for l in sol.lambdas):
             continue
         g = solve_grid(lam, stats)
-        g_f = aggregate_delay(g.alloc, stats)
-        assert aggregate_delay(sol.alloc, stats) <= g_f + max(1e-4 * g_f, 1e-9)
+        g_f = aggregate_delay(g.lambdas, stats)
+        assert aggregate_delay(sol.lambdas, stats) <= g_f + max(1e-4 * g_f, 1e-9)
         checked += 1
 
 
@@ -188,11 +188,11 @@ def test_dominance_over_even_and_rate_proportional_splits():
         lam, stats = random_instance(rng, m)
         sol = optimize(lam, stats)
         mus = [st.mu for st in stats]
-        even = RateAllocation([lam / m] * m)
-        prop = RateAllocation([lam * mu / sum(mus) for mu in mus])
+        even = [lam / m] * m
+        prop = [lam * mu / sum(mus) for mu in mus]
         for rival in (even, prop):
             if feasible(rival, stats, lam):
-                assert aggregate_delay(sol.alloc, stats) <= aggregate_delay(rival, stats) + 1e-12
+                assert aggregate_delay(sol.lambdas, stats) <= aggregate_delay(rival, stats) + 1e-12
 
 
 def test_grid_oracle_dominates_reference_splits_m3():
@@ -200,11 +200,11 @@ def test_grid_oracle_dominates_reference_splits_m3():
     lam, stats = random_instance(rng, 3)
     g = solve_grid(lam, stats)
     mus = [st.mu for st in stats]
-    even = RateAllocation([lam / 3] * 3)
-    prop = RateAllocation([lam * mu / sum(mus) for mu in mus])
+    even = [lam / 3] * 3
+    prop = [lam * mu / sum(mus) for mu in mus]
     for rival in (even, prop):
         if feasible(rival, stats, lam):
-            assert aggregate_delay(g.alloc, stats) <= aggregate_delay(rival, stats) + 1e-9
+            assert aggregate_delay(g.lambdas, stats) <= aggregate_delay(rival, stats) + 1e-9
 
 
 def test_dimensional_scaling():
@@ -220,7 +220,7 @@ def test_dimensional_scaling():
             for st in stats
         ]
         scaled = optimize(lam * c, scaled_stats)
-        for a, b in zip(base.alloc.lambdas, scaled.alloc.lambdas):
+        for a, b in zip(base.lambdas, scaled.lambdas):
             assert b == pytest.approx(a * c, rel=1e-6)
 
 
@@ -228,11 +228,11 @@ def test_stationarity_spot_check():
     rng = np.random.default_rng(13)
     lam, stats = random_instance(rng, 3)
     sol = optimize(lam, stats)
-    if any(l == 0.0 for l in sol.alloc.lambdas):
+    if any(l == 0.0 for l in sol.lambdas):
         pytest.skip("boundary optimum drawn")
     h = 1e-5 * lam
     grads = []
-    lams = list(sol.alloc.lambdas)
+    lams = list(sol.lambdas)
     for j in range(3):
         hi = lams.copy()
         lo = lams.copy()

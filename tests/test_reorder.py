@@ -16,14 +16,14 @@ class Pkt:
 
 
 def test_hand_trace_release_and_reseq_delay():
-    buf = ReorderBuffer(first_seq=1)
-    p1, p2, p3 = Pkt(1, 0.0), Pkt(2, 2.0), Pkt(3, 1.0)
+    buf = ReorderBuffer()
+    p1, p2, p3 = Pkt(0, 0.0), Pkt(1, 2.0), Pkt(2, 1.0)
     out0 = buf.release(p1, 0.0)
-    assert [p.seq for p in out0] == [1]
+    assert [p.seq for p in out0] == [0]
     out1 = buf.release(p3, 1.0)
     assert out1 == []
     out2 = buf.release(p2, 2.0)
-    assert [p.seq for p in out2] == [2, 3]
+    assert [p.seq for p in out2] == [1, 2]
     assert p3.released_at - p3.received_at == pytest.approx(1.0)
     assert p2.released_at - p2.received_at == pytest.approx(0.0)
     assert p1.released_at == 0.0

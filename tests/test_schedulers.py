@@ -20,7 +20,6 @@ def build(kind, stats=None, lam=8.0, band=None, avail=None, flow_index=0, seed=0
     spec = SchedulerSpec(kind, band=band)
     return make_scheduler(
         spec,
-        num_bands=len(stats),
         stats=stats,
         lambda_total=lam,
         flow_index=flow_index,
@@ -173,7 +172,7 @@ def test_feedback_recomputes_split_and_credits():
     assert after != before
     sol = optimize(8.0, TWO_ASYM)
     mu_ref = 20.0
-    for r, lam_j in zip(after, sol.alloc.lambdas):
+    for r, lam_j in zip(after, sol.lambdas):
         assert r == pytest.approx(lam_j / mu_ref, rel=1e-9)
 
 
