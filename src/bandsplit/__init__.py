@@ -29,7 +29,6 @@ from .errors import (
     NoFeasibleBranch,
     NoMeasuredPackets,
     OptimizerError,
-    OptimizerFailure,
     Overload,
     OverloadDetected,
 )

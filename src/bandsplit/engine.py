@@ -25,6 +25,11 @@ Per-packet work is kept to what each packet needs:
   sequence number, and its measured packets the latencies it recorded;
   a band is serving exactly when ``current`` holds a packet.  The
   conservation check at the end compares these independent sources.
+- A feedback round rebuilds the stats of a band only when the flow's
+  tap on it took a sample since the last round; every other band keeps
+  the stats the scheduler holds, which are what its unchanged windows
+  would give again.  An optimizing scheduler handed the stats that
+  produced its current split keeps that split without a solve.
 
 Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, and simultaneous events are ordered by
@@ -109,14 +114,16 @@ class Packet:
 
 
 class _Tap:
-    """Measurement window of one (band, flow) pair."""
+    """Measurement window of one (band, flow) pair.  ``fresh`` marks a
+    sample added since the last feedback round read the windows."""
 
-    __slots__ = ("service", "vacation", "last_occupied")
+    __slots__ = ("service", "vacation", "last_occupied", "fresh")
 
     def __init__(self):
         self.service = MomentEstimator()
         self.vacation = MomentEstimator()
         self.last_occupied: float | None = None
+        self.fresh = False
 
 
 class BandServer:
@@ -353,14 +360,17 @@ class SimState:
         self._push(end, _EV_VACATION, srv.index)
 
     def _feedback(self, fr: _FlowRuntime) -> None:
-        stats = []
-        for j in range(self.num_bands):
-            tap = fr.taps[j]
-            try:
-                st = band_stats_from_windows(tap.service, tap.vacation)
-            except InsufficientSamples:
-                st = fr.scheduler.stats[j]
-            stats.append(st)
+        # A tap with no new sample would give the stats the scheduler
+        # already holds: the last round stored exactly what its windows
+        # gave, or the held stats when they were too short.
+        stats = list(fr.scheduler.stats)
+        for j, tap in enumerate(fr.taps):
+            if tap.fresh:
+                tap.fresh = False
+                try:
+                    stats[j] = band_stats_from_windows(tap.service, tap.vacation)
+                except InsufficientSamples:
+                    pass
         try:
             fr.scheduler.update_feedback(stats)
         except OptimizerError:
@@ -442,6 +452,7 @@ class SimState:
                 vac = srv.occupied - tap.last_occupied - dur
                 tap.vacation.add(vac if vac > 0.0 else 0.0)
             tap.last_occupied = srv.occupied
+            tap.fresh = True
             fr.served += 1
             if fr.served % self.feedback_interval == 0:
                 self._feedback(fr)

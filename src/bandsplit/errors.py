@@ -43,10 +43,6 @@ class DimensionTooLarge(OptimizerError):
     """Grid search requested beyond its supported dimensionality."""
 
 
-class OptimizerFailure(BandsplitError):
-    """A scheduler needed a rate split but the solver chain never succeeded."""
-
-
 class InsufficientSamples(BandsplitError):
     """Too few samples in the measurement window to estimate moments."""
 

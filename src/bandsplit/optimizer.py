@@ -207,6 +207,8 @@ def _locate(
     edge = 0.0
     for mu, vbar, a, _, _ in bands:
         edge = max(edge, (2.0 * vbar - a) / (two_lam * mu * vbar))
+    floor = max(edge, _GAMMA_BRACKET[0])
+    quarter_tol = 0.25 * _TOLERANCE
     below, above = 0.0, gamma
     widen = 1.0
     nudge = 0.0
@@ -218,10 +220,13 @@ def _locate(
         else:
             widen *= 2.0
         if slope > 0.0:
-            nudge = widen * max(0.25 * _TOLERANCE * max(gamma, 1.0), 2.0 * margin / slope)
+            # max() spelled out: these loops run on every root find.
+            step = quarter_tol * (1.0 if gamma < 1.0 else gamma)
+            push = 2.0 * margin / slope
+            nudge = widen * (push if push > step else step)
         if above - below <= 4.0 * nudge:
             break
-        lo = max(below, edge, _GAMMA_BRACKET[0])
+        lo = below if below > floor else floor
         target = math.inf
         if slope > 0.0:
             # Newton in tau: tau' = tau + (s - lam) / (2 u^(3/2) slope), u = gamma - e.
@@ -269,8 +274,9 @@ def _bisect_gamma(
     else:
         raise BracketFailure(f"no sign change up to gamma={hi}")
     below, above = _locate(lambda_total, bands, hi, s, slope)
+    tol = _TOLERANCE
     for _ in range(500):
-        if hi - lo <= _TOLERANCE * max(hi, 1.0):
+        if hi - lo <= tol * (1.0 if hi < 1.0 else hi):
             break
         mid = 0.5 * (lo + hi)
         if mid <= below:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid, OptimizerFailure
+from .errors import ConfigInvalid
 from .model import BandStats
 from .optimizer import optimize
 
@@ -189,8 +189,12 @@ class _OptimizingScheduler(Scheduler):
     """Shared optimizer plumbing for minimum_delay and leaky_bucket.
 
     Solves over the available subset only; masked bands carry a zero
-    target rate.  A failed re-solve keeps the previous split and
-    re-raises, so callers can continue on stale-but-safe targets.
+    target rate.  The split is a function of the stats that produced
+    it, so feedback whose stats compare equal to those keeps the split
+    without a solve.  A failed re-solve keeps the previous split and
+    re-raises, so callers can continue on stale-but-safe targets; the
+    failing stats are not remembered, so the same stats again re-solve
+    and re-raise.
     """
 
     uses_feedback = True
@@ -210,6 +214,7 @@ class _OptimizingScheduler(Scheduler):
 
     def _resolve(self) -> None:
         self.lambda_star = self._solve_subset()
+        self._solved_stats = self.stats
         self._on_new_split()
 
     def _on_new_split(self) -> None:
@@ -217,7 +222,8 @@ class _OptimizingScheduler(Scheduler):
 
     def update_feedback(self, stats: Sequence[BandStats]) -> None:
         super().update_feedback(stats)
-        self._resolve()
+        if self.stats != self._solved_stats:
+            self._resolve()
 
 
 class MinimumDelay(_OptimizingScheduler):
@@ -289,7 +295,9 @@ class LeakyBucket(_OptimizingScheduler):
         incr = self.increments
         full = 1.0 - TOKEN_EPS
         # One pass: stop at a full bucket, else find the fewest rounds
-        # (at least one) that fill some bucket.
+        # (at least one) that fill some bucket.  The available bands'
+        # targets sum to lambda > 0, so some increment is positive and
+        # the pass ends with rounds >= 1.
         rounds = 0
         for j in avail:
             if tokens[j] >= full:
@@ -300,8 +308,6 @@ class LeakyBucket(_OptimizingScheduler):
                 if rounds == 0 or need < rounds:
                     rounds = need
         else:
-            if rounds == 0:
-                raise OptimizerFailure("all token increments are zero")
             for j in avail:
                 tokens[j] += rounds * incr[j]
         best = avail[0]

@@ -2,10 +2,12 @@
 round-robin balance, feedback updates and the usable-band contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from bandsplit import schedulers
 from bandsplit.errors import ConfigInvalid, Overload
 from bandsplit.model import BandStats
 from bandsplit.optimizer import optimize
@@ -176,11 +178,29 @@ def test_feedback_recomputes_split_and_credits():
         assert r == pytest.approx(lam_j / mu_ref, rel=1e-9)
 
 
-def test_feedback_idempotent_on_identical_stats():
-    sched = build("leaky_bucket", stats=TWO_ASYM, lam=8.0)
-    first = list(sched.increments)
-    sched.update_feedback(TWO_ASYM)
-    assert sched.increments == pytest.approx(first, rel=1e-12)
+def test_feedback_idempotent_on_identical_stats(monkeypatch):
+    # Stats equal in value to those that produced the split keep it
+    # without a solve; other stats solve once.
+    solves = 0
+
+    def spy(lam, stats):
+        nonlocal solves
+        solves += 1
+        return optimize(lam, stats)
+
+    monkeypatch.setattr(schedulers, "optimize", spy)
+    for kind, split in (("minimum_delay", "_bounds"), ("leaky_bucket", "increments")):
+        sched = build(kind, stats=TWO_ASYM, lam=8.0)
+        lambda_star = list(sched.lambda_star)
+        first = list(getattr(sched, split))
+        solves = 0
+        sched.update_feedback([replace(st) for st in TWO_ASYM])
+        assert solves == 0
+        assert sched.lambda_star == lambda_star
+        assert getattr(sched, split) == first
+        sched.update_feedback(TWO_EQUAL)
+        assert solves == 1
+        assert getattr(sched, split) != first
 
 
 def test_feedback_failure_keeps_previous_split():
@@ -188,10 +208,12 @@ def test_feedback_failure_keeps_previous_split():
     keep_r = list(sched.increments)
     keep_l = list(sched.lambda_star)
     shrunk = [BandStats(5.0, 2 / 25, 0.1, 0.011), BandStats(5.0, 2 / 25, 0.1, 0.011)]
-    with pytest.raises(Overload):
-        sched.update_feedback(shrunk)  # 12 >= 0.999 * 10
-    assert sched.increments == keep_r
-    assert sched.lambda_star == keep_l
+    # The same failing stats twice: each round re-solves and re-raises.
+    for _ in range(2):
+        with pytest.raises(Overload):
+            sched.update_feedback(shrunk)  # 12 >= 0.999 * 10
+        assert sched.increments == keep_r
+        assert sched.lambda_star == keep_l
 
 
 def test_availability_change_resolves_over_subset():
