@@ -26,10 +26,11 @@ Per-packet work is kept to what each packet needs:
   a band is serving exactly when ``current`` holds a packet.  The
   conservation check at the end compares these independent sources.
 - A feedback round rebuilds the stats of a band only when the flow's
-  tap on it took a sample since the last round; every other band keeps
+  tap on it took a sample since the last round.  Every other band keeps
   the stats the scheduler holds, which are what its unchanged windows
-  would give again.  An optimizing scheduler handed the stats that
-  produced its current split keeps that split without a solve.
+  would give again: the last round stored what they gave, or kept the
+  held stats when they were too short.  An optimizing scheduler handed
+  the stats that produced its current split keeps it without a solve.
 
 Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, and simultaneous events are ordered by
@@ -360,9 +361,6 @@ class SimState:
         self._push(end, _EV_VACATION, srv.index)
 
     def _feedback(self, fr: _FlowRuntime) -> None:
-        # A tap with no new sample would give the stats the scheduler
-        # already holds: the last round stored exactly what its windows
-        # gave, or the held stats when they were too short.
         stats = list(fr.scheduler.stats)
         for j, tap in enumerate(fr.taps):
             if tap.fresh:

@@ -1,14 +1,19 @@
 """Shared test helpers: random feasible instances, the feasibility check
-of a split, and the acceptance summary hook (one PASS/FAIL line per
-criterion in the terminal summary).
+of a split, a count of the schedulers' solves, and the acceptance
+summary hook (one PASS/FAIL line per criterion in the terminal summary).
 """
 
 from __future__ import annotations
 
-import numpy as np
+from collections import Counter
 
+import numpy as np
+import pytest
+
+from bandsplit import schedulers
 from bandsplit.errors import LengthMismatch
 from bandsplit.model import BandStats
+from bandsplit.optimizer import optimize
 
 ACCEPTANCE_RESULTS: dict[int, str] = {}
 ACCEPTANCE_TOTAL = 9
@@ -46,6 +51,19 @@ def feasible(lambdas: tuple[float, ...], stats: list[BandStats], lambda_total: f
         if not 0.0 < lam_j < st.mu:
             return False
     return abs(sum(lambdas) - lambda_total) <= 1e-9 * abs(lambda_total)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Counts the schedulers' optimize calls under "optimize"."""
+    count = Counter()
+
+    def spy(lam, stats):
+        count["optimize"] += 1
+        return optimize(lam, stats)
+
+    monkeypatch.setattr(schedulers, "optimize", spy)
+    return count
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from bandsplit import engine, scenarios, schedulers
+from bandsplit import engine, scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.engine import SimState, bootstrap_stats, run_scenario
@@ -20,7 +20,6 @@ from bandsplit.errors import (
     OverloadDetected,
 )
 from bandsplit.estimators import VACATION_FLOOR, band_stats_from_windows
-from bandsplit.optimizer import optimize
 from bandsplit.schedulers import SchedulerSpec
 
 
@@ -453,19 +452,6 @@ def test_python_calls_per_packet_on_a_single_path_run():
         sys.setprofile(None)
     assert rep.delivered == 3000
     assert calls / rep.delivered < 10.5
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    """Counts the schedulers' optimize calls under "optimize"."""
-    count = Counter()
-
-    def spy(lam, stats):
-        count["optimize"] += 1
-        return optimize(lam, stats)
-
-    monkeypatch.setattr(schedulers, "optimize", spy)
-    return count
 
 
 def test_feedback_round_passes_held_stats_for_taps_without_samples(solves):

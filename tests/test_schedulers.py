@@ -7,7 +7,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bandsplit import schedulers
 from bandsplit.errors import ConfigInvalid, Overload
 from bandsplit.model import BandStats
 from bandsplit.optimizer import optimize
@@ -178,28 +177,20 @@ def test_feedback_recomputes_split_and_credits():
         assert r == pytest.approx(lam_j / mu_ref, rel=1e-9)
 
 
-def test_feedback_idempotent_on_identical_stats(monkeypatch):
+def test_feedback_idempotent_on_identical_stats(solves):
     # Stats equal in value to those that produced the split keep it
     # without a solve; other stats solve once.
-    solves = 0
-
-    def spy(lam, stats):
-        nonlocal solves
-        solves += 1
-        return optimize(lam, stats)
-
-    monkeypatch.setattr(schedulers, "optimize", spy)
     for kind, split in (("minimum_delay", "_bounds"), ("leaky_bucket", "increments")):
         sched = build(kind, stats=TWO_ASYM, lam=8.0)
         lambda_star = list(sched.lambda_star)
         first = list(getattr(sched, split))
-        solves = 0
+        solves.clear()
         sched.update_feedback([replace(st) for st in TWO_ASYM])
-        assert solves == 0
+        assert solves["optimize"] == 0
         assert sched.lambda_star == lambda_star
         assert getattr(sched, split) == first
         sched.update_feedback(TWO_EQUAL)
-        assert solves == 1
+        assert solves["optimize"] == 1
         assert getattr(sched, split) != first
 
 
