@@ -3,8 +3,7 @@
 Library surface:
 
 * model        per-band delay formula, aggregate objective
-* optimizer    optimal rate split (exact solver, heavy-traffic closed form,
-               grid oracle)
+* optimizer    optimal rate split (exact solver, heavy-traffic closed form)
 * schedulers   per-packet band selection policies (token bucket and rivals)
 * engine       deterministic discrete-event simulator
 * runner       schemes x seeds orchestration, CSV/JSONL records, compare
@@ -19,7 +18,6 @@ from .errors import (
     BracketFailure,
     ConfigInvalid,
     ConservationViolated,
-    DimensionTooLarge,
     DuplicateSeq,
     Infeasible,
     InsufficientSamples,
@@ -47,7 +45,6 @@ from .optimizer import (
     lambda_star_given_gamma,
     optimize,
     solve_closed_form,
-    solve_grid,
 )
 from .reorder import ReorderBuffer
 from .runner import compare, read_records, run_suite, write_records

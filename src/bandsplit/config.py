@@ -144,14 +144,23 @@ class ScenarioConfig:
             raise ConfigInvalid("queue_cap: must be >= 1")
         if self.max_sim_time_s is not None and not self.max_sim_time_s > 0:
             raise ConfigInvalid("max_sim_time_s: must be > 0 when set")
-        # Stability margin: keep total offered load clear of the capacity pole.
-        offered = sum(fl.lambda_pps for fl in self.flows)
-        capacity = sum(1.0 / b.service.moments()[0] for b in self.bands)
-        if offered >= RHO_MAX * capacity:
-            raise ConfigInvalid(
-                f"flows: total offered load {offered:g} pps >= "
-                f"{RHO_MAX:g} * capacity ({RHO_MAX * capacity:g} pps)"
-            )
+        # Stability margin: the flows whose usable bands all lie in a set
+        # (all bands, or one flow's available_bands) must keep their load
+        # clear of that set's capacity pole.
+        capacity = [1.0 / b.service.moments()[0] for b in self.bands]
+        everywhere = frozenset(range(len(self.bands)))
+        usable = [frozenset(fl.available_bands or everywhere) for fl in self.flows]
+        for where, s in [("flows", everywhere)] + [
+            (f"flows[{i}].available_bands", u) for i, u in enumerate(usable)
+        ]:
+            offered = sum(fl.lambda_pps for fl, u in zip(self.flows, usable) if u <= s)
+            bands = sorted(s)
+            limit = RHO_MAX * sum(capacity[b] for b in bands)
+            if offered >= limit:
+                raise ConfigInvalid(
+                    f"{where}: offered load {offered:g} pps on bands {bands} >= "
+                    f"{RHO_MAX:g} * their capacity ({limit:g} pps)"
+                )
 
     # -- JSON form -----------------------------------------------------
 

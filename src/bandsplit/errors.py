@@ -32,15 +32,12 @@ class Overload(OptimizerError):
 
 class NoFeasibleBranch(OptimizerError):
     """The stationary rates at a multiplier are undefined (non-positive
-    radicand) or infeasible (a rate outside (0, rho_max * mu))."""
+    radicand), the heavy-traffic split leaves (0, rho_max * mu), or the
+    exact split's bound bands fail their KKT sign check."""
 
 
 class BracketFailure(OptimizerError):
     """Root bracketing for the multiplier search never found a sign change."""
-
-
-class DimensionTooLarge(OptimizerError):
-    """Grid search requested beyond its supported dimensionality."""
 
 
 class InsufficientSamples(BandsplitError):

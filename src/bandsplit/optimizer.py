@@ -17,14 +17,14 @@ whose only root below mu_j is
   and the result is pinned to the endpoint of a fixed bisection path:
   the Newton points decide most of its midpoints without evaluating
   them, so the returned bits do not depend on the Newton iterates.
-  Bands driven non-positive are excluded and the reduced system
-  re-solved (active set).  Falls back to the grid oracle if bracketing
-  or the active-set step fails.
+  Both bounds on a rate are active constraints: bands driven
+  non-positive are excluded and the reduced system re-solved, and bands
+  driven to the utilisation cap are pinned there and the others
+  re-solved over the rate left.  The KKT signs of the bound bands are
+  checked at the end.
 * solve_closed_form: the paper's heavy-traffic split, lam_j(gamma) at the
   approximate multiplier gamma_approx rescaled onto the sum constraint;
   close to the optimum only when 2*lam is much larger than every mu_j.
-* solve_grid: exhaustive simplex grid search with zoom refinement, kept
-  as an independent verification oracle.
 """
 
 from __future__ import annotations
@@ -33,17 +33,12 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import BracketFailure, DimensionTooLarge, NoFeasibleBranch, Overload
+from .errors import BracketFailure, NoFeasibleBranch, Overload
 from .model import RHO_MAX, BandStats
 
 CLOSED_FORM = "closed_form_approx"
 NUMERIC = "numeric_gamma"
-GRID = "grid_fallback"
 
-_GRID_RESOLUTION = 256
-_GRID_REFINE_ROUNDS = 2
 # _GAMMA_BRACKET and _TOLERANCE define the bisection path whose endpoint
 # _bisect_gamma returns, not the work it does: the Newton phase decides
 # most midpoints of that path without evaluating them.
@@ -59,6 +54,11 @@ _TRUST_RTOL = 1e-15
 # Cap on Newton steps per root; the bisection replay returns the exact
 # result however many ran.
 _MAX_NEWTON = 50
+# Slack of the KKT sign checks on bound bands, times max(gamma, 1): the
+# bisection leaves gamma within _TOLERANCE * max(gamma, 1) of the root,
+# and near the cap the marginal cost moves 2 / (1 - RHO_MAX) = 2000
+# times faster than a rate, which magnifies its rounding.
+_KKT_SLACK = 1e-8
 
 # Per-band constants (mu, vbar, a, q, c) of lam_j(gamma); see _band_terms.
 _Bands = list[tuple[float, float, float, float, float]]
@@ -68,11 +68,11 @@ _Bands = list[tuple[float, float, float, float, float]]
 class LagrangeSolution:
     """Result of one solve.
 
-    ``gamma`` is the sum-constraint multiplier (NaN for the grid oracle),
-    ``method`` one of CLOSED_FORM / NUMERIC / GRID.  ``lambdas`` holds the
-    per-band rates in the order of the stats solved over, each strictly
-    positive except for bands excluded by the active-set step, which
-    are exactly 0.0.
+    ``gamma`` is the sum-constraint multiplier, ``method`` CLOSED_FORM or
+    NUMERIC.  ``lambdas`` holds the per-band rates in the order of the
+    stats solved over, each strictly between 0 and RHO_MAX * mu_j except
+    for bands at a bound of the active-set step: excluded bands are
+    exactly 0.0 and capped bands exactly RHO_MAX * mu_j.
     """
 
     gamma: float
@@ -292,32 +292,70 @@ def _bisect_gamma(
     return hi, lambda_star_given_gamma(hi, stats, lambda_total)
 
 
+def _marginal(x: float, st: BandStats, lambda_total: float) -> float:
+    """dF/dlam_j at lam_j = x: (T_j(x) + x * T_j'(x)) / lam, with
+    T_j'(x) = x2_j / (2 * (1 - x / mu_j)^2)."""
+    u = 1.0 - x / st.mu
+    wait = x * st.x2 / (2.0 * u) * (1.0 + 1.0 / u)
+    return (wait + st.v2 / (2.0 * st.vbar) + 1.0 / st.mu) / lambda_total
+
+
 def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
+    """Exact split with both bounds on each rate active.
+
+    A pass solves the free bands over the rate the capped bands leave,
+    excluding bands driven non-positive until none is.  A band whose
+    rate then reaches RHO_MAX * mu_j is pinned there, and the next pass
+    re-solves every other band, excluded ones included.  Pinning moves
+    rate onto the free bands, which raises gamma, so a pinned band stays
+    pinned and at most M passes run.  The rates depend on lam * gamma
+    alone, so a pass over the rate left ``rem`` yields the full
+    problem's rates, and its multiplier scales by rem / lam.
+    """
     m = len(stats)
+    caps = [RHO_MAX * st.mu for st in stats]
+    capped: list[int] = []
+    rem = lambda_total
     active = list(range(m))
     while True:
         sub = [stats[j] for j in active]
-        gamma, lams = _bisect_gamma(lambda_total, sub)
+        gamma, lams = _bisect_gamma(rem, sub)
         drops = [j for j, lam in zip(active, lams) if lam <= 0.0]
-        if not drops:
+        if drops:
+            active = [j for j in active if j not in drops]
+            if not active:
+                raise NoFeasibleBranch("active-set exclusion emptied the band set")
+            continue
+        # Kill the bisection residual so the sum constraint holds exactly.
+        scale = rem / sum(lams)
+        full = [0.0] * m
+        for j, lam in zip(active, lams):
+            full[j] = lam * scale
+        pins = [j for j in active if full[j] >= caps[j]]
+        if not pins:
             break
-        active = [j for j in active if j not in drops]
+        capped += pins
+        active = [j for j in range(m) if j not in capped]
         if not active:
-            raise NoFeasibleBranch("active-set exclusion emptied the band set")
-    # Kill the bisection residual so the sum constraint holds exactly.
-    scale = lambda_total / sum(lams)
-    full = [0.0] * m
-    for j, lam in zip(active, lams):
-        full[j] = lam * scale
-    for j in active:
-        if full[j] >= RHO_MAX * stats[j].mu:
-            raise NoFeasibleBranch(f"band {j} at utilisation cap in numeric solution")
+            raise NoFeasibleBranch("every band at its utilisation cap")
+        rem = lambda_total - sum(caps[j] for j in capped)
+    for j in capped:
+        full[j] = caps[j]
+    gamma *= rem / lambda_total
+    slack = _KKT_SLACK * max(gamma, 1.0)
+    for j in range(m):
+        if full[j] == 0.0 and _marginal(0.0, stats[j], lambda_total) < gamma - slack:
+            raise NoFeasibleBranch(f"excluded band {j}: marginal cost at 0 below gamma")
+    for j in capped:
+        if _marginal(caps[j], stats[j], lambda_total) > gamma + slack:
+            raise NoFeasibleBranch(f"capped band {j}: marginal cost at the cap above gamma")
     return LagrangeSolution(gamma, tuple(full), NUMERIC)
 
 
 def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
-    """Exact split via bisection on the multiplier with active-set
-    exclusion; the grid oracle if bracketing or the active-set step fails.
+    """Exact split via bisection on the multiplier, with active-set
+    exclusion and utilisation caps; BracketFailure or NoFeasibleBranch
+    when it cannot be found.
 
     With one band the sum constraint pins the rate, so no search runs;
     that result carries the heavy-traffic multiplier and CLOSED_FORM.
@@ -327,86 +365,4 @@ def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolutio
         return LagrangeSolution(
             gamma_approx(lambda_total, [stats[0].mu]), (float(lambda_total),), CLOSED_FORM
         )
-    try:
-        return _solve_active_set(lambda_total, stats)
-    except (BracketFailure, NoFeasibleBranch):
-        return solve_grid(lambda_total, stats)
-
-
-def grid_objective(
-    lams: np.ndarray, stats: Sequence[BandStats], lambda_total: float
-) -> np.ndarray:
-    """Vectorized objective over an array of allocations, shape (..., M).
-
-    Mirrors band_delay/aggregate_delay for stable inputs; unstable points
-    must be masked out by the caller.
-    """
-    total = np.zeros(lams.shape[:-1])
-    for j, st in enumerate(stats):
-        lam = lams[..., j]
-        t_j = lam * st.x2 / (2.0 * (1.0 - lam / st.mu)) + st.v2 / (2.0 * st.vbar) + 1.0 / st.mu
-        total = total + t_j * lam
-    return total / lambda_total
-
-
-def _grid_pass(
-    lambda_total: float,
-    stats: Sequence[BandStats],
-    window: tuple[tuple[float, float], ...],
-    n: int,
-) -> tuple[np.ndarray, float]:
-    """Best point of an n-per-axis grid over the M-1 free rates in
-    ``window``; the last rate is what the sum leaves."""
-    axes = [np.linspace(lo, hi, n) for lo, hi in window]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    free = np.stack([g.ravel() for g in mesh], axis=-1)
-    last = lambda_total - free.sum(axis=-1)
-    ok = (last > 0.0) & (last <= RHO_MAX * stats[-1].mu)
-    for j in range(free.shape[-1]):
-        ok &= free[:, j] > 0.0
-    free = free[ok]
-    if free.size == 0:
-        raise NoFeasibleBranch("grid found no feasible points in window")
-    pts = np.concatenate([free, (lambda_total - free.sum(axis=-1))[:, None]], axis=-1)
-    vals = grid_objective(pts, stats, lambda_total)
-    best = int(np.argmin(vals))
-    return pts[best], float(vals[best])
-
-
-def solve_grid(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
-    """Exhaustive simplex grid search, with zoom refinement around the
-    incumbent.  Verification oracle; supports M <= 4."""
-    _validate_instance(lambda_total, stats)
-    m = len(stats)
-    if m > 4:
-        raise DimensionTooLarge(f"grid oracle supports M <= 4, got {m}")
-    if m == 1:
-        return LagrangeSolution(math.nan, (float(lambda_total),), GRID)
-
-    n = _GRID_RESOLUTION if m <= 3 else 64
-    tiny = 1e-9 * lambda_total
-    caps = [RHO_MAX * st.mu for st in stats]
-    window = tuple(
-        (
-            max(tiny, lambda_total - sum(caps[k] for k in range(m) if k != j)),
-            min(caps[j], lambda_total - tiny),
-        )
-        for j in range(m - 1)
-    )
-    best_pt, best_val = _grid_pass(lambda_total, stats, window, n)
-    for _ in range(_GRID_REFINE_ROUNDS):
-        steps = [(hi - lo) / (n - 1) for lo, hi in window]
-        window = tuple(
-            (
-                max(tiny, best_pt[j] - 2.0 * steps[j]),
-                min(min(RHO_MAX * stats[j].mu, lambda_total - tiny), best_pt[j] + 2.0 * steps[j]),
-            )
-            for j in range(m - 1)
-        )
-        pt, val = _grid_pass(lambda_total, stats, window, n)
-        if val < best_val:
-            best_pt, best_val = pt, val
-    lams = list(best_pt)
-    # Snap the dependent coordinate so the components sum exactly.
-    lams[-1] = lambda_total - sum(lams[:-1])
-    return LagrangeSolution(math.nan, tuple(float(x) for x in lams), GRID)
+    return _solve_active_set(lambda_total, stats)

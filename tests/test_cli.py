@@ -134,6 +134,13 @@ def _band0(**service):
     return [{"service": service}, *MINI["bands"][1:]]
 
 
+# Capacities 10 pps and 100 pps.
+_SLOW_FAST = [
+    {"service": {"kind": "deterministic", "mean": 0.1}},
+    {"service": {"kind": "deterministic", "mean": 0.01}},
+]
+
+
 @pytest.mark.parametrize(
     "patch, path",
     [
@@ -163,6 +170,25 @@ def _band0(**service):
         ({"bands": [{**MINI["bands"][0], "prop_latency_s": float("nan")}, MINI["bands"][1]]}, "bands[0].prop_latency_s"),
         ({"bands": _band0(kind="exponential", mean=float("inf"))}, "bands[0].service.mean"),
         ({"schedulers": ["even_split", "single_band:0_1"]}, "schedulers[1]"),
+        # Total load is 0.11 of capacity, but the masked flows overload band 0.
+        (
+            {
+                "bands": _SLOW_FAST,
+                "flows": [{"sta": 0, "ac": 0, "lambda_pps": 12.0, "packets": 200, "available_bands": [0]}],
+            },
+            "flows[0].available_bands",
+        ),
+        (
+            {
+                "bands": _SLOW_FAST,
+                "stas": 2,
+                "flows": [
+                    {"sta": s, "ac": 0, "lambda_pps": 6.0, "packets": 200, "available_bands": [0]}
+                    for s in (0, 1)
+                ],
+            },
+            "flows[0].available_bands",
+        ),
     ],
 )
 def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path):

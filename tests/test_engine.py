@@ -20,6 +20,7 @@ from bandsplit.errors import (
     OverloadDetected,
 )
 from bandsplit.estimators import VACATION_FLOOR, band_stats_from_windows
+from bandsplit.model import RHO_MAX
 from bandsplit.schedulers import SchedulerSpec
 
 
@@ -513,3 +514,29 @@ def test_optimize_calls_per_feedback_round_on_a_four_band_run(solves):
     rounds = sum(fr.served // cfg.feedback_interval_pkts for fr in state.flows)
     assert rounds == 400
     assert solves["optimize"] - before <= 0.7 * rounds
+
+
+def test_five_band_config_near_capacity_constructs():
+    # four_band_feedback's service shapes plus a fast exponential band,
+    # one flow at 0.9988 of capacity: the loader accepts it, and the
+    # initial solve pins the bands at their utilisation caps instead of
+    # failing, so the run can start.
+    bands = (
+        DistributionSpec("deterministic", mean=0.02),
+        DistributionSpec("exponential", mean=0.04),
+        DistributionSpec("lognormal", mu_log=-3.0, sigma_log=0.5),
+        DistributionSpec("deterministic", mean=0.1),
+        DistributionSpec("exponential", mean=0.01),
+    )
+    mus = [1.0 / spec.moments()[0] for spec in bands]
+    lam = 0.9988 * sum(mus)
+    cfg = ScenarioConfig(
+        name="five_near_capacity",
+        bands=tuple(BandConfig(service=spec) for spec in bands),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=lam, packets=1000),),
+        schedulers=(SchedulerSpec("minimum_delay"),),
+    )
+    state = SimState(cfg, cfg.schedulers[0], seed=1)
+    split = state.flows[0].scheduler.lambda_star
+    assert all(0.0 <= rate <= RHO_MAX * mu for rate, mu in zip(split, mus))
+    assert sum(split) == pytest.approx(lam, rel=1e-12, abs=0.0)

@@ -2,7 +2,8 @@
 
 ``_reference_bisect_gamma`` is the gamma bisection the optimizer ran
 before Newton steps located the root, kept verbatim (with the sum it
-evaluated) as a test-side oracle, as solve_grid is for the split.
+evaluated) as a test-side oracle, as grid_oracle.solve_grid is for the
+split.
 ``optimizer._bisect_gamma`` must return its multiplier and rates bit for
 bit, and ``optimize`` the same split, multiplier and method, on random
 instances with M = 2..6 at light and heavy load, with radicand domain
@@ -126,7 +127,7 @@ def _outcome(fn, *args):
 
 def _solution_bits(sol):
     """gamma, rates and method; floats as float.hex, so that == compares
-    bits (a grid fallback's NaN gamma included)."""
+    bits."""
     if isinstance(sol, type):
         return sol
     return (sol.gamma.hex(), [x.hex() for x in sol.lambdas], sol.method)

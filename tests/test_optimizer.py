@@ -1,23 +1,25 @@
 """Rate-solver tests: the multiplier approximation, the stationary rates,
-exact solver vs heavy-traffic closed form vs grid agreement, active-set
-exclusion, and the stationarity / dominance / scaling properties."""
+exact solver vs heavy-traffic closed form vs grid-oracle agreement,
+active-set exclusion and utilisation caps, and the stationarity /
+dominance / scaling properties."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from bandsplit.errors import DimensionTooLarge, NoFeasibleBranch, Overload
-from bandsplit.model import BandStats, aggregate_delay, objective
+from bandsplit.errors import NoFeasibleBranch, Overload
+from bandsplit.model import RHO_MAX, BandStats, aggregate_delay, band_delay, objective
 from bandsplit.optimizer import (
     CLOSED_FORM,
     NUMERIC,
     gamma_approx,
-    grid_objective,
     lambda_star_given_gamma,
     optimize,
     solve_closed_form,
-    solve_grid,
 )
 from conftest import feasible, random_instance
+from grid_oracle import grid_objective, solve_grid
 
 
 def sym_stats(mu=8.0, n=2):
@@ -74,9 +76,10 @@ def test_minus_branch_rate_nondecreasing_in_gamma():
 
 def test_solve_single_band_pins_rate():
     stats = [BandStats(mu=10.0, x2=0.02, vbar=0.2, v2=0.05)]
-    for solver in (solve_closed_form, optimize, solve_grid):
+    for solver in (solve_closed_form, optimize):
         sol = solver(5.0, stats)
         assert sol.lambdas == pytest.approx((5.0,))
+    assert solve_grid(5.0, stats) == pytest.approx((5.0,))
 
 
 def test_solve_symmetric_splits_evenly():
@@ -86,7 +89,7 @@ def test_solve_symmetric_splits_evenly():
         assert sol.lambdas[0] == pytest.approx(5.0, rel=1e-9)
         assert sol.lambdas[1] == pytest.approx(5.0, rel=1e-9)
     g = solve_grid(10.0, stats)
-    assert g.lambdas[0] == pytest.approx(5.0, rel=1e-4)
+    assert g[0] == pytest.approx(5.0, rel=1e-4)
 
 
 def test_known_instance_matches_grid_argmin():
@@ -100,7 +103,7 @@ def test_known_instance_matches_grid_argmin():
     assert abs(sol.lambdas[1] - 1.9209) <= 1e-3 * lam
     assert aggregate_delay(sol.lambdas, stats) == pytest.approx(0.13623969857, rel=1e-8)
     g = solve_grid(lam, stats)
-    assert abs(g.lambdas[0] - sol.lambdas[0]) <= 1e-3 * lam
+    assert abs(g[0] - sol.lambdas[0]) <= 1e-3 * lam
 
 
 def test_numeric_never_worse_than_forced_approximation():
@@ -135,12 +138,71 @@ def test_active_set_excludes_weak_band():
     assert sol.lambdas[1] == 0.0
     assert sol.lambdas[0] == pytest.approx(lam, rel=1e-12)
     g = solve_grid(lam, stats)
-    assert aggregate_delay(sol.lambdas, stats) <= aggregate_delay(g.lambdas, stats) + 1e-9
+    assert aggregate_delay(sol.lambdas, stats) <= aggregate_delay(g, stats) + 1e-9
+
+
+def _marginal_cost(x, st, lam):
+    """dF/dlam_j at lam_j = x, from the delay model: (T_j(x) + x * T_j'(x)) / lam."""
+    return (band_delay(x, st).total + x * st.x2 / (2.0 * (1.0 - x / st.mu) ** 2)) / lam
+
+
+def _assert_kkt(sol, stats, lam):
+    """Rates in [0, RHO_MAX * mu_j] summing to lam, and the KKT signs
+    against the returned multiplier: the marginal cost equals gamma on
+    free bands, is at least gamma at 0 on excluded bands and at most
+    gamma at the cap on capped bands."""
+    assert sum(sol.lambdas) == pytest.approx(lam, rel=1e-12, abs=0.0)
+    for x, st in zip(sol.lambdas, stats):
+        cap = RHO_MAX * st.mu
+        assert 0.0 <= x <= cap
+        cost = _marginal_cost(x, st, lam)
+        if x == 0.0:
+            assert cost >= sol.gamma * (1.0 - 1e-9)
+        elif x == cap:
+            assert cost <= sol.gamma * (1.0 + 1e-9)
+        else:
+            assert cost == pytest.approx(sol.gamma, rel=1e-9)
+
+
+def test_capped_instances_pin_bands_at_the_cap():
+    # At 0.9985-0.9989 of capacity some bands' stationary rates pass
+    # RHO_MAX * mu_j: those are pinned at the cap and the others solved
+    # over the rate left.  The grid oracle (M <= 4) bounds the objective.
+    rng = np.random.default_rng(1985)
+    capped = Counter()
+    i = 0
+    while sum(capped.values()) < 48:
+        m = 2 + i % 4
+        i += 1
+        lam, stats = random_instance(rng, m, load=(0.9985, 0.9989))
+        sol = optimize(lam, stats)
+        assert sol.method == NUMERIC
+        _assert_kkt(sol, stats, lam)
+        if all(x < RHO_MAX * st.mu for x, st in zip(sol.lambdas, stats)):
+            continue
+        capped[m] += 1
+        if m <= 4:
+            grid = aggregate_delay(solve_grid(lam, stats), stats)
+            assert aggregate_delay(sol.lambdas, stats) <= grid * (1.0 + 1e-12)
+    assert capped[5] >= 8, capped
+
+
+def test_excluded_band_carries_what_the_capped_band_leaves():
+    # At 9.995 pps the weak band's 5e5 s residual vacation excludes it
+    # from the first solve, and the strong band alone passes its cap.
+    # Pinning the strong band at 9.99 pps leaves 0.005 pps, which the weak
+    # band must then carry.
+    strong = BandStats(mu=10.0, x2=0.01, vbar=1e-3, v2=2e-6)
+    weak = BandStats(mu=1.0, x2=1.0, vbar=1.0, v2=1e6)
+    sol = optimize(9.995, [strong, weak])
+    assert sol.lambdas[0] == RHO_MAX * 10.0
+    assert sol.lambdas[1] == pytest.approx(0.005, rel=1e-9)
+    _assert_kkt(sol, [strong, weak], 9.995)
 
 
 def test_grid_dimension_cap():
     stats = sym_stats(n=5)
-    with pytest.raises(DimensionTooLarge):
+    with pytest.raises(ValueError, match="M <= 4"):
         solve_grid(0.5 * sum(st.mu for st in stats), stats)
 
 
@@ -175,8 +237,7 @@ def test_oracle_agreement_sample():
         sol = optimize(lam, stats)
         if any(l == 0.0 for l in sol.lambdas):
             continue
-        g = solve_grid(lam, stats)
-        g_f = aggregate_delay(g.lambdas, stats)
+        g_f = aggregate_delay(solve_grid(lam, stats), stats)
         assert aggregate_delay(sol.lambdas, stats) <= g_f + max(1e-4 * g_f, 1e-9)
         checked += 1
 
@@ -204,7 +265,7 @@ def test_grid_oracle_dominates_reference_splits_m3():
     prop = [lam * mu / sum(mus) for mu in mus]
     for rival in (even, prop):
         if feasible(rival, stats, lam):
-            assert aggregate_delay(g.lambdas, stats) <= aggregate_delay(rival, stats) + 1e-9
+            assert aggregate_delay(g, stats) <= aggregate_delay(rival, stats) + 1e-9
 
 
 def test_dimensional_scaling():
