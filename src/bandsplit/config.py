@@ -144,19 +144,28 @@ class ScenarioConfig:
             raise ConfigInvalid("queue_cap: must be >= 1")
         if self.max_sim_time_s is not None and not self.max_sim_time_s > 0:
             raise ConfigInvalid("max_sim_time_s: must be > 0 when set")
-        # Stability margin: the flows whose usable bands all lie in a set
-        # (all bands, or one flow's available_bands) must keep their load
-        # clear of that set's capacity pole.
+        # Stability margin (Hall's condition): the flows whose usable
+        # bands all lie in a set must keep their load clear of that set's
+        # capacity pole.  The binding sets are the unions of the flows'
+        # usable sets; with k distinct sets there are at most 2^k - 1.
         capacity = [1.0 / b.service.moments()[0] for b in self.bands]
         everywhere = frozenset(range(len(self.bands)))
         usable = [frozenset(fl.available_bands or everywhere) for fl in self.flows]
-        for where, s in [("flows", everywhere)] + [
-            (f"flows[{i}].available_bands", u) for i, u in enumerate(usable)
-        ]:
-            offered = sum(fl.lambda_pps for fl, u in zip(self.flows, usable) if u <= s)
+        unions: dict[frozenset, None] = {}
+        for u in dict.fromkeys(usable):
+            for s in [u, *(u | v for v in unions)]:
+                unions.setdefault(s)
+        for s in unions:
+            confined = [i for i, u in enumerate(usable) if u <= s]
+            offered = sum(self.flows[i].lambda_pps for i in confined)
             bands = sorted(s)
             limit = RHO_MAX * sum(capacity[b] for b in bands)
             if offered >= limit:
+                where = (
+                    "flows"
+                    if s == everywhere
+                    else ", ".join(f"flows[{i}].available_bands" for i in confined)
+                )
                 raise ConfigInvalid(
                     f"{where}: offered load {offered:g} pps on bands {bands} >= "
                     f"{RHO_MAX:g} * their capacity ({limit:g} pps)"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -75,36 +76,40 @@ class DistributionSpec:
         return DistributionSpec(kind=kind, **values)
 
 
+def _blocks(spec: DistributionSpec, rng: np.random.Generator):
+    """Endless ``_BLOCK``-draw lists from ``rng`` in stream order.
+
+    A module-level generator over ``(spec, rng)``, not a method: a
+    generator frame holding its ``Sampler`` would make a reference cycle,
+    and every finished run's samplers would then wait for the cyclic GC.
+    """
+    if spec.kind == "deterministic":
+        block = [spec.mean] * _BLOCK
+        while True:
+            yield block
+    elif spec.kind == "exponential":
+        while True:
+            yield rng.exponential(spec.mean, _BLOCK).tolist()
+    else:
+        while True:
+            yield rng.lognormal(spec.mu_log, spec.sigma_log, _BLOCK).tolist()
+
+
 class Sampler:
     """Chunked draws from one distribution, one RNG stream.
 
-    Pre-drawing in blocks keeps the per-event cost down without changing
-    the consumption order of the stream, so runs stay reproducible.  A
-    block is kept as a list of Python floats, so a draw is one list
-    index rather than a numpy scalar.
+    The stream is ``_BLOCK``-draw blocks, kept as lists of Python floats
+    and flattened by ``itertools.chain``, so pre-drawing keeps the
+    consumption order of the RNG and runs stay reproducible.  ``take``
+    is that chain's C-level ``__next__``: a draw through it runs no
+    Python frame, and only a refill resumes the block generator.  The
+    engine calls ``take``; ``draw`` is the same stream as a method.
     """
 
-    __slots__ = ("_spec", "_rng", "_buf", "_idx")
+    __slots__ = ("take",)
 
     def __init__(self, spec: DistributionSpec, rng: np.random.Generator):
-        self._spec = spec
-        self._rng = rng
-        self._buf: list[float] = []
-        self._idx = _BLOCK
-
-    def _refill(self) -> None:
-        spec = self._spec
-        if spec.kind == "deterministic":
-            self._buf = [spec.mean] * _BLOCK
-        elif spec.kind == "exponential":
-            self._buf = self._rng.exponential(spec.mean, _BLOCK).tolist()
-        else:
-            self._buf = self._rng.lognormal(spec.mu_log, spec.sigma_log, _BLOCK).tolist()
-        self._idx = 0
+        self.take = chain.from_iterable(_blocks(spec, rng)).__next__
 
     def draw(self) -> float:
-        if self._idx >= _BLOCK:
-            self._refill()
-        val = self._buf[self._idx]
-        self._idx += 1
-        return val
+        return self.take()

@@ -6,6 +6,19 @@ categories and round-robin across stations inside one category.  Served
 packets cross an optional fixed propagation latency and land in a
 per-flow reorder buffer that releases in sequence order.
 
+The run is one flat loop: ``SimState.run`` handles departures,
+receipts, vacation ends and arrivals inline, on state bound to locals
+once per run.  Every push is ``heappush(heap, (t, kind, tick(), index,
+payload))``, where ``tick`` is the ``__next__`` of an
+``itertools.count(1)`` (the insertion counter) and ``heappush`` is read
+from the module when the run starts.  Draws call each sampler's
+``take``, the C-level ``__next__`` of its flattened block stream, and
+packets are made with ``object.__new__``, so neither runs a Python
+frame.  A packet's Python calls are its scheduler pick and its receipt
+(``_receive``, the one entry point of every receipt), plus estimator
+adds and feedback rounds under a feedback policy and a
+``ReorderBuffer.release`` when it is held.
+
 Per-packet work is kept to what each packet needs:
 
 - A packet received in order while its flow's buffer holds nothing is
@@ -18,8 +31,11 @@ Per-packet work is kept to what each packet needs:
   ``release`` run every packet but the one just received counts, also
   when they are released at the instant they arrived.
 - A band with one (AC, station) queue takes its next packet from that
-  queue; only a band with several queues walks strict priority and the
-  round-robin pointer (``BandServer.pick_queue``).
+  queue, and when idle under emergent vacations it serves an arriving
+  packet at once, without queueing it.  Only a band with several queues
+  walks strict priority and the round-robin pointer
+  (``BandServer.pick_queue``), also for an arrival at an idle band, so
+  the pointer advances as it would for a queued packet.
 - Each count is kept once.  A flow's generated packets are its next
   sequence number, its delivered packets its reorder buffer's next
   sequence number, and its measured packets the latencies it recorded;
@@ -36,8 +52,10 @@ Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, and simultaneous events are ordered by
 (time, event-kind priority, insertion counter) with departures first:
 same-instant events of one kind pop in the order they were pushed.
-Identical (config, scheduler, seed) triples therefore reproduce
-bit-identical reports.
+(An arrival pushes its successor before the departure or vacation end
+it starts.  That moves counter values but not the push order of any two
+events of one kind, so it moves no pop.)  Identical (config, scheduler,
+seed) triples therefore reproduce bit-identical reports.
 
 Parametric vacations run as lazy chains.  An idle band keeps the end of
 its current vacation in its own state (``vac_end``) and pushes no event
@@ -58,6 +76,7 @@ import math
 from array import array
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
 
 import numpy as np
 
@@ -92,7 +111,14 @@ _DOM_SCHEDULER = 3
 
 
 class Packet:
-    """One sequence-numbered packet moving source -> band -> receiver."""
+    """One sequence-numbered packet moving source -> band -> receiver.
+
+    The run loop builds packets with ``object.__new__`` and sets each
+    slot when the packet reaches that stage, so making one runs no
+    Python frame: ``seq``, ``created_at``, ``flow_idx`` and
+    ``enqueued_band`` at its arrival, then ``service_start``,
+    ``received_at`` and ``released_at``.
+    """
 
     __slots__ = (
         "seq",
@@ -103,15 +129,6 @@ class Packet:
         "released_at",
         "flow_idx",
     )
-
-    def __init__(self, seq: int, created_at: float, flow_idx: int, band: int):
-        self.seq = seq
-        self.created_at = created_at
-        self.flow_idx = flow_idx
-        self.enqueued_band = band
-        self.service_start = math.nan
-        self.received_at = math.nan
-        self.released_at = math.nan
 
 
 class _Tap:
@@ -131,7 +148,6 @@ class BandServer:
     """One band: queues, service process, optional vacation process."""
 
     __slots__ = (
-        "index",
         "queues",
         "only_queue",
         "rank_counts",
@@ -142,24 +158,22 @@ class BandServer:
         "occupied",
         "current",
         "current_dur",
-        "service",
-        "vacation",
+        "draw_service",
+        "draw_vacation",
         "prop_latency",
     )
 
     def __init__(
         self,
-        index: int,
         num_ranks: int,
         num_stas: int,
         service: Sampler,
         vacation: Sampler | None,
         prop_latency: float,
     ):
-        self.index = index
         self.queues = [[deque() for _ in range(num_stas)] for _ in range(num_ranks)]
         # With one (AC, station) queue, priority and round-robin have one
-        # choice: _start_service takes it without walking the ranks.
+        # choice: the run loop takes it without walking the ranks.
         self.only_queue = self.queues[0][0] if num_ranks == 1 and num_stas == 1 else None
         self.rank_counts = [0] * num_ranks
         self.rr = [0] * num_ranks
@@ -169,8 +183,10 @@ class BandServer:
         self.occupied = 0.0
         self.current: Packet | None = None
         self.current_dur = 0.0
-        self.service = service
-        self.vacation = vacation
+        # The samplers' C-level stream readers; no vacation sampler means
+        # emergent vacations.
+        self.draw_service = service.take
+        self.draw_vacation = None if vacation is None else vacation.take
         self.prop_latency = prop_latency
 
     def pick_queue(self, num_stas: int):
@@ -199,7 +215,7 @@ class _FlowRuntime:
         "sta",
         "scheduler",
         "reorder",
-        "arrivals",
+        "draw_gap",
         "next_seq",
         "served",
         "warmup_cut",
@@ -214,14 +230,14 @@ class _FlowRuntime:
         "max_released",
     )
 
-    def __init__(self, cfg, index, rank, scheduler, reorder, arrivals, warmup_cut, taps):
+    def __init__(self, cfg, index, rank, scheduler, reorder, arrivals: Sampler, warmup_cut, taps):
         self.packets = cfg.packets
         self.index = index
         self.rank = rank
         self.sta = cfg.sta
         self.scheduler = scheduler
         self.reorder = reorder
-        self.arrivals = arrivals
+        self.draw_gap = arrivals.take
         self.next_seq = 0
         self.served = 0
         self.warmup_cut = warmup_cut
@@ -268,7 +284,6 @@ class SimState:
 
         self.servers = [
             BandServer(
-                index=j,
                 num_ranks=len(config.acs),
                 num_stas=config.stas,
                 service=Sampler(band.service, _stream(seed, _DOM_SERVICE, j)),
@@ -317,48 +332,8 @@ class SimState:
         self.total_released = 0
         self.in_transit = 0
         self.stopped_at_time_limit = False
-        self._heap: list = []
-        self._counter = 0
 
-    # -- event plumbing -------------------------------------------------
-
-    def _push(self, t: float, kind: int, a: int, payload=None) -> None:
-        self._counter += 1
-        heappush(self._heap, (t, kind, self._counter, a, payload))
-
-    def _start_service(self, srv: BandServer, t: float) -> None:
-        q = srv.only_queue
-        if q is None:
-            rank, q = srv.pick_queue(self.num_stas)
-            if q is None:
-                return
-        else:
-            rank = 0
-        pkt = q.popleft()
-        srv.rank_counts[rank] -= 1
-        srv.qlen -= 1
-        pkt.service_start = t
-        dur = srv.service.draw()
-        srv.current = pkt
-        srv.current_dur = dur
-        self._push(t + dur, _EV_DEPART, srv.index)
-
-    def _start_vacation(self, srv: BandServer, t: float) -> None:
-        dur = srv.vacation.draw()
-        srv.vac_dur = dur
-        srv.vac_end = t + dur
-
-    def _wake(self, srv: BandServer, t: float) -> None:
-        """Run an idle band's vacation chain up to ``t`` and push the end
-        of the vacation in progress, which the arriving packet waits for."""
-        end = srv.vac_end
-        while end <= t:
-            srv.occupied += srv.vac_dur
-            dur = srv.vacation.draw()
-            srv.vac_dur = dur
-            end += dur
-        srv.vac_end = end
-        self._push(end, _EV_VACATION, srv.index)
+    # -- calls the run loop makes ---------------------------------------
 
     def _feedback(self, fr: _FlowRuntime) -> None:
         stats = list(fr.scheduler.stats)
@@ -375,134 +350,205 @@ class SimState:
             pass  # stale-but-safe: scheduler keeps its previous split
 
     def _receive(self, fr: _FlowRuntime, pkt: Packet, t: float) -> None:
+        # The one entry point of every receipt.  A flow releases its
+        # packets in seq order, so its first measured release is the
+        # packet at seq == warmup_cut, which holds the flow's earliest
+        # measured creation, and each measured release is its latest.
         pkt.received_at = t
         buf = fr.reorder
-        if pkt.seq == buf.next_seq and not buf.pending:
+        seq = pkt.seq
+        if seq == buf.next_seq and not buf.pending:
             # In order with nothing held: released on receipt, so its
             # resequencing delay is 0.0 and the reseq sum and max stay.
             pkt.released_at = t
-            buf.next_seq += 1
+            buf.next_seq = seq + 1
             self.total_released += 1
-            if pkt.seq >= fr.warmup_cut:
-                fr.lat.append(t - pkt.created_at)
+            cut = fr.warmup_cut
+            if seq >= cut:
+                created = pkt.created_at
+                fr.lat.append(t - created)
                 fr.band_counts[pkt.enqueued_band] += 1
-                fr.wait_sum += pkt.service_start - pkt.created_at
-                if pkt.created_at < fr.min_created:
-                    fr.min_created = pkt.created_at
-                if t > fr.max_released:
-                    fr.max_released = t
+                fr.wait_sum += pkt.service_start - created
+                fr.max_released = t
+                if seq == cut:
+                    fr.min_created = created
             return
-        for rp in buf.release(pkt, t):
-            self.total_released += 1
-            if rp.seq >= fr.warmup_cut:
+        released = buf.release(pkt, t)
+        self.total_released += len(released)
+        cut = fr.warmup_cut
+        for rp in released:
+            seq = rp.seq
+            if seq >= cut:
                 # Every packet released after the one just received was
                 # held, so some lower seq had not arrived at its receipt.
                 if rp is not pkt:
                     fr.ooo_count += 1
-                lat = rp.released_at - rp.created_at
-                fr.lat.append(lat)
-                reseq = rp.released_at - rp.received_at
+                created = rp.created_at
+                fr.lat.append(t - created)
+                reseq = t - rp.received_at
                 fr.reseq_sum += reseq
                 if reseq > fr.reseq_max:
                     fr.reseq_max = reseq
                 fr.band_counts[rp.enqueued_band] += 1
-                fr.wait_sum += rp.service_start - rp.created_at
-                if rp.created_at < fr.min_created:
-                    fr.min_created = rp.created_at
-                if rp.released_at > fr.max_released:
-                    fr.max_released = rp.released_at
-
-    # -- event handlers --------------------------------------------------
-
-    def _on_arrival(self, fi: int, t: float) -> None:
-        fr = self.flows[fi]
-        band = fr.scheduler.next_band()
-        pkt = Packet(fr.next_seq, t, fi, band)
-        fr.next_seq += 1
-        srv = self.servers[band]
-        srv.queues[fr.rank][fr.sta].append(pkt)
-        srv.rank_counts[fr.rank] += 1
-        srv.qlen += 1
-        if srv.qlen > self.queue_cap:
-            raise OverloadDetected(f"band {band} queue exceeded cap {self.queue_cap} at t={t:.6f}")
-        if srv.current is None:
-            # A parametric band with nothing in service is on vacation
-            # while the run goes on: _on_depart starts the next one unless
-            # the last packet was released, and the loop stops right there.
-            if srv.vacation is None:
-                self._start_service(srv, t)
-            elif srv.qlen == 1:  # the first packet to wait: no end event yet
-                self._wake(srv, t)
-        if fr.next_seq < fr.packets:
-            self._push(t + fr.arrivals.draw(), _EV_ARRIVAL, fi)
-
-    def _on_depart(self, bi: int, t: float) -> None:
-        srv = self.servers[bi]
-        pkt = srv.current
-        dur = srv.current_dur
-        srv.current = None
-        srv.occupied += dur
-        fr = self.flows[pkt.flow_idx]
-        if fr.taps is not None:
-            tap = fr.taps[bi]
-            tap.service.add(dur)
-            if tap.last_occupied is not None:
-                vac = srv.occupied - tap.last_occupied - dur
-                tap.vacation.add(vac if vac > 0.0 else 0.0)
-            tap.last_occupied = srv.occupied
-            tap.fresh = True
-            fr.served += 1
-            if fr.served % self.feedback_interval == 0:
-                self._feedback(fr)
-        if srv.prop_latency == 0.0:
-            self._receive(fr, pkt, t)
-        else:
-            self.in_transit += 1
-            self._push(t + srv.prop_latency, _EV_RECEIVE, pkt.flow_idx, pkt)
-        if srv.qlen > 0:
-            self._start_service(srv, t)
-        elif srv.vacation is not None and self.total_released < self.total_target:
-            self._start_vacation(srv, t)
-
-    def _on_vacation_end(self, bi: int, t: float) -> None:
-        srv = self.servers[bi]
-        srv.occupied += srv.vac_dur
-        self._start_service(srv, t)
+                fr.wait_sum += rp.service_start - created
+                fr.max_released = t
+                if seq == cut:
+                    fr.min_created = created
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> MetricsReport:
-        for fr in self.flows:
-            self._push(fr.arrivals.draw(), _EV_ARRIVAL, fr.index)
-        for srv in self.servers:
-            if srv.vacation is not None:
-                self._start_vacation(srv, 0.0)
+        # Every event kind is handled inline, on state bound to locals
+        # here.  heappush is read from the module now, at run time, so a
+        # patched engine.heappush sees every push.
+        push = heappush
+        pop = heappop
+        heap: list = []
+        tick = count(1).__next__  # the insertion counter of the tie order
+        new = object.__new__
+        servers = self.servers
+        flows = self.flows
+        num_stas = self.num_stas
+        queue_cap = self.queue_cap
+        interval = self.feedback_interval
+        target = self.total_target
+        receive = self._receive
+        feedback = self._feedback
         limit = self.config.max_sim_time_s
         if limit is None:
             limit = math.inf
-        target = self.total_target
-        heap = self._heap
-        flows = self.flows
-        on_depart = self._on_depart
-        receive = self._receive
-        on_vacation_end = self._on_vacation_end
-        on_arrival = self._on_arrival
+        for fr in flows:
+            push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index, None))
+        for srv in servers:
+            if srv.draw_vacation is not None:
+                dur = srv.draw_vacation()
+                srv.vac_dur = dur
+                srv.vac_end = dur
+        in_transit = 0
         while heap:
-            t, kind, _, a, payload = heappop(heap)
+            # j is the band of a departure or vacation end, the flow of
+            # an arrival or receipt.
+            t, kind, _, j, payload = pop(heap)
             if t > limit:
                 self.stopped_at_time_limit = True
                 break
             if kind == _EV_DEPART:
-                on_depart(a, t)
+                srv = servers[j]
+                pkt = srv.current
+                dur = srv.current_dur
+                occupied = srv.occupied + dur
+                srv.occupied = occupied
+                fr = flows[pkt.flow_idx]
+                taps = fr.taps
+                if taps is not None:
+                    tap = taps[j]
+                    tap.service.add(dur)
+                    last = tap.last_occupied
+                    if last is not None:
+                        vac = occupied - last - dur
+                        tap.vacation.add(vac if vac > 0.0 else 0.0)
+                    tap.last_occupied = occupied
+                    tap.fresh = True
+                    served = fr.served + 1
+                    fr.served = served
+                    if served % interval == 0:
+                        feedback(fr)
+                if srv.prop_latency == 0.0:
+                    receive(fr, pkt, t)
+                else:
+                    in_transit += 1
+                    push(heap, (t + srv.prop_latency, _EV_RECEIVE, tick(), pkt.flow_idx, pkt))
+                if not srv.qlen:
+                    # Idle.  The last release ends the run here, before a
+                    # parametric band would start its next vacation.
+                    srv.current = None
+                    if self.total_released >= target:
+                        break
+                    if srv.draw_vacation is not None:
+                        dur = srv.draw_vacation()
+                        srv.vac_dur = dur
+                        srv.vac_end = t + dur
+                    continue
+                # else: start the next queued packet, below.
             elif kind == _EV_RECEIVE:
-                self.in_transit -= 1
-                receive(flows[a], payload, t)
+                in_transit -= 1
+                receive(flows[j], payload, t)
+                if self.total_released >= target:
+                    break
+                continue
             elif kind == _EV_VACATION:
-                on_vacation_end(a, t)
+                srv = servers[j]
+                srv.occupied += srv.vac_dur
+                # The packet that woke the band waits: start it below.
             else:
-                on_arrival(a, t)
-            if self.total_released >= target:
-                break
+                fr = flows[j]
+                band = fr.scheduler.next_band()
+                pkt = new(Packet)
+                seq = fr.next_seq
+                pkt.seq = seq
+                pkt.created_at = t
+                pkt.flow_idx = j
+                pkt.enqueued_band = band
+                fr.next_seq = seq + 1
+                if seq + 1 < fr.packets:
+                    push(heap, (t + fr.draw_gap(), _EV_ARRIVAL, tick(), j, None))
+                srv = servers[band]
+                q = srv.only_queue
+                if srv.current is None and srv.draw_vacation is None and q is not None:
+                    # An idle emergent band with one queue serves at once.
+                    pkt.service_start = t
+                    dur = srv.draw_service()
+                    srv.current = pkt
+                    srv.current_dur = dur
+                    push(heap, (t + dur, _EV_DEPART, tick(), band, None))
+                    continue
+                if q is None:
+                    rank = fr.rank
+                    srv.queues[rank][fr.sta].append(pkt)
+                    srv.rank_counts[rank] += 1
+                else:
+                    q.append(pkt)
+                qlen = srv.qlen + 1
+                srv.qlen = qlen
+                if qlen > queue_cap:
+                    raise OverloadDetected(f"band {band} queue exceeded cap {queue_cap} at t={t:.6f}")
+                if srv.current is not None:
+                    continue
+                draw_vacation = srv.draw_vacation
+                if draw_vacation is not None:
+                    # A parametric band with nothing in service is on
+                    # vacation.  The first packet to wait runs its lazy
+                    # chain up to t and pushes the end it waits out.
+                    if qlen == 1:
+                        end = srv.vac_end
+                        if end <= t:
+                            occupied = srv.occupied
+                            dur = srv.vac_dur
+                            while end <= t:
+                                occupied += dur
+                                dur = draw_vacation()
+                                end += dur
+                            srv.occupied = occupied
+                            srv.vac_dur = dur
+                            srv.vac_end = end
+                        push(heap, (end, _EV_VACATION, tick(), band, None))
+                    continue
+                # An idle emergent band with several queues: its packet
+                # is picked below, so the round-robin pointer advances.
+                j = band
+            # Start service on band j, whose queue is not empty.
+            q = srv.only_queue
+            if q is None:
+                rank, q = srv.pick_queue(num_stas)
+                srv.rank_counts[rank] -= 1
+            pkt = q.popleft()
+            srv.qlen -= 1
+            pkt.service_start = t
+            dur = srv.draw_service()
+            srv.current = pkt
+            srv.current_dur = dur
+            push(heap, (t + dur, _EV_DEPART, tick(), j, None))
+        self.in_transit = in_transit
         return self._report()
 
     # -- accounting ----------------------------------------------------

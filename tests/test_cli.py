@@ -189,6 +189,18 @@ _SLOW_FAST = [
             },
             "flows[0].available_bands",
         ),
+        # Each flow fits its own two bands, but the two overload the union.
+        (
+            {
+                "bands": [_SLOW_FAST[0]] * 4,
+                "stas": 2,
+                "flows": [
+                    {"sta": s, "ac": 0, "lambda_pps": 15.0, "packets": 200, "available_bands": [s, s + 1]}
+                    for s in (0, 1)
+                ],
+            },
+            "flows[1].available_bands",
+        ),
     ],
 )
 def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path):

@@ -106,6 +106,27 @@ def test_validation_rejects_overload_and_bad_flow_fields():
         mini_config(flows=(FlowConfig(0, 0, 1.0, 1000, available_bands=(7,)),))
 
 
+def test_load_check_covers_unions_of_flows_usable_bands():
+    # Hall's condition.  Four 10 pps bands; flows 0 and 1 each fit their
+    # own two bands, but together they offer 30 pps to bands 0-2, whose
+    # usable capacity is 29.97 pps.
+    ten = BandConfig(service=DistributionSpec("deterministic", mean=0.1))
+
+    def cfg(second_band):
+        return mini_config(
+            bands=(ten,) * 4,
+            stas=2,
+            flows=(
+                FlowConfig(0, 0, 15.0, 1000, available_bands=(0, 1)),
+                FlowConfig(1, 0, 15.0, 1000, available_bands=(second_band, 2)),
+            ),
+        )
+
+    with pytest.raises(ConfigInvalid, match=r"flows\[1\].available_bands: offered load 30 pps on bands \[0, 1, 2\]"):
+        cfg(1)
+    cfg(3)  # bands 0-3 carry the 30 pps
+
+
 def test_from_dict_field_diagnostics():
     with pytest.raises(ConfigInvalid, match="name"):
         ScenarioConfig.from_dict({"bands": [], "flows": [], "schedulers": []})

@@ -2,6 +2,7 @@
 priority discipline, termination modes, and quick queueing-theory checks
 (the full-scale validations live in the acceptance module)."""
 
+import gc
 import heapq
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 from bandsplit import engine, scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
-from bandsplit.distributions import DistributionSpec
+from bandsplit.distributions import DistributionSpec, Sampler
 from bandsplit.engine import SimState, bootstrap_stats, run_scenario
 from bandsplit.errors import (
     ConfigInvalid,
@@ -426,17 +427,23 @@ def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(build, kind):
         assert ahead_at_a_tie > 0
 
 
-def test_python_calls_per_packet_on_a_single_path_run():
+@pytest.mark.parametrize(
+    "kind, bound", [("single_band:0", 2.5), ("even_split", 3.0), ("leaky_bucket", 6.5)]
+)
+def test_python_calls_per_packet_on_a_single_path_run(kind, bound):
     # The engine's per-packet cost as a count that host load cannot
     # move: Python function calls per delivered packet, on the
-    # asym_schemes config (two_band_asym) under single_band:0.  Each
-    # packet takes an arrival, a scheduler pick, a Packet, two draws,
-    # two pushes, a service start, a departure and a receipt: 10.03 per
-    # packet with the run's fixed calls, where a reorder-buffer call and
-    # a queue walk per packet gave 12.03.
+    # asym_schemes config (two_band_asym).  The run loop handles every
+    # event inline, builds packets with object.__new__ and draws through
+    # the samplers' C-level stream, so a packet costs its scheduler pick
+    # and its receipt: 2.02 under single_band:0, 2.49 under even_split
+    # (reorder-buffer calls) and 6.13 under leaky_bucket (two estimator
+    # adds per packet and the feedback rounds).  With one call per push,
+    # per handler, per draw and per Packet these were 10.02, 10.99 and
+    # 14.28.
     cfg = scenarios.load("two_band_asym")
     cfg = replace(cfg, flows=tuple(replace(fl, packets=3000) for fl in cfg.flows))
-    spec = SchedulerSpec("single_band", 0)
+    spec = SchedulerSpec.parse(kind)
     SimState(cfg, spec, seed=1).run()  # first-run imports and caches
     state = SimState(cfg, spec, seed=1)
     calls = 0
@@ -452,7 +459,64 @@ def test_python_calls_per_packet_on_a_single_path_run():
     finally:
         sys.setprofile(None)
     assert rep.delivered == 3000
-    assert calls / rep.delivered < 10.5
+    assert calls / rep.delivered < bound
+
+
+@pytest.mark.parametrize(
+    "vacation, kind, pushes",
+    [
+        (DistributionSpec("exponential", mean=0.01), "leaky_bucket", 5529),
+        (DistributionSpec("exponential", mean=0.01), "even_split", 6352),
+        (None, "leaky_bucket", 4094),
+        (None, "even_split", 5000),
+    ],
+)
+def test_heap_pushes_match_the_pinned_count(monkeypatch, vacation, kind, pushes):
+    # Two stations share two bands, so both bands have two queues; band
+    # 1 adds a propagation latency, so receipts are events too.  The
+    # counts were pinned from the engine with one handler method per
+    # event kind; the flat loop must push exactly the same events.
+    n = 0
+
+    def counting_heappush(heap, item):
+        nonlocal n
+        n += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(engine, "heappush", counting_heappush)
+    cfg = ScenarioConfig(
+        name="pushes",
+        bands=(
+            BandConfig(service=DistributionSpec("exponential", mean=0.04)),
+            BandConfig(service=DistributionSpec("exponential", mean=0.08), prop_latency_s=0.01),
+        ),
+        stas=2,
+        flows=(
+            FlowConfig(sta=0, ac=0, lambda_pps=6.0, packets=1000),
+            FlowConfig(sta=1, ac=0, lambda_pps=6.0, packets=1000),
+        ),
+        schedulers=(SchedulerSpec(kind),),
+        vacation=vacation,
+    )
+    assert run_scenario(cfg, cfg.schedulers[0], seed=8).delivered == 2000
+    assert n == pushes
+
+
+def test_finished_runs_leave_no_sampler_alive():
+    # Reference counting alone must free a dropped run's samplers: a
+    # sampler in a reference cycle (say, a block generator closing over
+    # it) would keep every finished run's samplers until the cyclic GC.
+    cfg = two_flow_parametric_cfg()
+    cfg = replace(cfg, flows=tuple(replace(fl, packets=200) for fl in cfg.flows))
+    gc.collect()
+    gc.disable()
+    try:
+        for seed in range(10):
+            run_scenario(cfg, cfg.schedulers[0], seed)
+        alive = sum(isinstance(o, Sampler) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 def test_feedback_round_passes_held_stats_for_taps_without_samples(solves):

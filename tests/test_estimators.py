@@ -109,6 +109,18 @@ def test_sampler_matches_stream_order():
     assert draws == expect[:9000]
 
 
+def test_draw_and_take_read_one_stream():
+    # The engine reads a sampler through ``take``, the C-level reader of
+    # the stream that ``draw`` reads; interleaved, they split one
+    # sequence, the same blocks as above.
+    spec = DistributionSpec("exponential", mean=0.5)
+    a = Sampler(spec, np.random.default_rng(10))
+    draws = [a.take() if i % 3 else a.draw() for i in range(9000)]
+    b = np.random.default_rng(10)
+    expect = [x for _ in range(3) for x in b.exponential(0.5, 4096).tolist()]
+    assert draws == expect[:9000]
+
+
 def test_sampler_empirical_moments():
     rng = np.random.default_rng(8)
     s = Sampler(DistributionSpec("lognormal", mu_log=-2.5, sigma_log=0.4), rng)
