@@ -175,6 +175,8 @@ class BandServer:
         # With one (AC, station) queue, priority and round-robin have one
         # choice: the run loop takes it without walking the ranks.
         self.only_queue = self.queues[0][0] if num_ranks == 1 and num_stas == 1 else None
+        # Queued packets per rank, which pick_queue reads: kept only on
+        # a band with several queues.
         self.rank_counts = [0] * num_ranks
         self.rr = [0] * num_ranks
         self.qlen = 0

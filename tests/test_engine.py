@@ -428,7 +428,9 @@ def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(build, kind):
 
 
 @pytest.mark.parametrize(
-    "kind, bound", [("single_band:0", 2.5), ("even_split", 3.0), ("leaky_bucket", 6.5)]
+    "kind, bound",
+    [("single_band:0", 2.5), ("even_split", 3.0), ("leaky_bucket", 6.5)],
+    ids=["single_band:0", "even_split", "leaky_bucket"],
 )
 def test_python_calls_per_packet_on_a_single_path_run(kind, bound):
     # The engine's per-packet cost as a count that host load cannot
@@ -470,6 +472,7 @@ def test_python_calls_per_packet_on_a_single_path_run(kind, bound):
         (None, "leaky_bucket", 4094),
         (None, "even_split", 5000),
     ],
+    ids=["parametric-leaky_bucket", "parametric-even_split", "emergent-leaky_bucket", "emergent-even_split"],
 )
 def test_heap_pushes_match_the_pinned_count(monkeypatch, vacation, kind, pushes):
     # Two stations share two bands, so both bands have two queues; band
