@@ -21,6 +21,7 @@ from .errors import (
     DuplicateSeq,
     Infeasible,
     InsufficientSamples,
+    InvalidRecords,
     InvalidStats,
     LengthMismatch,
     MismatchedSeeds,

@@ -42,6 +42,16 @@ class DistributionSpec:
                 raise ConfigInvalid("lognormal sigma_log must be >= 0")
         elif not self.mean > 0:
             raise ConfigInvalid(f"{self.kind} mean must be > 0, got {self.mean}")
+        # The delay model and the engine divide by the mean and square
+        # it: a mean or second moment that overflows or vanishes in
+        # floats cannot run.
+        try:
+            mean, m2 = self.moments()
+            ok = 0.0 < mean < math.inf and 1.0 / mean < math.inf and 0.0 < m2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise ConfigInvalid(f"{self.kind} mean and second moment must be finite and > 0 in floats")
 
     def moments(self) -> tuple[float, float]:
         """Exact (mean, second moment)."""
@@ -73,7 +83,10 @@ class DistributionSpec:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ConfigInvalid(f"{where}.{key}: expected a finite number, got {v!r}")
             values[key] = float(v)
-        return DistributionSpec(kind=kind, **values)
+        try:
+            return DistributionSpec(kind=kind, **values)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{where}: {exc}") from None
 
 
 def _blocks(spec: DistributionSpec, rng: np.random.Generator):

@@ -116,8 +116,9 @@ class Packet:
     The run loop builds packets with ``object.__new__`` and sets each
     slot when the packet reaches that stage, so making one runs no
     Python frame: ``seq``, ``created_at``, ``flow_idx`` and
-    ``enqueued_band`` at its arrival, then ``service_start``,
-    ``received_at`` and ``released_at``.
+    ``enqueued_band`` at its arrival, then ``service_start`` and
+    ``received_at``.  Its release is not stamped: it happens at the
+    time of the ``_receive`` call that releases it.
     """
 
     __slots__ = (
@@ -126,7 +127,6 @@ class Packet:
         "enqueued_band",
         "service_start",
         "received_at",
-        "released_at",
         "flow_idx",
     )
 
@@ -150,7 +150,6 @@ class BandServer:
     __slots__ = (
         "queues",
         "only_queue",
-        "rank_counts",
         "rr",
         "qlen",
         "vac_dur",
@@ -175,9 +174,6 @@ class BandServer:
         # With one (AC, station) queue, priority and round-robin have one
         # choice: the run loop takes it without walking the ranks.
         self.only_queue = self.queues[0][0] if num_ranks == 1 and num_stas == 1 else None
-        # Queued packets per rank, which pick_queue reads: kept only on
-        # a band with several queues.
-        self.rank_counts = [0] * num_ranks
         self.rr = [0] * num_ranks
         self.qlen = 0
         self.vac_dur = 0.0
@@ -191,22 +187,20 @@ class BandServer:
         self.draw_vacation = None if vacation is None else vacation.take
         self.prop_latency = prop_latency
 
-    def pick_queue(self, num_stas: int):
-        """Next queue under strict AC priority, round-robin across STAs."""
-        for rank, count in enumerate(self.rank_counts):
-            if count == 0:
-                continue
-            row = self.queues[rank]
-            ptr = self.rr[rank]
+    def pick_queue(self, num_stas: int) -> deque:
+        """Next queue under strict AC priority, round-robin across STAs.
+        Called only while some queue of the band holds a packet."""
+        rr = self.rr
+        for rank, row in enumerate(self.queues):
+            ptr = rr[rank]
             for k in range(num_stas):
                 sta = ptr + k
                 if sta >= num_stas:
                     sta -= num_stas
                 q = row[sta]
                 if q:
-                    self.rr[rank] = sta + 1 if sta + 1 < num_stas else 0
-                    return rank, q
-        return None, None
+                    rr[rank] = sta + 1 if sta + 1 < num_stas else 0
+                    return q
 
 
 class _FlowRuntime:
@@ -248,7 +242,7 @@ class _FlowRuntime:
         self.reseq_sum = 0.0
         self.reseq_max = 0.0
         self.ooo_count = 0
-        self.band_counts = None
+        self.band_counts = [0] * len(scheduler.stats)
         self.wait_sum = 0.0
         self.min_created = math.inf
         self.max_released = -math.inf
@@ -278,11 +272,6 @@ class SimState:
         self.config = config
         self.scheduler_spec = scheduler_spec
         self.seed = seed
-        self.num_bands = len(config.bands)
-        self.num_stas = config.stas
-        self.queue_cap = config.queue_cap
-        self.feedback_interval = config.feedback_interval_pkts
-        self.rank_of_ac = {ac: rank for rank, ac in enumerate(config.acs)}
 
         self.servers = [
             BandServer(
@@ -312,22 +301,17 @@ class SimState:
                 DistributionSpec(kind="exponential", mean=1.0 / fl.lambda_pps),
                 _stream(seed, _DOM_ARRIVAL, i),
             )
-            taps = (
-                [_Tap() for _ in range(self.num_bands)]
-                if sched.uses_feedback
-                else None
-            )
+            taps = [_Tap() for _ in config.bands] if sched.uses_feedback else None
             fr = _FlowRuntime(
                 cfg=fl,
                 index=i,
-                rank=self.rank_of_ac[fl.ac],
+                rank=config.acs.index(fl.ac),
                 scheduler=sched,
                 reorder=ReorderBuffer(),
                 arrivals=arrivals,
                 warmup_cut=int(config.warmup_frac * fl.packets),
                 taps=taps,
             )
-            fr.band_counts = [0] * self.num_bands
             self.flows.append(fr)
 
         self.total_target = sum(fl.packets for fl in config.flows)
@@ -362,7 +346,6 @@ class SimState:
         if seq == buf.next_seq and not buf.pending:
             # In order with nothing held: released on receipt, so its
             # resequencing delay is 0.0 and the reseq sum and max stay.
-            pkt.released_at = t
             buf.next_seq = seq + 1
             self.total_released += 1
             cut = fr.warmup_cut
@@ -408,15 +391,16 @@ class SimState:
         heap: list = []
         tick = count(1).__next__  # the insertion counter of the tie order
         new = object.__new__
+        config = self.config
         servers = self.servers
         flows = self.flows
-        num_stas = self.num_stas
-        queue_cap = self.queue_cap
-        interval = self.feedback_interval
+        num_stas = config.stas
+        queue_cap = config.queue_cap
+        interval = config.feedback_interval_pkts
         target = self.total_target
         receive = self._receive
         feedback = self._feedback
-        limit = self.config.max_sim_time_s
+        limit = config.max_sim_time_s
         if limit is None:
             limit = math.inf
         for fr in flows:
@@ -505,9 +489,7 @@ class SimState:
                     push(heap, (t + dur, _EV_DEPART, tick(), band, None))
                     continue
                 if q is None:
-                    rank = fr.rank
-                    srv.queues[rank][fr.sta].append(pkt)
-                    srv.rank_counts[rank] += 1
+                    srv.queues[fr.rank][fr.sta].append(pkt)
                 else:
                     q.append(pkt)
                 qlen = srv.qlen + 1
@@ -541,8 +523,7 @@ class SimState:
             # Start service on band j, whose queue is not empty.
             q = srv.only_queue
             if q is None:
-                rank, q = srv.pick_queue(num_stas)
-                srv.rank_counts[rank] -= 1
+                q = srv.pick_queue(num_stas)
             pkt = q.popleft()
             srv.qlen -= 1
             pkt.service_start = t
@@ -578,11 +559,8 @@ class SimState:
         reseq_sum = sum(fr.reseq_sum for fr in self.flows)
         reseq_max = max((fr.reseq_max for fr in self.flows), default=0.0)
         ooo = sum(fr.ooo_count for fr in self.flows)
-        band_counts = [0] * self.num_bands
-        for fr in self.flows:
-            for j in range(self.num_bands):
-                band_counts[j] += fr.band_counts[j]
-        frac = tuple(c / measured for c in band_counts)
+        band_counts = zip(*(fr.band_counts for fr in self.flows))
+        frac = tuple(sum(counts) / measured for counts in band_counts)
         min_created = min((fr.min_created for fr in self.flows), default=math.inf)
         max_released = max((fr.max_released for fr in self.flows), default=-math.inf)
         span = max_released - min_created

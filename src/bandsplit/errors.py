@@ -65,5 +65,9 @@ class OverloadDetected(BandsplitError):
     """A simulated queue exceeded its configured occupancy cap."""
 
 
+class InvalidRecords(BandsplitError):
+    """A records file has a line or a field that no record can hold."""
+
+
 class MismatchedSeeds(BandsplitError):
     """Record sets being compared do not share a common seed set."""

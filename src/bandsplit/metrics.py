@@ -2,9 +2,9 @@
 
 RECORD_FIELDS is the one record schema: the CSV / JSON-lines columns in
 their fixed order with their types, followed by one float column
-band_frac_<j> per band.  Writing (MetricsReport.record, record_columns),
-reading (runner.read_records) and comparing (runner.compare) all derive
-from it.
+band_frac_<j> per band.  Writing (MetricsReport.record, whose keys are
+the CSV header), reading (runner.read_records) and comparing
+(runner.compare) all derive from it.
 
 Extra diagnostic fields (generated and measured counts, mean wait,
 packets left queued or in flight) live on the report object only.
@@ -57,9 +57,3 @@ class MetricsReport:
         for j, frac in enumerate(self.per_band_frac):
             rec[f"{BAND_FRAC_PREFIX}{j}"] = frac
         return rec
-
-
-def record_columns(num_bands: int) -> list[str]:
-    cols = [name for name, _ in RECORD_FIELDS]
-    cols.extend(f"{BAND_FRAC_PREFIX}{j}" for j in range(num_bands))
-    return cols

@@ -14,8 +14,8 @@ class ReorderBuffer:
     """In-order release of a single flow's packets.
 
     Sequence numbers start at 0.  Packets are any objects carrying
-    ``seq``, ``received_at`` and a writable ``released_at``; release()
-    stamps ``released_at`` on everything it emits.
+    ``seq``.  Everything one release() call returns is released at that
+    call's ``now``.
     """
 
     __slots__ = ("next_seq", "pending")
@@ -40,11 +40,8 @@ class ReorderBuffer:
             self.pending[seq] = pkt
             return []
         released = [pkt]
-        pkt.released_at = now
         self.next_seq = seq + 1
         while self.next_seq in self.pending:
-            nxt = self.pending.pop(self.next_seq)
-            nxt.released_at = now
-            released.append(nxt)
+            released.append(self.pending.pop(self.next_seq))
             self.next_seq += 1
         return released

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from .config import ScenarioConfig
 from .engine import run_scenario
-from .errors import ConfigInvalid, MismatchedSeeds
-from .metrics import BAND_FRAC_PREFIX, METRIC_FIELDS, RECORD_FIELDS, MetricsReport, record_columns
+from .errors import ConfigInvalid, InvalidRecords, MismatchedSeeds
+from .metrics import BAND_FRAC_PREFIX, METRIC_FIELDS, RECORD_FIELDS, MetricsReport
 from .schedulers import SchedulerSpec
 
 # Schemes that never use two bands at once; their runs must show zero
@@ -65,13 +65,11 @@ def run_suite(
 def render_csv(reports: list[MetricsReport]) -> str:
     if not reports:
         return ""
-    cols = record_columns(len(reports[0].per_band_frac))
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
+    writer.writerow(reports[0].record())
     for rep in reports:
-        rec = rep.record()
-        writer.writerow([_cell(rec[c]) for c in cols])
+        writer.writerow([_cell(v) for v in rep.record().values()])
     return buf.getvalue()
 
 
@@ -98,20 +96,47 @@ def _cell(v) -> str:
 
 
 def read_records(path: str | Path) -> list[dict]:
-    """Load a record file written by write_records (either format)."""
+    """Load a record file written by write_records (either format).
+
+    Both encodings go through one decoder, so each record holds the
+    RECORD_FIELDS and band fractions, typed.  A malformed file raises
+    InvalidRecords naming the line and the field.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    records = []
     if text.lstrip().startswith("{"):
-        for line in text.splitlines():
+        rows = []
+        for n, line in enumerate(text.splitlines(), 1):
             if line.strip():
-                records.append(json.loads(line))
-        return records
-    reader = csv.DictReader(io.StringIO(text))
-    for row in reader:
-        rec = {name: typ(row[name]) for name, typ in RECORD_FIELDS}
-        rec.update((k, float(v)) for k, v in row.items() if k.startswith(BAND_FRAC_PREFIX))
-        records.append(rec)
-    return records
+                try:
+                    rows.append((n, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise InvalidRecords(f"{path}: line {n}: not JSON ({exc.msg})") from None
+    else:
+        reader = csv.DictReader(io.StringIO(text))
+        rows = [(reader.line_num, row) for row in reader]
+    return [_decode(row, f"{path}: line {n}") for n, row in rows]
+
+
+def _decode(row, where: str) -> dict:
+    """One typed record from a CSV row (every cell text) or a JSON-lines
+    object (cells already typed)."""
+    if not isinstance(row, dict):
+        raise InvalidRecords(f"{where}: expected a record object, got {type(row).__name__}")
+    fields = list(RECORD_FIELDS)
+    fields.extend((k, float) for k in row if isinstance(k, str) and k.startswith(BAND_FRAC_PREFIX))
+    rec = {}
+    for name, typ in fields:
+        if name not in row:
+            raise InvalidRecords(f"{where}: missing field {name!r}")
+        v = row[name]
+        if isinstance(v, str) or type(v) is typ or (typ is float and type(v) is int):
+            try:
+                rec[name] = typ(v)
+                continue
+            except ValueError:
+                pass
+        raise InvalidRecords(f"{where}: field {name!r}: expected {typ.__name__}, got {v!r}")
+    return rec
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,7 @@ class Scheduler:
     uses_feedback = False
 
     def __init__(self, stats: Sequence[BandStats], avail: Sequence[int] | None):
-        num_bands = self.num_bands = len(stats)
+        num_bands = len(stats)
         self.stats = list(stats)
         self.avail = tuple(range(num_bands)) if avail is None else tuple(sorted(set(avail)))
         if not self.avail:
@@ -106,7 +106,7 @@ class Scheduler:
         raise NotImplementedError
 
     def update_feedback(self, stats: Sequence[BandStats]) -> None:
-        if len(stats) != self.num_bands:
+        if len(stats) != len(self.stats):
             raise ConfigInvalid("stats length does not match band count")
         self.stats = list(stats)
 
@@ -145,9 +145,9 @@ class EvenSplit(Scheduler):
 class LoadBalancing(Scheduler):
     """Assign so counts track service rates: pick argmin assigned_j / mu_j.
 
-    Counts restart whenever the rate snapshot changes; otherwise a small
-    drift in the measured rates would trigger a catch-up burst sized like
-    the whole history.
+    Counts restart at every feedback round, whether or not the rates
+    changed; otherwise a small drift in the measured rates would trigger
+    a catch-up burst sized like the whole history.
     """
 
     kind = "load_balancing"
@@ -155,11 +155,11 @@ class LoadBalancing(Scheduler):
 
     def __init__(self, stats, avail):
         super().__init__(stats, avail)
-        self.counts = [0] * self.num_bands
+        self.counts = [0] * len(self.stats)
 
     def update_feedback(self, stats) -> None:
         super().update_feedback(stats)
-        self.counts = [0] * self.num_bands
+        self.counts = [0] * len(self.stats)
 
     def next_band(self) -> int:
         best = None
@@ -207,7 +207,7 @@ class _OptimizingScheduler(Scheduler):
     def _solve_subset(self) -> list[float]:
         sub = [self.stats[j] for j in self.avail]
         sol = optimize(self.lambda_total, sub)
-        full = [0.0] * self.num_bands
+        full = [0.0] * len(self.stats)
         for j, lam in zip(self.avail, sol.lambdas):
             full[j] = lam
         return full
@@ -245,13 +245,12 @@ class MinimumDelay(_OptimizingScheduler):
 
     def _on_new_split(self) -> None:
         total = sum(self.lambda_star)
-        self.fractions = [lam / total for lam in self.lambda_star]
         # (cumulative fraction, band) over the available bands, summed in
         # avail order, so a pick only compares.
         acc = 0.0
         self._bounds = []
         for j in self.avail:
-            acc += self.fractions[j]
+            acc += self.lambda_star[j] / total
             self._bounds.append((acc, j))
 
     def next_band(self) -> int:

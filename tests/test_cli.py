@@ -208,3 +208,80 @@ def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path)
     p.write_text(json.dumps({**MINI, **patch}), encoding="utf-8")
     assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert path in capsys.readouterr().err
+
+
+# One 10 pps band carrying one 1 pps flow.
+_ONE_BAND = {
+    "name": "one_band",
+    "bands": [{"service": {"kind": "deterministic", "mean": 0.1}}],
+    "flows": [{"sta": 0, "ac": 0, "lambda_pps": 1.0, "packets": 200}],
+    "schedulers": ["single_band:0"],
+}
+
+
+def _parametric(**dist):
+    return {"vacation_mode": {"kind": "parametric", "dist": dist}}
+
+
+@pytest.mark.parametrize(
+    "patch, path",
+    [
+        ({"bands": [{"service": {"kind": "lognormal", "mu_log": 800.0, "sigma_log": 0.0}}]}, "bands[0].service"),
+        ({"bands": [{"service": {"kind": "lognormal", "mu_log": -800.0, "sigma_log": 0.0}}]}, "bands[0].service"),
+        ({"bands": [{"service": {"kind": "lognormal", "mu_log": 0.0, "sigma_log": 40.0}}]}, "bands[0].service"),
+        ({"bands": [{"service": {"kind": "exponential", "mean": 1e300}}]}, "bands[0].service"),
+        (_parametric(kind="lognormal", mu_log=800.0, sigma_log=0.0), "vacation_mode.dist"),
+        (_parametric(kind="lognormal", mu_log=-800.0, sigma_log=0.0), "vacation_mode.dist"),
+    ],
+    ids=["service-mean-overflows", "service-mean-vanishes", "service-m2-overflows",
+         "service-exponential-m2-overflows", "vacation-mean-overflows", "vacation-mean-vanishes"],
+)
+def test_distribution_whose_moments_overflow_or_vanish_is_config_error(tmp_path, capsys, patch, path):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({**_ONE_BAND, **patch}), encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and path in err
+
+
+_RECORD = {
+    "scenario": "s",
+    "scheduler": "even_split",
+    "seed": 1,
+    "delivered": 100,
+    "goodput_pps": 1.0,
+    "mean_latency_s": 0.1,
+    "p95_latency_s": 0.2,
+    "mean_reseq_delay_s": 0.0,
+    "max_reseq_delay_s": 0.0,
+    "out_of_order_frac": 0.0,
+    "band_frac_0": 1.0,
+}
+_RECORDS = [_RECORD, {**_RECORD, "scheduler": "leaky_bucket"}]
+
+
+def _csv(records):
+    cols = list(records[0])
+    return "\n".join([",".join(cols), *(",".join(str(rec[c]) for c in cols) for rec in records)]) + "\n"
+
+
+def _jsonl(lines):
+    return "".join(json.dumps(line) + "\n" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("r.csv", _csv([{k: v for k, v in rec.items() if k != "delivered"} for rec in _RECORDS]), "line 2: missing field 'delivered'"),
+        ("r.csv", _csv([_RECORDS[0], {**_RECORDS[1], "mean_latency_s": "slow"}]), "line 3: field 'mean_latency_s'"),
+        ("r.jsonl", _jsonl([_RECORDS[0], list(_RECORDS[1].values())]), "line 2: expected a record object"),
+        ("r.jsonl", _jsonl([_RECORDS[0], {k: v for k, v in _RECORDS[1].items() if k != "scheduler"}]), "line 2: missing field 'scheduler'"),
+        ("r.jsonl", _jsonl(_RECORDS)[:-20], "line 2: not JSON"),
+    ],
+    ids=["csv-missing-column", "csv-non-numeric-cell", "jsonl-list-line", "jsonl-missing-field", "jsonl-truncated"],
+)
+def test_malformed_records_file_is_runtime_error(tmp_path, capsys, name, text, where):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    assert main(["compare", str(p)]) == EXIT_RUNTIME
+    assert where in capsys.readouterr().err

@@ -12,7 +12,6 @@ class Pkt:
     def __init__(self, seq, received_at=0.0):
         self.seq = seq
         self.received_at = received_at
-        self.released_at = None
 
 
 def test_hand_trace_release_and_reseq_delay():
@@ -24,18 +23,16 @@ def test_hand_trace_release_and_reseq_delay():
     assert out1 == []
     out2 = buf.release(p2, 2.0)
     assert [p.seq for p in out2] == [1, 2]
-    assert p3.released_at - p3.received_at == pytest.approx(1.0)
-    assert p2.released_at - p2.received_at == pytest.approx(0.0)
-    assert p1.released_at == 0.0
+    # Everything one call returns is released at that call's now.
+    assert [2.0 - p.received_at for p in out2] == pytest.approx([0.0, 1.0])
 
 
 def test_in_order_arrivals_zero_reseq():
     buf = ReorderBuffer()
     for seq in range(50):
         p = Pkt(seq, received_at=float(seq))
-        out = buf.release(p, float(seq))
-        assert [q.seq for q in out] == [seq]
-        assert p.released_at == p.received_at
+        out = buf.release(p, p.received_at)
+        assert out == [p]
 
 
 def test_duplicate_seq_rejected():
@@ -59,7 +56,7 @@ def test_random_permutations_release_sorted_exactly_once():
             t = float(i)
             out = buf.release(Pkt(int(seq), received_at=t), t)
             for p in out:
-                assert p.released_at - p.received_at >= 0.0
+                assert t - p.received_at >= 0.0
             released.extend(p.seq for p in out)
         assert released == list(range(n))
         assert len(buf) == 0

@@ -130,7 +130,7 @@ def test_minimum_delay_reproducible_and_on_target():
     seq_a = [a.next_band() for _ in range(2000)]
     seq_b = [b.next_band() for _ in range(2000)]
     assert seq_a == seq_b
-    target = a.fractions[0]
+    target = a.lambda_star[0] / 12.0
     frac = seq_a.count(0) / len(seq_a)
     assert abs(frac - target) <= 0.03
 
