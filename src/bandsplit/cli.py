@@ -5,8 +5,9 @@
     bandsplit compare <records> [--baseline SCHEME] [--out PATH]
 
 <config> is a JSON scenario file or the name of a bundled scenario
-(see `bandsplit run --list`).  Exit codes: 0 success, 2 config error,
-3 runtime error.
+(see `bandsplit run --list`).  Exit codes: 0 success; 2 a config
+that cannot be read or run; 3 a run that fails, a records file that
+cannot be read or decoded, or an output that cannot be written.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from . import scenarios
 from .config import ScenarioConfig
-from .errors import BandsplitError, ConfigInvalid, MismatchedSeeds
+from .errors import BandsplitError, ConfigInvalid
 from .runner import compare, read_records, run_suite
 
 EXIT_OK = 0
@@ -101,12 +102,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MismatchedSeeds as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except BandsplitError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -46,6 +46,12 @@ from .errors import ConfigInvalid
 from .model import RHO_MAX
 from .schedulers import SchedulerSpec
 
+# An idle band under parametric vacations draws about 1 / (lambda * vbar)
+# vacations between two packets of a flow at lambda.  Far more would make
+# a run draw for hours, and with a mean below the clock's resolution the
+# vacation chain stops advancing and the run never ends.
+_MAX_VACATIONS_PER_GAP = 1e5
+
 
 @dataclass(frozen=True)
 class BandConfig:
@@ -144,6 +150,14 @@ class ScenarioConfig:
             raise ConfigInvalid("queue_cap: must be >= 1")
         if self.max_sim_time_s is not None and not self.max_sim_time_s > 0:
             raise ConfigInvalid("max_sim_time_s: must be > 0 when set")
+        if self.vacation is not None:
+            vbar = self.vacation.moments()[0]
+            per_gap = 1.0 / (min(fl.lambda_pps for fl in self.flows) * vbar)
+            if per_gap > _MAX_VACATIONS_PER_GAP:
+                raise ConfigInvalid(
+                    f"vacation_mode.dist: mean {vbar:g} s means {per_gap:.3g} vacations per "
+                    f"packet gap of the slowest flow (limit {_MAX_VACATIONS_PER_GAP:g})"
+                )
         # Stability margin (Hall's condition): the flows whose usable
         # bands all lie in a set must keep their load clear of that set's
         # capacity pole.  The binding sets are the unions of the flows'
@@ -190,7 +204,11 @@ class ScenarioConfig:
 
     @staticmethod
     def from_file(path: str | Path) -> "ScenarioConfig":
-        return ScenarioConfig.from_json(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigInvalid(f"config {path}: cannot read ({exc})") from exc
+        return ScenarioConfig.from_json(text)
 
 
 def _parse_object(d, where: str, parsers: dict) -> dict:
@@ -245,6 +263,12 @@ def _vacation(v, where: str) -> DistributionSpec | None:
     return parsed["dist"]
 
 
+def _scheduler(v, where: str) -> SchedulerSpec:
+    if isinstance(v, str):
+        return SchedulerSpec.parse(v, where)
+    return _construct(SchedulerSpec, _parse_object(v, where, _SCHEDULER_KEYS), where)
+
+
 def _as_list(v, where: str) -> list:
     if not isinstance(v, list):
         raise ConfigInvalid(f"{where}: expected a list")
@@ -277,11 +301,12 @@ _FLOW_KEYS = {
     "packets": _as_int,
     "available_bands": _optional(_tuple_of(_as_int)),
 }
+_SCHEDULER_KEYS = {"kind": _as_str, "band": _optional(_as_int)}
 _SCENARIO_KEYS = {
     "name": _as_str,
     "bands": _tuple_of(_object_of(BandConfig, _BAND_KEYS)),
     "flows": _tuple_of(_object_of(FlowConfig, _FLOW_KEYS)),
-    "schedulers": _tuple_of(SchedulerSpec.parse),
+    "schedulers": _tuple_of(_scheduler),
     "stas": _as_int,
     "acs": _tuple_of(_as_int),
     "vacation_mode": _vacation,

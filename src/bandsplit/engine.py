@@ -295,7 +295,9 @@ class SimState:
                 lambda_total=fl.lambda_pps,
                 flow_index=i,
                 avail=fl.available_bands,
-                rng=_stream(seed, _DOM_SCHEDULER, i),
+                rng=_stream(seed, _DOM_SCHEDULER, i)
+                if scheduler_spec.kind == "minimum_delay"
+                else None,
             )
             arrivals = Sampler(
                 DistributionSpec(kind="exponential", mean=1.0 / fl.lambda_pps),

@@ -68,11 +68,12 @@ _Bands = list[tuple[float, float, float, float, float]]
 class LagrangeSolution:
     """Result of one solve.
 
-    ``gamma`` is the sum-constraint multiplier, ``method`` CLOSED_FORM or
-    NUMERIC.  ``lambdas`` holds the per-band rates in the order of the
-    stats solved over, each strictly between 0 and RHO_MAX * mu_j except
-    for bands at a bound of the active-set step: excluded bands are
-    exactly 0.0 and capped bands exactly RHO_MAX * mu_j.
+    ``gamma`` is the sum-constraint multiplier, ``method`` NUMERIC from
+    optimize or CLOSED_FORM from solve_closed_form.  ``lambdas`` holds
+    the per-band rates in the order of the stats solved over, each
+    strictly between 0 and RHO_MAX * mu_j except for bands at a bound of
+    the active-set step: excluded bands are exactly 0.0 and capped bands
+    exactly RHO_MAX * mu_j.
     """
 
     gamma: float
@@ -354,15 +355,8 @@ def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
 
 def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
     """Exact split via bisection on the multiplier, with active-set
-    exclusion and utilisation caps; BracketFailure or NoFeasibleBranch
-    when it cannot be found.
-
-    With one band the sum constraint pins the rate, so no search runs;
-    that result carries the heavy-traffic multiplier and CLOSED_FORM.
-    """
+    exclusion and utilisation caps, for any band count (one band gets
+    the whole rate and its marginal cost as the multiplier);
+    BracketFailure or NoFeasibleBranch when it cannot be found."""
     _validate_instance(lambda_total, stats)
-    if len(stats) == 1:
-        return LagrangeSolution(
-            gamma_approx(lambda_total, [stats[0].mu]), (float(lambda_total),), CLOSED_FORM
-        )
     return _solve_active_set(lambda_total, stats)

@@ -100,9 +100,13 @@ def read_records(path: str | Path) -> list[dict]:
 
     Both encodings go through one decoder, so each record holds the
     RECORD_FIELDS and band fractions, typed.  A malformed file raises
-    InvalidRecords naming the line and the field.
+    InvalidRecords naming the line and the field, and so does a file
+    that cannot be read as UTF-8 text.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidRecords(f"{path}: cannot read ({exc})") from exc
     if text.lstrip().startswith("{"):
         rows = []
         for n, line in enumerate(text.splitlines(), 1):
@@ -153,12 +157,16 @@ class PairedDelta:
 
 @dataclass(frozen=True)
 class ComparisonSummary:
-    baseline: str
     deltas: tuple[PairedDelta, ...]
     violations: tuple[str, ...]
 
     def render(self) -> str:
-        lines = [f"baseline: {self.baseline}"]
+        per_scenario = {d.scenario: d.baseline for d in self.deltas}
+        names = set(per_scenario.values())
+        if len(names) == 1:
+            lines = [f"baseline: {names.pop()}"]
+        else:
+            lines = ["baseline: " + ", ".join(f"{b} ({s})" for s, b in per_scenario.items())]
         header = f"{'scenario':<18} {'scheduler':<16} {'metric':<20} {'mean':>12} {'delta':>12} {'wins':>7}"
         lines.append(header)
         lines.append("-" * len(header))
@@ -196,7 +204,6 @@ def compare(records: list[dict], baseline: str | None = None) -> ComparisonSumma
 
     deltas: list[PairedDelta] = []
     violations: list[str] = []
-    chosen_baseline = None
     for scenario, by_sched in sorted(by_scenario.items()):
         if len(by_sched) < 2:
             raise MismatchedSeeds(
@@ -207,7 +214,6 @@ def compare(records: list[dict], baseline: str | None = None) -> ComparisonSumma
             base = "leaky_bucket" if "leaky_bucket" in by_sched else sorted(by_sched)[0]
         if base not in by_sched:
             raise MismatchedSeeds(f"baseline {base!r} absent from scenario {scenario!r}")
-        chosen_baseline = base
         base_runs = by_sched[base]
         base_seeds = sorted(base_runs)
         for sched, runs in sorted(by_sched.items()):
@@ -234,11 +240,7 @@ def compare(records: list[dict], baseline: str | None = None) -> ComparisonSumma
                     )
                 )
         violations.extend(_ordering_violations(scenario, by_sched))
-    return ComparisonSummary(
-        baseline=chosen_baseline or "",
-        deltas=tuple(deltas),
-        violations=tuple(violations),
-    )
+    return ComparisonSummary(deltas=tuple(deltas), violations=tuple(violations))
 
 
 def _ordering_violations(scenario: str, by_sched: dict[str, dict[int, dict]]) -> list[str]:

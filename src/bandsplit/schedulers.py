@@ -24,13 +24,14 @@ Policy names as they appear in config files:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigInvalid
+from .errors import ConfigInvalid, LengthMismatch
 from .model import BandStats
 from .optimizer import optimize
 
@@ -68,23 +69,15 @@ class SchedulerSpec:
         return f"{self.kind}:{self.band}" if self.kind == "single_band" else self.kind
 
     @staticmethod
-    def parse(obj, where: str = "scheduler") -> "SchedulerSpec":
-        if isinstance(obj, str):
-            if ":" in obj:
-                kind, _, idx = obj.partition(":")
-                if not (idx.isascii() and idx.isdigit()):
-                    raise ConfigInvalid(f"{where}: bad band index in {obj!r}")
-                return SchedulerSpec(kind=kind, band=int(idx))
-            return SchedulerSpec(kind=obj)
-        if isinstance(obj, dict):
-            for key in obj:
-                if key not in ("kind", "band"):
-                    raise ConfigInvalid(f"{where}.{key}: unknown field (known: kind, band)")
-            band = obj.get("band")
-            if band is not None and (isinstance(band, bool) or not isinstance(band, int)):
-                raise ConfigInvalid(f"{where}.band: expected an integer, got {band!r}")
-            return SchedulerSpec(kind=obj.get("kind"), band=band)
-        raise ConfigInvalid(f"{where}: expected a name or an object, got {type(obj).__name__}")
+    def parse(text: str, where: str = "scheduler") -> "SchedulerSpec":
+        """The string form of a config entry, ``kind`` or
+        ``single_band:<j>``; config.py reads the object form."""
+        kind, colon, idx = text.partition(":")
+        if not colon:
+            return SchedulerSpec(kind=kind)
+        if not (idx.isascii() and idx.isdigit()):
+            raise ConfigInvalid(f"{where}: bad band index in {text!r}")
+        return SchedulerSpec(kind=kind, band=int(idx))
 
 
 class Scheduler:
@@ -107,7 +100,7 @@ class Scheduler:
 
     def update_feedback(self, stats: Sequence[BandStats]) -> None:
         if len(stats) != len(self.stats):
-            raise ConfigInvalid("stats length does not match band count")
+            raise LengthMismatch(f"{len(stats)} band stats vs {len(self.stats)} bands")
         self.stats = list(stats)
 
 
@@ -125,21 +118,16 @@ class SingleBand(Scheduler):
 
 
 class EvenSplit(Scheduler):
+    """Round-robin: the usable bands in index order, repeated."""
+
     kind = "even_split"
 
     def __init__(self, stats, avail):
         super().__init__(stats, avail)
-        self._ptr = 0
+        self._cycle = itertools.cycle(self.avail).__next__
 
     def next_band(self) -> int:
-        # First usable band at or after the pointer, wrapping around.
-        for j in self.avail:
-            if j >= self._ptr:
-                break
-        else:
-            j = self.avail[0]
-        self._ptr = j + 1
-        return j
+        return self._cycle()
 
 
 class LoadBalancing(Scheduler):
@@ -327,7 +315,8 @@ def make_scheduler(
     rng: np.random.Generator | None = None,
 ) -> Scheduler:
     """Build the policy ``spec`` names; ``avail`` lists the usable bands
-    (None: every band)."""
+    (None: every band).  ``rng`` is the stream minimum_delay draws from,
+    required for it and unread by every other policy."""
     if spec.kind == "single_band":
         return SingleBand(stats, avail, band=spec.band)
     if spec.kind == "even_split":
@@ -338,7 +327,7 @@ def make_scheduler(
         return BandPerFlow(stats, avail, flow_index=flow_index)
     if spec.kind == "minimum_delay":
         if rng is None:
-            rng = np.random.default_rng(0)
+            raise ValueError("minimum_delay needs an rng")
         return MinimumDelay(stats, avail, lambda_total, rng)
     if spec.kind == "leaky_bucket":
         return LeakyBucket(stats, avail, lambda_total)

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from bandsplit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from bandsplit.config import ScenarioConfig
+from bandsplit.errors import ConfigInvalid
 
 MINI = {
     "name": "cli_mini",
@@ -63,6 +65,31 @@ def test_invalid_config_is_config_error(tmp_path, capsys):
     bad.write_text(json.dumps({**MINI, "flows": []}), encoding="utf-8")
     assert main(["run", str(bad), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     assert "flows" in capsys.readouterr().err
+
+
+def test_unreadable_config_is_config_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(json.dumps({**MINI, "name": "cli_m\xe9"}, ensure_ascii=False).encode("latin-1"))
+    for cfg in (latin1, tmp_path):
+        assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(cfg) in err
+
+
+def test_unreadable_records_file_is_runtime_error(tmp_path, capsys):
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(b"scenario,scheduler\ncli_m\xe9,even_split\n")
+    for records in (tmp_path / "missing.csv", latin1):
+        assert main(["compare", str(records)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("runtime error") and str(records) in err
+
+
+def test_output_in_a_missing_directory_is_io_error(tmp_path, capsys):
+    cfg = write_mini(tmp_path)
+    out = tmp_path / "nodir" / "x.csv"
+    assert main(["run", str(cfg), "--out", str(out), "--seeds", "1"]) == EXIT_RUNTIME
+    assert capsys.readouterr().err.startswith("io error")
 
 
 def test_unparseable_json_is_config_error(tmp_path):
@@ -170,6 +197,9 @@ _SLOW_FAST = [
         ({"bands": [{**MINI["bands"][0], "prop_latency_s": float("nan")}, MINI["bands"][1]]}, "bands[0].prop_latency_s"),
         ({"bands": _band0(kind="exponential", mean=float("inf"))}, "bands[0].service.mean"),
         ({"schedulers": ["even_split", "single_band:0_1"]}, "schedulers[1]"),
+        ({"schedulers": [{"band": 0}]}, "schedulers[0].kind"),
+        ({"schedulers": [{"kind": "single_band"}]}, "single_band needs a 'band' index"),
+        ({"schedulers": [7]}, "schedulers[0]"),
         # Total load is 0.11 of capacity, but the masked flows overload band 0.
         (
             {
@@ -242,6 +272,19 @@ def test_distribution_whose_moments_overflow_or_vanish_is_config_error(tmp_path,
     assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error") and path in err
+
+
+@pytest.mark.parametrize("mean", [1e-17, 1e-12])
+def test_vacations_too_short_to_run_are_config_error(tmp_path, capsys, mean):
+    # An idle band would draw 1 / (1 pps * mean) vacations per packet gap:
+    # the run would take hours, or never end once the chain stops moving.
+    cfg = {**_ONE_BAND, **_parametric(kind="deterministic", mean=mean)}
+    with pytest.raises(ConfigInvalid, match=r"vacation_mode\.dist"):
+        ScenarioConfig.from_dict(cfg)
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert "vacation_mode.dist" in capsys.readouterr().err
 
 
 _RECORD = {

@@ -10,6 +10,7 @@ from bandsplit import scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.errors import ConfigInvalid, MismatchedSeeds
+from bandsplit.metrics import METRIC_FIELDS
 from bandsplit.runner import (
     compare,
     read_records,
@@ -60,6 +61,7 @@ def test_readme_scenario_example_loads():
     example = section.split("```json\n", 1)[1].split("```", 1)[0]
     cfg = ScenarioConfig.from_json(example)
     assert cfg.name == "two_band_asym" and len(cfg.bands) == 2
+    assert [s.name for s in cfg.schedulers] == ["single_band:0", "even_split", "leaky_bucket"]
 
 
 @pytest.mark.parametrize(
@@ -179,13 +181,28 @@ def test_compare_paired_deltas_and_wins(tmp_path):
     reports = run_suite(cfg, None)
     records = [r.record() for r in reports]
     summary = compare(records, baseline="even_split")
-    assert summary.baseline == "even_split"
+    assert {d.baseline for d in summary.deltas} == {"even_split"}
     mets = {d.metric for d in summary.deltas}
     assert "mean_latency_s" in mets and "mean_reseq_delay_s" in mets
     lat = [d for d in summary.deltas if d.scheduler == "leaky_bucket" and d.metric == "mean_latency_s"]
     assert len(lat) == 1 and lat[0].seeds == 3
     text = summary.render()
     assert "baseline: even_split" in text
+
+
+def test_compare_header_names_each_scenarios_own_baseline():
+    # Default baselines: leaky_bucket where it ran, else the first name.
+    runs = {"a": ("leaky_bucket", "even_split"), "b": ("even_split", "load_balancing")}
+    records = [
+        {"scenario": scenario, "scheduler": sched, "seed": 1, **dict.fromkeys(METRIC_FIELDS, 1.0)}
+        for scenario, scheds in runs.items()
+        for sched in scheds
+    ]
+    summary = compare(records)
+    assert {(d.scenario, d.baseline) for d in summary.deltas} == {("a", "leaky_bucket"), ("b", "even_split")}
+    assert summary.render().startswith("baseline: leaky_bucket (a), even_split (b)\n")
+    shared = compare(records, baseline="even_split")
+    assert shared.render().startswith("baseline: even_split\n")
 
 
 def test_compare_duplicated_scheme_gives_zero_deltas():

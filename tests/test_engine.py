@@ -301,6 +301,24 @@ def test_run_requires_single_scheduler():
     assert run_scenario(cfg, cfg.schedulers[1], seed=1).delivered == 100
 
 
+@pytest.mark.parametrize("kind, streams", [("even_split", 3), ("minimum_delay", 4)])
+def test_only_minimum_delay_gets_a_scheduler_stream(monkeypatch, kind, streams):
+    # two_band_asym: one service stream per band and one arrival stream;
+    # minimum_delay alone draws from a scheduler stream.
+    calls = Counter()
+    stream = engine._stream
+
+    def counted(seed, domain, index):
+        calls[domain] += 1
+        return stream(seed, domain, index)
+
+    monkeypatch.setattr(engine, "_stream", counted)
+    cfg = scenarios.load("two_band_asym")
+    SimState(cfg, SchedulerSpec(kind), seed=1)
+    assert sum(calls.values()) == streams
+    assert calls[engine._DOM_SCHEDULER] == streams - 3
+
+
 def two_flow_parametric_cfg(**kw):
     return ScenarioConfig(
         name="pv2",

@@ -8,7 +8,9 @@ split.
 bit, and ``optimize`` the same split, multiplier and method, on random
 instances with M = 2..6 at light and heavy load, with radicand domain
 edges above the bracket floor and with bands that active-set exclusion
-drops.  A second test counts sum evaluations per root find.
+drops.  A second test does the same for one band, where ``optimize``
+must also return the whole rate and its marginal cost, and a third
+counts sum evaluations per root find.
 """
 
 import math
@@ -149,6 +151,28 @@ def test_replayed_bisection_is_bit_identical(monkeypatch):
             drops[sol.lambdas.count(0.0)] += 1
     assert edges >= n // 2
     assert drops[1] >= 100 and drops[2] >= 50
+
+
+def test_one_band_solve_returns_the_rate_and_its_marginal_cost():
+    # The sum constraint pins a lone band's rate to lam; the multiplier
+    # is then that band's marginal cost.  Own stream, so the instances
+    # above stay as they are.
+    rng = np.random.default_rng(11)
+    for i in range(400):
+        st = random_stats(rng)
+        if i % 4 == 0:
+            st = BandStats(mu=st.mu, x2=st.x2, vbar=1e-9, v2=1e-18)
+        lam = float(rng.uniform(0.01, 0.9989)) * st.mu
+        expected = _reference_bisect_gamma(lam, [st])
+        gamma, lams = optimizer._bisect_gamma(lam, [st])
+        assert (gamma.hex(), [x.hex() for x in lams]) == (
+            expected[0].hex(),
+            [x.hex() for x in expected[1]],
+        )
+        sol = optimize(lam, [st])
+        assert sol.lambdas == (lam,) and sol.method == optimizer.NUMERIC
+        marginal = optimizer._marginal(lam, st, lam)
+        assert abs(sol.gamma - marginal) <= 1e-6 * marginal, (lam, st)
 
 
 def _four_band_feedback_stats():

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bandsplit.errors import ConfigInvalid, Overload
+from bandsplit.errors import ConfigInvalid, LengthMismatch, Overload
 from bandsplit.model import BandStats
 from bandsplit.optimizer import optimize
 from bandsplit.schedulers import SchedulerSpec, make_scheduler
@@ -31,12 +31,12 @@ def build(kind, stats=None, lam=8.0, band=None, avail=None, flow_index=0, seed=0
 
 def test_spec_parsing_and_names():
     assert SchedulerSpec.parse("leaky_bucket").name == "leaky_bucket"
-    assert SchedulerSpec.parse({"kind": "single_band", "band": 1}).name == "single_band:1"
+    assert SchedulerSpec(kind="single_band", band=1).name == "single_band:1"
     assert SchedulerSpec.parse("single_band:0").band == 0
     with pytest.raises(ConfigInvalid):
         SchedulerSpec.parse("round_robin")
     with pytest.raises(ConfigInvalid):
-        SchedulerSpec.parse({"kind": "single_band"})
+        SchedulerSpec.parse("single_band")
 
 
 def test_leaky_token_trace_half_quarter():
@@ -107,7 +107,10 @@ def test_even_split_mask_rotation():
     assert {sched.next_band() for _ in range(10)} == {0}
     sched = build("even_split", avail=(0, 1))
     picks = [sched.next_band() for _ in range(4)]
-    assert sorted(set(picks)) == [0, 1]
+    assert picks == [0, 1, 0, 1]
+    three = [*TWO_EQUAL, TWO_EQUAL[0]]
+    sched = build("even_split", stats=three, avail=(2, 0))
+    assert [sched.next_band() for _ in range(5)] == [0, 2, 0, 2, 0]
 
 
 def test_load_balancing_tracks_rate_ratio():
@@ -133,6 +136,11 @@ def test_minimum_delay_reproducible_and_on_target():
     target = a.lambda_star[0] / 12.0
     frac = seq_a.count(0) / len(seq_a)
     assert abs(frac - target) <= 0.03
+
+
+def test_minimum_delay_needs_an_rng():
+    with pytest.raises(ValueError, match="rng"):
+        make_scheduler(SchedulerSpec("minimum_delay"), stats=TWO_EQUAL, lambda_total=8.0)
 
 
 def test_every_policy_degenerates_on_one_band():
@@ -205,6 +213,12 @@ def test_feedback_failure_keeps_previous_split():
             sched.update_feedback(shrunk)  # 12 >= 0.999 * 10
         assert sched.increments == keep_r
         assert sched.lambda_star == keep_l
+
+
+def test_feedback_for_another_band_count_is_a_length_mismatch():
+    sched = build("load_balancing")
+    with pytest.raises(LengthMismatch):
+        sched.update_feedback(TWO_EQUAL[:1])
 
 
 def test_availability_change_resolves_over_subset():
