@@ -197,9 +197,6 @@ _SLOW_FAST = [
         ({"bands": [{**MINI["bands"][0], "prop_latency_s": float("nan")}, MINI["bands"][1]]}, "bands[0].prop_latency_s"),
         ({"bands": _band0(kind="exponential", mean=float("inf"))}, "bands[0].service.mean"),
         ({"schedulers": ["even_split", "single_band:0_1"]}, "schedulers[1]"),
-        ({"schedulers": [{"band": 0}]}, "schedulers[0].kind"),
-        ({"schedulers": [{"kind": "single_band"}]}, "single_band needs a 'band' index"),
-        ({"schedulers": [7]}, "schedulers[0]"),
         # Total load is 0.11 of capacity, but the masked flows overload band 0.
         (
             {
@@ -231,6 +228,9 @@ _SLOW_FAST = [
             },
             "flows[1].available_bands",
         ),
+        ({"schedulers": [{"band": 0}]}, "schedulers[0].kind"),
+        ({"schedulers": [{"kind": "single_band"}]}, "single_band needs a 'band' index"),
+        ({"schedulers": [7]}, "schedulers[0]"),
     ],
 )
 def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path):
