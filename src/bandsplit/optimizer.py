@@ -13,10 +13,8 @@ whose only root below mu_j is
 (the other root exceeds mu_j and is never feasible).
 
 * optimize: the exact split.  gamma is the root of sum(lam_j(gamma)) - lam,
-  which is monotone in gamma.  Safeguarded Newton steps locate the root,
-  and the result is pinned to the endpoint of a fixed bisection path:
-  the Newton points decide most of its midpoints without evaluating
-  them, so the returned bits do not depend on the Newton iterates.
+  which is monotone in gamma.  Newton steps in a transform of gamma in
+  which the sum is convex fall onto the root from above (_root_gamma).
   Both bounds on a rate are active constraints: bands driven
   non-positive are excluded and the reduced system re-solved, and bands
   driven to the utilisation cap are pinned there and the others
@@ -39,25 +37,13 @@ from .model import RHO_MAX, BandStats
 CLOSED_FORM = "closed_form_approx"
 NUMERIC = "numeric_gamma"
 
-# _GAMMA_BRACKET and _TOLERANCE define the bisection path whose endpoint
-# _bisect_gamma returns, not the work it does: the Newton phase decides
-# most midpoints of that path without evaluating them.
-_GAMMA_BRACKET = (1e-12, 1.0)
-_TOLERANCE = 1e-12
-# A Newton point decides bisection midpoints only when its rounded sum
-# clears lam by this relative margin, about 4 ulps of lam.  The replay is
-# exact without it, as the rounded sum is monotone in gamma (see
-# _bisect_gamma); the margin keeps a decision from resting on the last
-# ulps of one comparison, and costs about one evaluation per root only
-# at utilisations above 0.99.
-_TRUST_RTOL = 1e-15
-# Cap on Newton steps per root; the bisection replay returns the exact
-# result however many ran.
+# Cap on Newton steps per root.  The stop rule of _root_gamma ends a root
+# find long before it: the tests bound one at 15 sum evaluations.
 _MAX_NEWTON = 50
-# Slack of the KKT sign checks on bound bands, times max(gamma, 1): the
-# bisection leaves gamma within _TOLERANCE * max(gamma, 1) of the root,
-# and near the cap the marginal cost moves 2 / (1 - RHO_MAX) = 2000
-# times faster than a rate, which magnifies its rounding.
+# Slack of the KKT sign checks on bound bands, times max(gamma, 1).  The
+# root leaves gamma within a few ulps of the sum's crossing, but near the
+# cap the marginal cost moves 2 / (1 - RHO_MAX) = 2000 times faster than
+# a rate, which magnifies the rates' rounding.
 _KKT_SLACK = 1e-8
 
 # Per-band constants (mu, vbar, a, q, c) of lam_j(gamma); see _band_terms.
@@ -179,118 +165,47 @@ def _sum_minus_branch(
     return total, slope
 
 
-def _locate(
-    lambda_total: float, bands: _Bands, gamma: float, s: float, slope: float
-) -> tuple[float, float]:
-    """Verified bracket (below, above) of the root, about one bisection
-    tolerance wide, found by safeguarded Newton from (gamma, s, slope), a
-    point whose sum s is >= lam.
-
-    ``below``'s rounded sum is < lam - margin (or undefined) and
-    ``above``'s is >= lam + margin.  The starting point is kept as
-    ``above`` whatever its margin: it is the top of the bisection path,
-    so it decides no midpoint.  Newton runs in tau = (gamma - e)^(-1/2),
-    where e >= 0 is the domain edge max_j(-A_j / B_j) of the radicands
-    D_j = A_j + B_j * gamma, B_j = 2 * lam * mu_j * vbar_j (at e = 0, tau
-    is t = gamma^(-1/2)).  Each rate is then
-    mu_j - q_j * tau / sqrt(A'_j * tau^2 + B_j) with A'_j = D_j(e) >= 0,
-    so the sum is convex and decreasing in tau, and Newton from above the
-    root approaches it from above without overshooting.  A target outside
-    the bracket is replaced by the bracket's geometric mean.  Each target
-    is nudged above Newton's root by a quarter tolerance, or by the gamma
-    step that moves the sum two margins if that is larger; once a step is
-    that small, the target is nudged below instead, so the two closest
-    points straddle the root.  A point within the margin doubles the
-    nudge.
-    """
-    margin = _TRUST_RTOL * lambda_total
-    two_lam = 2.0 * lambda_total
-    edge = 0.0
-    for mu, vbar, a, _, _ in bands:
-        edge = max(edge, (2.0 * vbar - a) / (two_lam * mu * vbar))
-    floor = max(edge, _GAMMA_BRACKET[0])
-    quarter_tol = 0.25 * _TOLERANCE
-    below, above = 0.0, gamma
-    widen = 1.0
-    nudge = 0.0
-    for _ in range(_MAX_NEWTON):
-        if s is None or s < lambda_total - margin:
-            below = gamma
-        elif s >= lambda_total + margin:
-            above = gamma
-        else:
-            widen *= 2.0
-        if slope > 0.0:
-            # max() spelled out: these loops run on every root find.
-            step = quarter_tol * (1.0 if gamma < 1.0 else gamma)
-            push = 2.0 * margin / slope
-            nudge = widen * (push if push > step else step)
-        if above - below <= 4.0 * nudge:
-            break
-        lo = below if below > floor else floor
-        target = math.inf
-        if slope > 0.0:
-            # Newton in tau: tau' = tau + (s - lam) / (2 u^(3/2) slope), u = gamma - e.
-            u = gamma - edge
-            tau = 1.0 / math.sqrt(u) + (s - lambda_total) / (2.0 * u * math.sqrt(u) * slope)
-            if tau > 0.0:
-                root = edge + 1.0 / (tau * tau)
-                if s >= lambda_total and gamma - root <= 2.0 * nudge:
-                    target = root - nudge
-                else:
-                    target = root + nudge
-        gamma = target if lo < target < above else math.sqrt(lo * above)
-        s, slope = _sum_minus_branch(gamma, bands, lambda_total)
-    return below, above
-
-
-def _bisect_gamma(
+def _root_gamma(
     lambda_total: float, stats: Sequence[BandStats]
 ) -> tuple[float, list[float]]:
-    """Root of sum(lam_j(gamma)) = lam.
+    """Root of sum(lam_j(gamma)) = lam, and the rates there.
 
-    lam_j(gamma) is increasing in gamma wherever its radicand is
-    positive, so the sum crosses lam exactly once between the radicand
-    domain edge and large gamma.  The result is the endpoint of a fixed
-    bisection path from (_GAMMA_BRACKET[0], H), with H the first doubling
-    of the bracket top whose sum reaches lam.  Newton locates the root
-    (_locate) and the path pins the result.  The rounded sum is itself
-    monotone in gamma: each operation on a gamma-dependent value in it is
-    a correctly rounded +, -, sqrt, or * or / with a positive constant,
-    and each of those is monotone in that value.  So a point whose
-    rounded sum is verified below lam decides every midpoint under it,
-    and one verified at or above lam every midpoint over it, without
-    evaluating them; only midpoints between the two are evaluated.  The
-    returned gamma and rates are those of the plain bisection, bit for
-    bit.
+    The start doubles from max(2 * gamma_approx, 1) until the sum reaches
+    lam.  From there plain Newton steps run in tau = (gamma - e)^(-1/2),
+    where e = max_j(-A_j / B_j) is the domain edge of the radicands
+    D_j = A_j + B_j * gamma, B_j = 2 * lam * mu_j * vbar_j.  Each rate is
+    then mu_j - q_j * tau / sqrt(A'_j * tau^2 + B_j) with A'_j = D_j(e) >= 0,
+    so the sum is convex and decreasing in tau, and Newton from above the
+    root falls onto it monotonically without overshooting (one band's
+    rate is linear in tau, so one step lands, up to rounding).  The loop stops at the
+    first iterate whose rounded sum is below lam, or at the first step
+    that does not lower gamma: either is the root to the last ulps of
+    the sum.
     """
     bands = _band_terms(stats, lambda_total)
-    lo = _GAMMA_BRACKET[0]
-    hi = max(gamma_approx(lambda_total, [st.mu for st in stats]) * 2.0, _GAMMA_BRACKET[1])
+    gamma = max(gamma_approx(lambda_total, [st.mu for st in stats]) * 2.0, 1.0)
     for _ in range(60):
-        s, slope = _sum_minus_branch(hi, bands, lambda_total)
+        s, slope = _sum_minus_branch(gamma, bands, lambda_total)
         if s is not None and s >= lambda_total:
             break
-        hi *= 2.0
+        gamma *= 2.0
     else:
-        raise BracketFailure(f"no sign change up to gamma={hi}")
-    below, above = _locate(lambda_total, bands, hi, s, slope)
-    tol = _TOLERANCE
-    for _ in range(500):
-        if hi - lo <= tol * (1.0 if hi < 1.0 else hi):
+        raise BracketFailure(f"no sign change up to gamma={gamma}")
+    edge = max((2.0 * vbar - a) / (2.0 * lambda_total * mu * vbar) for mu, vbar, a, _, _ in bands)
+    for _ in range(_MAX_NEWTON):
+        # tau' = tau + (s - lam) / (2 u^(3/2) slope), u = gamma - e.
+        u = gamma - edge
+        tau = 1.0 / math.sqrt(u) + (s - lambda_total) / (2.0 * u * math.sqrt(u) * slope)
+        step = edge + 1.0 / (tau * tau)
+        if not step < gamma:
             break
-        mid = 0.5 * (lo + hi)
-        if mid <= below:
-            lo = mid
-        elif mid >= above:
-            hi = mid
-        else:
-            s, _ = _sum_minus_branch(mid, bands, lambda_total)
-            if s is None or s < lambda_total:
-                lo = mid
-            else:
-                hi = mid
-    return hi, lambda_star_given_gamma(hi, stats, lambda_total)
+        gamma = step
+        s, slope = _sum_minus_branch(gamma, bands, lambda_total)
+        if s is None or s < lambda_total:
+            break
+    else:
+        raise BracketFailure(f"no root after {_MAX_NEWTON} Newton steps, at gamma={gamma}")
+    return gamma, lambda_star_given_gamma(gamma, stats, lambda_total)
 
 
 def _marginal(x: float, st: BandStats, lambda_total: float) -> float:
@@ -320,18 +235,19 @@ def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
     active = list(range(m))
     while True:
         sub = [stats[j] for j in active]
-        gamma, lams = _bisect_gamma(rem, sub)
+        gamma, lams = _root_gamma(rem, sub)
         drops = [j for j, lam in zip(active, lams) if lam <= 0.0]
         if drops:
             active = [j for j in active if j not in drops]
             if not active:
                 raise NoFeasibleBranch("active-set exclusion emptied the band set")
             continue
-        # Kill the bisection residual so the sum constraint holds exactly.
-        scale = rem / sum(lams)
+        # Rescale onto the sum constraint, which the root meets only to
+        # its last ulps; a lone band's rate is then exactly rem.
+        total = sum(lams)
         full = [0.0] * m
         for j, lam in zip(active, lams):
-            full[j] = lam * scale
+            full[j] = lam / total * rem
         pins = [j for j in active if full[j] >= caps[j]]
         if not pins:
             break
@@ -354,9 +270,9 @@ def _solve_active_set(lambda_total: float, stats: Sequence[BandStats]) -> Lagran
 
 
 def optimize(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
-    """Exact split via bisection on the multiplier, with active-set
-    exclusion and utilisation caps, for any band count (one band gets
-    the whole rate and its marginal cost as the multiplier);
+    """Exact split via a Newton root find for the multiplier, with
+    active-set exclusion and utilisation caps, for any band count (one
+    band gets the whole rate and its marginal cost as the multiplier);
     BracketFailure or NoFeasibleBranch when it cannot be found."""
     _validate_instance(lambda_total, stats)
     return _solve_active_set(lambda_total, stats)

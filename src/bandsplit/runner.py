@@ -46,6 +46,9 @@ def run_suite(
         raise ConfigInvalid(f"seeds: must be >= 1, got {reps}")
     if jobs < 1:
         raise ConfigInvalid(f"jobs: must be >= 1, got {jobs}")
+    # An output that cannot be written fails before the runs, not after them.
+    if out_path is not None and not Path(out_path).parent.is_dir():
+        raise FileNotFoundError(f"{out_path}: its directory does not exist")
     tasks = [
         (config, spec, config.seed_base + r)
         for spec in config.schedulers

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from bandsplit import runner
 from bandsplit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from bandsplit.config import ScenarioConfig
 from bandsplit.errors import ConfigInvalid
@@ -85,11 +86,14 @@ def test_unreadable_records_file_is_runtime_error(tmp_path, capsys):
         assert err.startswith("runtime error") and str(records) in err
 
 
-def test_output_in_a_missing_directory_is_io_error(tmp_path, capsys):
+def test_output_in_a_missing_directory_is_io_error(tmp_path, capsys, monkeypatch):
+    # The output's directory is checked before any run starts.
+    runs = []
+    monkeypatch.setattr(runner, "run_scenario", lambda *args: runs.append(args))
     cfg = write_mini(tmp_path)
     out = tmp_path / "nodir" / "x.csv"
     assert main(["run", str(cfg), "--out", str(out), "--seeds", "1"]) == EXIT_RUNTIME
-    assert capsys.readouterr().err.startswith("io error")
+    assert capsys.readouterr().err.startswith("io error") and runs == []
 
 
 def test_unparseable_json_is_config_error(tmp_path):

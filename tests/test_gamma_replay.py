@@ -1,35 +1,32 @@
-"""The multiplier search against the plain bisection it replays.
+"""The multiplier's root find against the plain bisection it replaced.
 
 ``_reference_bisect_gamma`` is the gamma bisection the optimizer ran
-before Newton steps located the root, kept verbatim (with the sum it
-evaluated) as a test-side oracle, as grid_oracle.solve_grid is for the
-split.
-``optimizer._bisect_gamma`` must return its multiplier and rates bit for
-bit, and ``optimize`` the same split, multiplier and method, on random
-instances with M = 2..6 at light and heavy load, with radicand domain
-edges above the bracket floor and with bands that active-set exclusion
-drops.  A second test does the same for one band, where ``optimize``
-must also return the whole rate and its marginal cost, and a third
-counts sum evaluations per root find.
+before Newton steps found the root, kept verbatim (with the sum it
+evaluated and its bracket and tolerance) as a test-side oracle, as
+grid_oracle.solve_grid is for the split.  On random instances with
+M = 2..6 at light and heavy load, with radicand domain edges above the
+old bracket floor, with bands that active-set exclusion drops and with
+small multipliers, ``optimize`` must meet the KKT conditions to 1e-9
+relative, and must exclude and cap the same bands, or raise the same
+error, as it does with the oracle in place of ``_root_gamma``.  A second
+test checks one-band solves, and a third counts sum evaluations per
+root find.
 """
 
 import math
 from typing import Sequence
 
 import numpy as np
-import pytest
 
 import bandsplit.optimizer as optimizer
 from bandsplit.errors import BracketFailure, OptimizerError
-from bandsplit.model import BandStats
-from bandsplit.optimizer import (
-    _GAMMA_BRACKET,
-    _TOLERANCE,
-    gamma_approx,
-    lambda_star_given_gamma,
-    optimize,
-)
-from conftest import random_stats
+from bandsplit.model import RHO_MAX, BandStats
+from bandsplit.optimizer import gamma_approx, lambda_star_given_gamma, optimize
+from conftest import random_instance, random_stats
+from test_optimizer import _assert_kkt
+
+_GAMMA_BRACKET = (1e-12, 1.0)
+_TOLERANCE = 1e-12
 
 
 def _radicand(gamma: float, st: BandStats, lambda_total: float) -> float:
@@ -111,6 +108,22 @@ def _instances(n, seed):
         yield float(rng.uniform(*load)) * sum(st.mu for st in stats), stats
 
 
+def _small_gamma_instances(n, seed):
+    """n instances cycling M = 2..6 with mu log-uniform in 1-1,000 pps,
+    vbar log-uniform in 1e-6-1 s and load 0.5-0.9989: fast bands and
+    short vacations put gamma far below 1."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        stats = []
+        for _ in range(2 + i % 5):
+            mu = float(np.exp(rng.uniform(0.0, math.log(1e3))))
+            vbar = float(np.exp(rng.uniform(math.log(1e-6), 0.0)))
+            shape = float(rng.uniform(1.0, 3.0))
+            v2 = float(rng.uniform(1.0, 2.5)) * vbar**2
+            stats.append(BandStats(mu=mu, x2=shape / mu**2, vbar=vbar, v2=v2))
+        yield float(rng.uniform(0.5, 0.9989)) * sum(st.mu for st in stats), stats
+
+
 def _domain_edge(lambda_total, stats):
     # max_j(-A_j / B_j) for D_j(gamma) = A_j + B_j * gamma.
     return max(
@@ -127,52 +140,64 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def _solution_bits(sol):
-    """gamma, rates and method; floats as float.hex, so that == compares
-    bits."""
+def _active_set(sol, stats):
+    """The excluded and the capped bands of a solution, or its error type."""
     if isinstance(sol, type):
         return sol
-    return (sol.gamma.hex(), [x.hex() for x in sol.lambdas], sol.method)
+    excluded = [j for j, x in enumerate(sol.lambdas) if x == 0.0]
+    capped = [j for j, (x, st) in enumerate(zip(sol.lambdas, stats)) if x == RHO_MAX * st.mu]
+    return excluded, capped
 
 
-def test_replayed_bisection_is_bit_identical(monkeypatch):
-    edges = 0
-    drops = {1: 0, 2: 0}
-    n = 2400
-    for lam, stats in _instances(n, seed=7):
-        expected = _outcome(_reference_bisect_gamma, lam, stats)
-        assert _outcome(optimizer._bisect_gamma, lam, stats) == expected
+def _check_against_reference(instances, monkeypatch):
+    """KKT on every solution, and the oracle's active set or error type
+    on every instance; returns the solutions (error types included)."""
+    sols = []
+    for lam, stats in instances:
         sol = _outcome(optimize, lam, stats)
         with monkeypatch.context() as mp:
-            mp.setattr(optimizer, "_bisect_gamma", _reference_bisect_gamma)
-            assert _solution_bits(sol) == _solution_bits(_outcome(optimize, lam, stats))
-        edges += _domain_edge(lam, stats) > _GAMMA_BRACKET[0]
+            mp.setattr(optimizer, "_root_gamma", _reference_bisect_gamma)
+            expected = _active_set(_outcome(optimize, lam, stats), stats)
+        assert _active_set(sol, stats) == expected, (lam, stats)
+        if not isinstance(sol, type):
+            _assert_kkt(sol, stats, lam)
+        sols.append(sol)
+    return sols
+
+
+def test_root_find_meets_kkt_and_matches_the_reference_active_set(monkeypatch):
+    n = 2400
+    instances = list(_instances(n, seed=7))
+    sols = _check_against_reference(instances, monkeypatch)
+    edges = sum(_domain_edge(lam, stats) > _GAMMA_BRACKET[0] for lam, stats in instances)
+    drops = {1: 0, 2: 0}
+    for sol in sols:
         if not isinstance(sol, type) and sol.lambdas.count(0.0) in drops:
             drops[sol.lambdas.count(0.0)] += 1
     assert edges >= n // 2
     assert drops[1] >= 100 and drops[2] >= 50
 
 
+def test_small_gamma_roots_meet_kkt(monkeypatch):
+    # The reference bisection's stop is absolute below gamma = 1, so there
+    # its free bands' marginal costs missed gamma by up to 5.2e-6 here.
+    sols = _check_against_reference(_small_gamma_instances(3000, seed=3), monkeypatch)
+    assert sum(not isinstance(sol, type) and sol.gamma < 1e-2 for sol in sols) >= 1000
+
+
 def test_one_band_solve_returns_the_rate_and_its_marginal_cost():
     # The sum constraint pins a lone band's rate to lam; the multiplier
-    # is then that band's marginal cost.  Own stream, so the instances
-    # above stay as they are.
+    # is then that band's marginal cost.
     rng = np.random.default_rng(11)
     for i in range(400):
         st = random_stats(rng)
         if i % 4 == 0:
             st = BandStats(mu=st.mu, x2=st.x2, vbar=1e-9, v2=1e-18)
         lam = float(rng.uniform(0.01, 0.9989)) * st.mu
-        expected = _reference_bisect_gamma(lam, [st])
-        gamma, lams = optimizer._bisect_gamma(lam, [st])
-        assert (gamma.hex(), [x.hex() for x in lams]) == (
-            expected[0].hex(),
-            [x.hex() for x in expected[1]],
-        )
         sol = optimize(lam, [st])
         assert sol.lambdas == (lam,) and sol.method == optimizer.NUMERIC
         marginal = optimizer._marginal(lam, st, lam)
-        assert abs(sol.gamma - marginal) <= 1e-6 * marginal, (lam, st)
+        assert abs(sol.gamma - marginal) <= 1e-12 * marginal, (lam, st)
 
 
 def _four_band_feedback_stats():
@@ -191,18 +216,31 @@ def _four_band_feedback_stats():
 def test_root_find_costs_at_most_15_sum_evaluations(monkeypatch):
     # Counts, not times, so host load cannot move the result.  At the
     # flow's 40 pps the active set drops band 3 and solves twice; the
-    # plain bisection spends 42-43 evaluations per root here.
-    counts = {"sums": 0, "roots": 0}
+    # plain bisection spends 42-43 evaluations per root here.  Near
+    # capacity the sum is steep in gamma, and a stop rule that lets two
+    # iterates one ulp of the sum apart swap would run to the step cap.
+    sum_minus_branch, root_gamma = optimizer._sum_minus_branch, optimizer._root_gamma
+    sums = 0
+    per_root = []
 
-    def counted(fn, key):
-        def wrapper(*args):
-            counts[key] += 1
-            return fn(*args)
+    def counted_sum(*args):
+        nonlocal sums
+        sums += 1
+        return sum_minus_branch(*args)
 
-        return wrapper
+    def counted_root(*args):
+        before = sums
+        out = root_gamma(*args)
+        per_root.append(sums - before)
+        return out
 
-    for name, key in (("_sum_minus_branch", "sums"), ("_bisect_gamma", "roots")):
-        monkeypatch.setattr(optimizer, name, counted(getattr(optimizer, name), key))
+    monkeypatch.setattr(optimizer, "_sum_minus_branch", counted_sum)
+    monkeypatch.setattr(optimizer, "_root_gamma", counted_root)
     sol = optimize(40.0, _four_band_feedback_stats())
-    assert sol.lambdas[3] == 0.0 and counts["roots"] == 2
-    assert counts["sums"] <= 15 * counts["roots"], counts
+    assert sol.lambdas[3] == 0.0 and len(per_root) == 2
+    assert max(per_root) <= 15, per_root
+    rng = np.random.default_rng(99)
+    for i in range(3000):
+        lam, stats = random_instance(rng, 2 + i % 5, load=(0.99, 0.9989))
+        _assert_kkt(optimize(lam, stats), stats, lam)
+    assert max(per_root) <= 15, max(per_root)
