@@ -26,7 +26,6 @@ from .errors import (
     LengthMismatch,
     MismatchedSeeds,
     NoFeasibleBranch,
-    NoMeasuredPackets,
     OptimizerError,
     Overload,
     OverloadDetected,

@@ -81,8 +81,6 @@ class ScenarioConfig:
     warmup_frac: float = 0.1
     seed_base: int = 1
     replications: int = 1
-    queue_cap: int = 1_000_000
-    max_sim_time_s: float | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -103,8 +101,8 @@ class ScenarioConfig:
             if not 0 <= ac < 4:
                 raise ConfigInvalid(f"acs: access category {ac} outside 0..3")
         for i, band in enumerate(self.bands):
-            if band.prop_latency_s < 0:
-                raise ConfigInvalid(f"bands[{i}].prop_latency_s: must be >= 0")
+            if not 0 <= band.prop_latency_s < math.inf:
+                raise ConfigInvalid(f"bands[{i}].prop_latency_s: must be finite and >= 0")
         seen_keys = set()
         for i, fl in enumerate(self.flows):
             where = f"flows[{i}]"
@@ -146,10 +144,6 @@ class ScenarioConfig:
             raise ConfigInvalid("seed_base: must be >= 0")
         if self.replications < 1:
             raise ConfigInvalid("replications: must be >= 1")
-        if self.queue_cap < 1:
-            raise ConfigInvalid("queue_cap: must be >= 1")
-        if self.max_sim_time_s is not None and not self.max_sim_time_s > 0:
-            raise ConfigInvalid("max_sim_time_s: must be > 0 when set")
         if self.vacation is not None:
             vbar = self.vacation.moments()[0]
             per_gap = 1.0 / (min(fl.lambda_pps for fl in self.flows) * vbar)
@@ -314,6 +308,4 @@ _SCENARIO_KEYS = {
     "warmup_frac": _as_float,
     "seed_base": _as_int,
     "replications": _as_int,
-    "queue_cap": _as_int,
-    "max_sim_time_s": _optional(_as_float),
 }

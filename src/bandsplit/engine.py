@@ -39,8 +39,11 @@ Per-packet work is kept to what each packet needs:
 - Each count is kept once.  A flow's generated packets are its next
   sequence number, its delivered packets its reorder buffer's next
   sequence number, and its measured packets the latencies it recorded;
-  a band is serving exactly when ``current`` holds a packet.  The
-  conservation check at the end compares these independent sources.
+  a band is serving exactly when ``current`` holds a packet.  Every run
+  delivers each flow's whole budget, and the check at the end asks each
+  source for that: every flow generated and released its budget, and no
+  packet is left in the event heap (in flight), a queue, a server or a
+  reorder buffer.
 - A feedback round rebuilds the stats of a band only when the flow's
   tap on it took a sample since the last round.  Every other band keeps
   the stats the scheduler holds, which are what its unchanged windows
@@ -86,7 +89,6 @@ from .errors import (
     ConfigInvalid,
     ConservationViolated,
     InsufficientSamples,
-    NoMeasuredPackets,
     OptimizerError,
     OverloadDetected,
 )
@@ -108,6 +110,9 @@ _DOM_ARRIVAL = 0
 _DOM_SERVICE = 1
 _DOM_VACATION = 2
 _DOM_SCHEDULER = 3
+
+# A band queue longer than this aborts the run with OverloadDetected.
+QUEUE_CAP = 1_000_000
 
 
 class Packet:
@@ -316,10 +321,8 @@ class SimState:
             )
             self.flows.append(fr)
 
-        self.total_target = sum(fl.packets for fl in config.flows)
         self.total_released = 0
-        self.in_transit = 0
-        self.stopped_at_time_limit = False
+        self.heap: list = []
 
     # -- calls the run loop makes ---------------------------------------
 
@@ -390,21 +393,17 @@ class SimState:
         # patched engine.heappush sees every push.
         push = heappush
         pop = heappop
-        heap: list = []
+        heap = self.heap
         tick = count(1).__next__  # the insertion counter of the tie order
         new = object.__new__
         config = self.config
         servers = self.servers
         flows = self.flows
         num_stas = config.stas
-        queue_cap = config.queue_cap
         interval = config.feedback_interval_pkts
-        target = self.total_target
+        target = sum(fr.packets for fr in flows)
         receive = self._receive
         feedback = self._feedback
-        limit = config.max_sim_time_s
-        if limit is None:
-            limit = math.inf
         for fr in flows:
             push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index, None))
         for srv in servers:
@@ -412,14 +411,10 @@ class SimState:
                 dur = srv.draw_vacation()
                 srv.vac_dur = dur
                 srv.vac_end = dur
-        in_transit = 0
         while heap:
             # j is the band of a departure or vacation end, the flow of
             # an arrival or receipt.
             t, kind, _, j, payload = pop(heap)
-            if t > limit:
-                self.stopped_at_time_limit = True
-                break
             if kind == _EV_DEPART:
                 srv = servers[j]
                 pkt = srv.current
@@ -444,7 +439,6 @@ class SimState:
                 if srv.prop_latency == 0.0:
                     receive(fr, pkt, t)
                 else:
-                    in_transit += 1
                     push(heap, (t + srv.prop_latency, _EV_RECEIVE, tick(), pkt.flow_idx, pkt))
                 if not srv.qlen:
                     # Idle.  The last release ends the run here, before a
@@ -459,7 +453,6 @@ class SimState:
                     continue
                 # else: start the next queued packet, below.
             elif kind == _EV_RECEIVE:
-                in_transit -= 1
                 receive(flows[j], payload, t)
                 if self.total_released >= target:
                     break
@@ -496,8 +489,8 @@ class SimState:
                     q.append(pkt)
                 qlen = srv.qlen + 1
                 srv.qlen = qlen
-                if qlen > queue_cap:
-                    raise OverloadDetected(f"band {band} queue exceeded cap {queue_cap} at t={t:.6f}")
+                if qlen > QUEUE_CAP:
+                    raise OverloadDetected(f"band {band} queue exceeded cap {QUEUE_CAP} at t={t:.6f}")
                 if srv.current is not None:
                     continue
                 draw_vacation = srv.draw_vacation
@@ -533,47 +526,44 @@ class SimState:
             srv.current = pkt
             srv.current_dur = dur
             push(heap, (t + dur, _EV_DEPART, tick(), j, None))
-        self.in_transit = in_transit
         return self._report()
 
     # -- accounting ----------------------------------------------------
 
     def _report(self) -> MetricsReport:
-        generated = sum(fr.next_seq for fr in self.flows)
-        delivered = sum(fr.reorder.next_seq for fr in self.flows)
+        # The complete-run invariant, checked before any metric is read.
+        flows = self.flows
+        for fr in flows:
+            if not fr.next_seq == fr.reorder.next_seq == fr.packets:
+                raise ConservationViolated(
+                    f"flow {fr.index}: generated {fr.next_seq} and released "
+                    f"{fr.reorder.next_seq} of {fr.packets} packets"
+                )
         queued = sum(srv.qlen + (srv.current is not None) for srv in self.servers)
-        in_flight = self.in_transit + sum(len(fr.reorder) for fr in self.flows)
-        held = queued + in_flight
-        if generated != delivered + held:
+        held = sum(len(fr.reorder) for fr in flows)
+        if queued or held or self.heap:
             raise ConservationViolated(
-                f"generated {generated} != delivered {delivered} + held {held}"
+                f"run ended with {queued} packets queued or in service, {held} held "
+                f"for resequencing and {len(self.heap)} events in the heap"
             )
 
-        lat_all = np.concatenate([np.frombuffer(fr.lat, dtype=float) for fr in self.flows])
+        lat_all = np.concatenate([np.frombuffer(fr.lat, dtype=float) for fr in flows])
         measured = int(lat_all.size)
-        if not measured:
-            raise NoMeasuredPackets(
-                f"run measured no packet: {delivered} of {self.total_target} delivered, "
-                "none past warm-up"
-            )
         mean_lat = float(lat_all.mean())
         p95 = float(np.percentile(lat_all, 95))
-        reseq_sum = sum(fr.reseq_sum for fr in self.flows)
-        reseq_max = max((fr.reseq_max for fr in self.flows), default=0.0)
-        ooo = sum(fr.ooo_count for fr in self.flows)
-        band_counts = zip(*(fr.band_counts for fr in self.flows))
+        reseq_sum = sum(fr.reseq_sum for fr in flows)
+        reseq_max = max(fr.reseq_max for fr in flows)
+        ooo = sum(fr.ooo_count for fr in flows)
+        band_counts = zip(*(fr.band_counts for fr in flows))
         frac = tuple(sum(counts) / measured for counts in band_counts)
-        min_created = min((fr.min_created for fr in self.flows), default=math.inf)
-        max_released = max((fr.max_released for fr in self.flows), default=-math.inf)
-        span = max_released - min_created
+        span = max(fr.max_released for fr in flows) - min(fr.min_created for fr in flows)
         goodput = measured / span if span > 0 else 0.0
-        wait_sum = sum(fr.wait_sum for fr in self.flows)
+        wait_sum = sum(fr.wait_sum for fr in flows)
         return MetricsReport(
             scenario=self.config.name,
             scheduler=self.scheduler_spec.name,
             seed=self.seed,
-            generated=generated,
-            delivered=delivered,
+            delivered=self.total_released,
             measured=measured,
             goodput_pps=goodput,
             mean_latency_s=mean_lat,
@@ -583,8 +573,6 @@ class SimState:
             out_of_order_frac=ooo / measured,
             per_band_frac=frac,
             mean_wait_s=wait_sum / measured,
-            queued_at_end=queued,
-            in_flight_at_end=in_flight,
         )
 
 

@@ -53,16 +53,13 @@ class ConfigInvalid(BandsplitError):
 
 
 class ConservationViolated(BandsplitError):
-    """Packet accounting does not balance at the end of a run (an engine bug)."""
-
-
-class NoMeasuredPackets(BandsplitError):
-    """A run ended (at its time cap) before any packet past warm-up was
-    delivered, so it has no record to report."""
+    """A run ended short of some flow's packet budget, or with a packet
+    left in the event heap, a queue, a server or a reorder buffer (an
+    engine bug)."""
 
 
 class OverloadDetected(BandsplitError):
-    """A simulated queue exceeded its configured occupancy cap."""
+    """A band queue exceeded the engine's occupancy cap (``QUEUE_CAP``)."""
 
 
 class InvalidRecords(BandsplitError):

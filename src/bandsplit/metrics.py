@@ -6,8 +6,9 @@ band_frac_<j> per band.  Writing (MetricsReport.record, whose keys are
 the CSV header), reading (runner.read_records) and comparing
 (runner.compare) all derive from it.
 
-Extra diagnostic fields (generated and measured counts, mean wait,
-packets left queued or in flight) live on the report object only.
+Every run delivers its whole packet budget, so a report is always of a
+complete run.  Two diagnostic fields, the measured count and the mean
+wait, live on the report object only.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ class MetricsReport:
     scenario: str
     scheduler: str
     seed: int
-    generated: int
     delivered: int
     measured: int
     goodput_pps: float
@@ -48,8 +48,6 @@ class MetricsReport:
     out_of_order_frac: float
     per_band_frac: tuple[float, ...]
     mean_wait_s: float
-    queued_at_end: int
-    in_flight_at_end: int
 
     def record(self) -> dict:
         """Flat record in the fixed output column order."""

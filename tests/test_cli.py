@@ -150,17 +150,6 @@ def test_single_band_on_a_masked_band_is_config_error(tmp_path, capsys):
     assert "available_bands" in capsys.readouterr().err
 
 
-def test_capped_run_that_measured_nothing_is_runtime_error(tmp_path, capsys):
-    # 5 s at 9 pps delivers about 45 packets, all inside the 80-packet
-    # warm-up: the run fails instead of writing a row of zeros.
-    p = tmp_path / "capped.json"
-    p.write_text(json.dumps({**MINI, "max_sim_time_s": 5.0}), encoding="utf-8")
-    out = tmp_path / "x.csv"
-    assert main(["run", str(p), "--out", str(out)]) == EXIT_RUNTIME
-    assert "none past warm-up" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _band0(**service):
     return [{"service": service}, *MINI["bands"][1:]]
 
@@ -235,6 +224,10 @@ _SLOW_FAST = [
         ({"schedulers": [{"band": 0}]}, "schedulers[0].kind"),
         ({"schedulers": [{"kind": "single_band"}]}, "single_band needs a 'band' index"),
         ({"schedulers": [7]}, "schedulers[0]"),
+        # Not settings: every run finishes its budget, and the queue cap
+        # is the engine's constant.
+        ({"max_sim_time_s": 5.0}, "max_sim_time_s: unknown field"),
+        ({"queue_cap": 5}, "queue_cap: unknown field"),
     ],
 )
 def test_unknown_or_misplaced_key_is_config_error(tmp_path, capsys, patch, path):

@@ -2,6 +2,7 @@
 the paired comparison operation."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,10 @@ def test_readme_scenario_example_loads():
         (dict(acs=(5,)), "acs"),
         (dict(replications=0), "replications"),
         (dict(feedback_interval_pkts=0), "feedback_interval_pkts"),
+        (
+            dict(bands=(BandConfig(DistributionSpec("deterministic", mean=0.1), math.nan),)),
+            "bands[0].prop_latency_s",
+        ),
     ],
 )
 def test_validation_rejects_bad_fields(patch, field):

@@ -1,9 +1,10 @@
-"""Simulator tests: determinism, conservation, emergent vacations,
-priority discipline, termination modes, and quick queueing-theory checks
-(the full-scale validations live in the acceptance module)."""
+"""Simulator tests: determinism, the complete-run invariant, emergent
+vacations, priority discipline, and quick queueing-theory checks (the
+full-scale validations live in the acceptance module)."""
 
 import gc
 import heapq
+import math
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -18,7 +19,6 @@ from bandsplit.engine import SimState, bootstrap_stats, run_scenario
 from bandsplit.errors import (
     ConfigInvalid,
     ConservationViolated,
-    NoMeasuredPackets,
     OverloadDetected,
 )
 from bandsplit.estimators import VACATION_FLOOR, band_stats_from_windows
@@ -47,63 +47,64 @@ def test_identical_seed_identical_report():
 
 def test_conservation_and_counts_at_natural_end():
     cfg = one_band_cfg(packets=3000)
-    rep = run_scenario(cfg, cfg.schedulers[0], 3)
-    assert rep.generated == 3000
+    state = SimState(cfg, cfg.schedulers[0], 3)
+    rep = state.run()
     assert rep.delivered == 3000
-    assert rep.queued_at_end == 0
-    assert rep.in_flight_at_end == 0
+    assert rep.measured == 2700  # past the 10% warm-up
+    assert not state.heap
     assert rep.mean_reseq_delay_s == 0.0
     assert rep.out_of_order_frac == 0.0
 
 
-def test_conservation_when_stopped_by_time_limit():
-    # No warm-up, so the capped run measures what it delivered.
-    cfg = one_band_cfg(lam=9.0, packets=50_000, max_sim_time_s=30.0, warmup_frac=0.0)
-    state = SimState(cfg, cfg.schedulers[0], seed=4)
-    rep = state.run()
-    assert state.stopped_at_time_limit
-    assert rep.generated < 50_000
-    assert rep.generated == rep.delivered + rep.queued_at_end + rep.in_flight_at_end
-    assert 0 < rep.measured == rep.delivered <= rep.generated
+def _leave_a_packet_in_flight(state):
+    state.heap.append((math.inf, engine._EV_RECEIVE, 0, 0, engine.Packet()))
 
 
-def _count_one_more_in_transit(state):
-    state.in_transit += 1
-
-
-def _lose_a_queued_packet(state):
+def _leave_a_packet_queued(state):
     srv = state.servers[0]
-    srv.queues[0][0].pop()
-    srv.qlen -= 1
+    srv.queues[0][0].append(engine.Packet())
+    srv.qlen += 1
 
 
 def _phantom_packet(state):
     state.flows[0].next_seq += 1
 
 
+def _lose_a_release(state):
+    state.flows[0].reorder.next_seq -= 1
+
+
+def _leave_a_packet_held(state):
+    buf = state.flows[0].reorder
+    buf.pending[buf.next_seq + 1] = engine.Packet()
+
+
 @pytest.mark.parametrize(
     "tamper",
-    [_count_one_more_in_transit, _lose_a_queued_packet, _phantom_packet],
-    ids=["in_transit", "lost_queued", "phantom"],
+    [
+        _leave_a_packet_in_flight,
+        _leave_a_packet_queued,
+        _phantom_packet,
+        _lose_a_release,
+        _leave_a_packet_held,
+    ],
+    ids=["in_transit", "lost_queued", "phantom", "lost_release", "held"],
 )
 def test_conservation_mismatch_is_an_explicit_error(tamper):
     # Kept under python -O: the check is an exception, not an assert.
-    # Stopped by the time limit with packets still queued, so each case
-    # breaks one source of the count the others must match.  The cap
-    # falls inside the warm-up, and the conservation check runs before
-    # the measured-nothing check, so a broken count is never masked.
-    cfg = one_band_cfg(lam=9.0, packets=5000, max_sim_time_s=10.0)
+    # The run completes and passes the check; each case then breaks one
+    # part of the complete-run invariant and checks again.
+    cfg = one_band_cfg(packets=500)
     state = SimState(cfg, cfg.schedulers[0], seed=4)
-    with pytest.raises(NoMeasuredPackets):
-        state.run()
-    assert state.stopped_at_time_limit and state.servers[0].qlen > 0
+    assert state.run() == state._report()
     tamper(state)
     with pytest.raises(ConservationViolated):
         state._report()
 
 
-def test_overload_detection_trips_queue_cap():
-    cfg = one_band_cfg(lam=9.9, packets=20_000, queue_cap=5)
+def test_overload_detection_trips_queue_cap(monkeypatch):
+    monkeypatch.setattr(engine, "QUEUE_CAP", 5)
+    cfg = one_band_cfg(lam=9.9, packets=20_000)
     with pytest.raises(OverloadDetected):
         run_scenario(cfg, cfg.schedulers[0], 1)
 
@@ -341,16 +342,6 @@ def test_parametric_vacations_with_two_flows_complete():
     cfg = two_flow_parametric_cfg()
     rep = run_scenario(cfg, cfg.schedulers[0], seed=8)
     assert rep.delivered == 6000
-    assert rep.queued_at_end == 0 and rep.in_flight_at_end == 0
-
-
-def test_time_capped_parametric_run_keeps_conservation():
-    cfg = two_flow_parametric_cfg(max_sim_time_s=100.0)
-    state = SimState(cfg, cfg.schedulers[0], seed=8)
-    rep = state.run()
-    assert state.stopped_at_time_limit
-    assert rep.generated < 6000
-    assert rep.generated == rep.delivered + rep.queued_at_end + rep.in_flight_at_end
 
 
 def test_idle_vacations_push_no_heap_events(monkeypatch):
@@ -374,7 +365,7 @@ def test_idle_vacations_push_no_heap_events(monkeypatch):
     )
     rep = run_scenario(cfg, cfg.schedulers[0], seed=101)
     assert rep.delivered == 20_000
-    assert pushes < 3 * rep.generated
+    assert pushes < 3 * rep.delivered
 
 
 def _receive_log(cfg, spec, seed):

@@ -11,7 +11,6 @@ vacation path:
   deterministic, so their events tie exactly, under deterministic,
   exponential and lognormal vacations and five policies, with feedback
   every 10 packets;
-- the same config cut short by ``max_sim_time_s``;
 - the bundled ``two_band_high_rtt`` (100 ms propagation, so deep
   reordering) and ``two_sta_mixed`` (one AC, two stations sharing a
   band's queues round-robin, one flow masked to the slow band), all
@@ -59,11 +58,10 @@ def _criterion_1(rho: float) -> ScenarioConfig:
     )
 
 
-def _three_band(vacation: str, max_sim_time_s: float | None = None) -> ScenarioConfig:
+def _three_band(vacation: str) -> ScenarioConfig:
     tie = DistributionSpec("deterministic", mean=0.05)
-    suffix = "" if max_sim_time_s is None else "_capped"
     return ScenarioConfig(
-        name=f"three_band_{vacation}{suffix}",
+        name=f"three_band_{vacation}",
         bands=(
             BandConfig(service=tie),
             BandConfig(service=tie),
@@ -89,7 +87,6 @@ def _three_band(vacation: str, max_sim_time_s: float | None = None) -> ScenarioC
         vacation=_VACATIONS[vacation],
         feedback_interval_pkts=10,
         seed_base=7,
-        max_sim_time_s=max_sim_time_s,
     )
 
 
@@ -102,7 +99,6 @@ def _bundled(name: str) -> ScenarioConfig:
 CASES = {
     **{f"criterion1_rho{rho}": (lambda rho=rho: _criterion_1(rho)) for rho in (0.3, 0.6, 0.9)},
     **{f"three_band_{v}": (lambda v=v: _three_band(v)) for v in _VACATIONS},
-    **{f"three_band_{v}_capped": (lambda v=v: _three_band(v, 40.0)) for v in _VACATIONS},
     **{name: (lambda name=name: _bundled(name)) for name in ("two_band_high_rtt", "two_sta_mixed")},
 }
 
