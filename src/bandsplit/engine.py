@@ -6,10 +6,15 @@ categories and round-robin across stations inside one category.  Served
 packets cross an optional fixed propagation latency and land in a
 per-flow reorder buffer that releases in sequence order.
 
-The run is one flat loop: ``SimState.run`` handles departures,
-receipts, vacation ends and arrivals inline, on state bound to locals
-once per run.  Every push is ``heappush(heap, (t, kind, tick(), index,
-payload))``, where ``tick`` is the ``__next__`` of an
+``SimState.run`` takes one of two paths.  A config with one flow under
+a static policy (``single_band``, ``even_split``, ``band_per_flow``:
+band choices that ignore the system state) runs as one pass per band;
+every other config runs the event loop.  Both give the same report.
+
+The event loop, ``SimState._run_events``, is one flat loop that handles
+departures, receipts, vacation ends and arrivals inline, on state bound
+to locals once per run.  Every push is
+``heappush(heap, (t, kind, tick(), index, payload))``, where ``tick`` is the ``__next__`` of an
 ``itertools.count(1)`` (the insertion counter) and ``heappush`` is read
 from the module when the run starts.  Draws call each sampler's
 ``take``, the C-level ``__next__`` of its flattened block stream, and
@@ -71,6 +76,40 @@ of the vacation the packet waits out.  A band that no packet reaches
 therefore costs no events.  Like every other event, that vacation end
 takes the insertion counter at its push, so two bands' vacation ends at
 the same instant pop in the order their waking packets arrived.
+
+The one pass, ``SimState._run_pass``, pushes no events and builds no
+``Packet``.  With one flow and choices that ignore the state, each band
+is a FIFO queue (the flow fills one of its queues) fed by a fixed packet
+sequence, and the bands share no random stream, so each band can run
+alone: Lindley's recursion (Lindley 1952) over its packets in seq order,
+with the loop's tie rules.
+
+- It draws the flow's gaps in stream order and sums them in order, as
+  the loop's ``t + gap`` does, and calls ``next_band`` once per packet.
+- A packet starts at its arrival or at its predecessor's departure,
+  whichever is later.  An arrival at the instant of a departure finds
+  the band idle, as departures pop first.  On a parametric band an idle
+  arrival instead waits out the first vacation of the chain that ends
+  after it (a vacation ending at the arrival instant counts as passed).
+  The chain starts at 0 for the band's first packet and at the
+  departure that left the band empty otherwise.
+- Service is drawn in service order, and a receipt is the departure
+  plus the band's propagation latency.
+- A packet is released at the latest receipt of its seq and all lower
+  ones, and it was held when its own receipt is below the latest before
+  it.  Each sum runs in seq order, the order in which the loop released
+  and summed.  Every flow and buffer counter ends as the loop leaves it,
+  so ``_report`` checks the same invariant and reads the same metrics.
+- A receipt equal to the latest before it, on a flow that used two or
+  more bands, is a tie that the loop orders by its insertion counter.
+  The pass then rebuilds the state from (config, policy, seed) and runs
+  the event loop, so no report can differ.
+- A band's queue at an arrival holds the band's earlier packets that had
+  not started, plus the arrival, and the pass raises
+  ``OverloadDetected`` at the first arrival that finds it above
+  ``QUEUE_CAP``, as the loop does (for any cap of at least one packet).
+  Only a flow longer than the cap can get there, so shorter flows skip
+  the check.
 """
 
 from __future__ import annotations
@@ -79,7 +118,7 @@ import math
 from array import array
 from collections import deque
 from heapq import heappop, heappush
-from itertools import count
+from itertools import accumulate, count, islice
 
 import numpy as np
 
@@ -385,9 +424,98 @@ class SimState:
                 if seq == cut:
                     fr.min_created = created
 
-    # -- main loop ---------------------------------------------------------
+    # -- the two paths ---------------------------------------------------
 
     def run(self) -> MetricsReport:
+        """Run to completion: one pass per band when the config has one
+        flow under a static policy, the event loop otherwise."""
+        flows = self.flows
+        if len(flows) == 1 and not flows[0].scheduler.uses_feedback:
+            return self._run_pass()
+        return self._run_events()
+
+    def _run_pass(self) -> MetricsReport:
+        fr = self.flows[0]
+        n = fr.packets
+        # The gaps in stream order, summed in order: the loop's t + gap.
+        arrivals = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
+        choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
+        starts = array("d", bytes(8 * n))
+        receipts = array("d", bytes(8 * n))
+        used = 0
+        for j, srv in enumerate(self.servers):
+            if j not in choices:
+                continue
+            used += 1
+            serve = srv.draw_service
+            prop = srv.prop_latency
+            vacation = srv.draw_vacation
+            # done: the departure of the band's latest packet.  An arrival
+            # at that instant finds the band idle, as departures pop first.
+            if vacation is None:
+                done = -math.inf
+                for k, band in enumerate(choices):
+                    if band == j:
+                        a = arrivals[k]
+                        s = a if a > done else done
+                        done = s + serve()
+                        starts[k] = s
+                        receipts[k] = done + prop
+            else:
+                # The band's first vacation starts at 0, and each departure
+                # that leaves it empty starts the next one; an arrival at an
+                # idle band waits out the first vacation ending after it.
+                done = 0.0
+                for k, band in enumerate(choices):
+                    if band == j:
+                        a = arrivals[k]
+                        if a < done:
+                            s = done
+                        else:
+                            s = done + vacation()
+                            while s <= a:
+                                s += vacation()
+                        done = s + serve()
+                        starts[k] = s
+                        receipts[k] = done + prop
+
+        a = np.frombuffer(arrivals)
+        s = np.frombuffer(starts)
+        r = np.frombuffer(receipts)
+        bands = np.frombuffer(choices, dtype=np.intc)
+        if n > QUEUE_CAP:
+            # Only a flow longer than the cap can fill a queue past it.
+            over = _first_overflow(a, s, bands)
+            if over is not None:
+                seq, band = over
+                raise OverloadDetected(f"band {band} queue exceeded cap {QUEUE_CAP} at t={arrivals[seq]:.6f}")
+        # Packet k is released at the latest receipt of packets 0..k.
+        released = np.maximum.accumulate(r)
+        cut = fr.warmup_cut
+        if used > 1:
+            # A receipt at the latest receipt before it is a tie that the
+            # loop orders by its insertion counter: run the loop instead.
+            lo = max(cut, 1)
+            if (r[lo:] == released[lo - 1 : -1]).any():
+                self.__init__(self.config, self.scheduler_spec, self.seed)
+                return self._run_events()
+            # A packet is held when received below the latest receipt
+            # before it, so exactly the held ones have a resequencing
+            # delay above 0.  Sums run in seq order, the loop's release
+            # order.
+            reseq = released[cut:] - r[cut:]
+            fr.ooo_count = int(np.count_nonzero(reseq))
+            fr.reseq_sum = float(np.add.accumulate(reseq)[-1])
+            fr.reseq_max = float(reseq.max())
+        fr.lat.frombytes((released[cut:] - a[cut:]).tobytes())
+        fr.wait_sum = float(np.add.accumulate(s[cut:] - a[cut:])[-1])
+        fr.band_counts = np.bincount(bands[cut:], minlength=len(self.servers)).tolist()
+        fr.min_created = arrivals[cut]
+        fr.max_released = float(released[-1])
+        fr.next_seq = fr.reorder.next_seq = self.total_released = n
+        return self._report()
+
+    def _run_events(self) -> MetricsReport:
         # Every event kind is handled inline, on state bound to locals
         # here.  heappush is read from the module now, at run time, so a
         # patched engine.heappush sees every push.
@@ -574,6 +702,22 @@ class SimState:
             per_band_frac=frac,
             mean_wait_s=wait_sum / measured,
         )
+
+
+def _first_overflow(arrivals, starts, choices) -> tuple[int, int] | None:
+    """(seq, band) of the first arrival that finds more than QUEUE_CAP
+    packets in its band's queue, itself included; None if none does."""
+    first = None
+    for j in np.unique(choices):
+        seqs = np.flatnonzero(choices == j)
+        # A band starts its packets in arrival order, so the earlier ones
+        # that had started by an arrival are a prefix.
+        ahead = np.arange(seqs.size)
+        started = np.minimum(np.searchsorted(starts[seqs], arrivals[seqs], side="right"), ahead)
+        over = np.flatnonzero(ahead - started + 1 > QUEUE_CAP)
+        if over.size and (first is None or seqs[over[0]] < first[0]):
+            first = (int(seqs[over[0]]), int(j))
+    return first
 
 
 def run_scenario(

@@ -266,8 +266,7 @@ def _random_config(rng: np.random.Generator, index: int) -> ScenarioConfig:
         for i in range(n_flows)
     )
     kinds = ["even_split", "load_balancing", "band_per_flow", "minimum_delay", "leaky_bucket"]
-    kind = kinds[int(rng.integers(0, len(kinds)))]
-    spec = SchedulerSpec(kind) if kind != "single_band" else SchedulerSpec(kind, 0)
+    spec = SchedulerSpec(kinds[int(rng.integers(0, len(kinds)))])
     parametric = bool(rng.integers(0, 2))
     return ScenarioConfig(
         name=f"rand{index}",

@@ -4,6 +4,7 @@ full-scale validations live in the acceptance module)."""
 
 import gc
 import heapq
+import itertools
 import math
 import sys
 from collections import Counter
@@ -253,9 +254,10 @@ def test_bootstrap_stats_moments():
 
 
 def test_timestamps_monotone_and_bands_emit_in_flow_order():
-    # Instrument the receive path: every packet's timestamps must be
-    # monotone and each band must deliver a flow's packets in the order
-    # they were assigned.
+    # Instrument the event loop's receive path: every packet's timestamps
+    # must be monotone and each band must deliver a flow's packets in the
+    # order they were assigned.  run() takes the one pass on this
+    # one-flow even_split config, so the test calls the loop itself.
     cfg = ScenarioConfig(
         name="order",
         bands=(
@@ -275,7 +277,7 @@ def test_timestamps_monotone_and_bands_emit_in_flow_order():
 
     SimState._receive = spy
     try:
-        state.run()
+        state._run_events()
     finally:
         SimState._receive = original
     assert len(seen) == 4000
@@ -344,18 +346,24 @@ def test_parametric_vacations_with_two_flows_complete():
     assert rep.delivered == 6000
 
 
-def test_idle_vacations_push_no_heap_events(monkeypatch):
-    # Criterion-1 config at rho = 0.3.  With one event per vacation the
-    # idle band costs about 6.7 pushes per packet; lazily it costs at
-    # most one arrival, one departure and one wake-up per packet.
-    pushes = 0
+@pytest.fixture
+def heap_pushes(monkeypatch):
+    """The engine's heap pushes so far, counted in heap_pushes[0]."""
+    n = [0]
 
     def counting_heappush(heap, item):
-        nonlocal pushes
-        pushes += 1
+        n[0] += 1
         heapq.heappush(heap, item)
 
     monkeypatch.setattr(engine, "heappush", counting_heappush)
+    return n
+
+
+def test_idle_vacations_push_no_heap_events(heap_pushes):
+    # Criterion-1 config at rho = 0.3, through the event loop (run()
+    # takes the one pass here and pushes nothing).  With one event per
+    # vacation the idle band costs about 6.7 pushes per packet; lazily it
+    # costs at most one arrival, one departure and one wake-up per packet.
     cfg = one_band_cfg(
         lam=3.0,
         packets=20_000,
@@ -363,14 +371,14 @@ def test_idle_vacations_push_no_heap_events(monkeypatch):
         mean=0.1,
         vacation=DistributionSpec("deterministic", mean=0.05),
     )
-    rep = run_scenario(cfg, cfg.schedulers[0], seed=101)
+    rep = SimState(cfg, cfg.schedulers[0], seed=101)._run_events()
     assert rep.delivered == 20_000
-    assert pushes < 3 * rep.delivered
+    assert heap_pushes[0] < 3 * rep.delivered
 
 
 def _receive_log(cfg, spec, seed):
-    """Run with a spy on the receive entry point; return the report and
-    each flow's (seq, t) receipts in call order."""
+    """Run the event loop with a spy on its receive entry point; return
+    the report and each flow's (seq, t) receipts in call order."""
     log = [[] for _ in cfg.flows]
     original = SimState._receive
 
@@ -381,7 +389,7 @@ def _receive_log(cfg, spec, seed):
     SimState._receive = spy
     try:
         state = SimState(cfg, spec, seed)
-        rep = state.run()
+        rep = state._run_events()
     finally:
         SimState._receive = original
     return rep, state, log
@@ -442,14 +450,198 @@ def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(build, kind):
         assert ahead_at_a_tie > 0
 
 
-def _calls_per_delivered_packet(scenario, kind):
+STATIC_ENTRIES = ("single_band:0", "single_band:1", "even_split", "band_per_flow")
+
+
+def _scaled(cfg, packets):
+    return replace(cfg, flows=tuple(replace(fl, packets=packets) for fl in cfg.flows))
+
+
+def _criterion_1_cfg(rho, packets):
+    mu = 10.0
+    return one_band_cfg(
+        lam=rho * mu,
+        packets=packets,
+        kind="deterministic",
+        mean=1.0 / mu,
+        vacation=DistributionSpec("deterministic", mean=0.05),
+    )
+
+
+def _three_band_parametric_cfg(vacation):
+    # Band 1 is masked off; band 2 adds a propagation latency, so the two
+    # bands in use receive at departures and at receipt events.
+    return ScenarioConfig(
+        name="three",
+        bands=(
+            BandConfig(service=DistributionSpec("deterministic", mean=0.05)),
+            BandConfig(service=DistributionSpec("exponential", mean=0.08), prop_latency_s=0.01),
+            BandConfig(service=DistributionSpec("lognormal", mu_log=-2.5, sigma_log=0.6), prop_latency_s=0.02),
+        ),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=12.0, packets=5000, available_bands=(0, 2)),),
+        schedulers=(SchedulerSpec("even_split"),),
+        vacation=vacation,
+    )
+
+
+def _random_one_flow_static_cfg(rng, index):
+    # 2-3 bands of any service shape, some behind a propagation latency;
+    # an optional band mask; one or two stations and access categories,
+    # so a band may have several queues; emergent or parametric
+    # vacations; any static policy, even_split (the one that reorders)
+    # half the time.
+    m = int(rng.integers(2, 4))
+    bands = []
+    for _ in range(m):
+        kind = ("deterministic", "exponential", "lognormal")[int(rng.integers(0, 3))]
+        mean = float(rng.uniform(0.02, 0.2))
+        if kind == "lognormal":
+            dist = DistributionSpec("lognormal", mu_log=math.log(mean), sigma_log=0.4)
+        else:
+            dist = DistributionSpec(kind, mean=mean)
+        prop = float(rng.uniform(0.0, 0.02)) if rng.integers(0, 2) else 0.0
+        bands.append(BandConfig(service=dist, prop_latency_s=prop))
+    avail = None
+    if rng.integers(0, 3) == 0:
+        avail = tuple(j for j in range(m) if rng.integers(0, 2)) or None
+    usable = avail or tuple(range(m))
+    capacity = sum(1.0 / bands[j].service.moments()[0] for j in usable)
+    kind = str(rng.choice(["single_band", "even_split", "band_per_flow"], p=[0.25, 0.5, 0.25]))
+    band = usable[int(rng.integers(0, len(usable)))] if kind == "single_band" else None
+    stas = int(rng.integers(1, 3))
+    acs = ((0,), (0, 2))[int(rng.integers(0, 2))]
+    vacation = (
+        None,
+        DistributionSpec("exponential", mean=0.01),
+        DistributionSpec("deterministic", mean=0.02),
+    )[int(rng.integers(0, 3))]
+    flow = FlowConfig(
+        sta=stas - 1,
+        ac=acs[-1],
+        lambda_pps=float(rng.uniform(0.2, 0.8)) * capacity,
+        packets=int(rng.integers(300, 2000)),
+        available_bands=avail,
+    )
+    return ScenarioConfig(
+        name=f"rand{index}",
+        bands=tuple(bands),
+        stas=stas,
+        acs=acs,
+        flows=(flow,),
+        schedulers=(SchedulerSpec(kind, band),),
+        vacation=vacation,
+        warmup_frac=float(rng.uniform(0.0, 0.3)),
+    )
+
+
+def _fixed_gap_state(gap):
+    # One band serving 0.5 s behind 0.25 s vacations, with every arrival
+    # gap set to 0.75 s: each packet arrives exactly when a vacation ends
+    # or when its predecessor departs.  All these times are exact in
+    # binary floats.
+    cfg = one_band_cfg(
+        lam=1.0 / gap,
+        packets=200,
+        kind="deterministic",
+        mean=0.5,
+        vacation=DistributionSpec("deterministic", mean=0.25),
+    )
+    state = SimState(cfg, cfg.schedulers[0], seed=1)
+    state.flows[0].draw_gap = itertools.repeat(gap).__next__
+    return state
+
+
+def _cross_check_states(group):
+    """Pairs of fresh, identical states, one per run to compare."""
+    if group == "bundled":
+        for name in ("two_band_asym", "two_band_high_rtt"):
+            cfg = _scaled(scenarios.load(name), 3000)
+            for kind in STATIC_ENTRIES:
+                for seed in (1, 2, 3):
+                    yield [SimState(cfg, SchedulerSpec.parse(kind), seed) for _ in range(2)]
+    elif group == "criterion_1":
+        for rho in (0.3, 0.6, 0.9):
+            cfg = _criterion_1_cfg(rho, 20_000)
+            yield [SimState(cfg, cfg.schedulers[0], 101) for _ in range(2)]
+    elif group == "three_band_parametric":
+        for vacation in (
+            DistributionSpec("exponential", mean=0.02),
+            DistributionSpec("lognormal", mu_log=math.log(0.02), sigma_log=0.5),
+        ):
+            cfg = _three_band_parametric_cfg(vacation)
+            for kind in ("even_split", "band_per_flow", "single_band:2"):
+                for seed in (1, 2):
+                    yield [SimState(cfg, SchedulerSpec.parse(kind), seed) for _ in range(2)]
+    elif group == "random":
+        rng = np.random.default_rng(31)
+        for i in range(40):
+            cfg = _random_one_flow_static_cfg(rng, i)
+            yield [SimState(cfg, cfg.schedulers[0], 3000 + i) for _ in range(2)]
+    elif group == "arrivals_at_departures":
+        yield [_fixed_gap_state(0.75) for _ in range(2)]
+
+
+@pytest.mark.parametrize(
+    "group", ["bundled", "criterion_1", "three_band_parametric", "random", "arrivals_at_departures"]
+)
+def test_one_pass_matches_the_event_loop(group):
+    # The pass and the loop must give equal reports, down to the
+    # diagnostic fields (measured, mean_wait_s), and leave each flow's
+    # counters alike.
+    runs = 0
+    for by_pass, by_loop in _cross_check_states(group):
+        assert by_pass.run() == by_loop._run_events()
+        for a, b in zip(by_pass.flows, by_loop.flows):
+            assert (a.next_seq, a.reorder.next_seq, a.band_counts, a.ooo_count) == (
+                b.next_seq,
+                b.reorder.next_seq,
+                b.band_counts,
+                b.ooo_count,
+            )
+            assert a.lat == b.lat
+        runs += 1
+    assert runs == {"bundled": 24, "criterion_1": 3, "three_band_parametric": 12, "random": 40}.get(group, 1)
+
+
+def test_one_pass_falls_back_to_the_loop_on_tied_receipts(heap_pushes):
+    # Two identical deterministic bands deliver at one instant; the loop
+    # orders such receipts by its insertion counter, so the pass hands
+    # the run to the loop, which pushes events, and the reports agree.
+    cfg = _tied_deterministic_bands_cfg()
+    by_loop = SimState(cfg, cfg.schedulers[0], seed=3)._run_events()
+    heap_pushes[0] = 0
+    assert SimState(cfg, cfg.schedulers[0], seed=3).run() == by_loop
+    assert heap_pushes[0] > 0
+
+
+@pytest.mark.parametrize("kind", STATIC_ENTRIES)
+def test_one_flow_static_runs_push_no_heap_events(heap_pushes, kind):
+    cfg = _scaled(scenarios.load("two_band_asym"), 3000)
+    assert run_scenario(cfg, SchedulerSpec.parse(kind), seed=1).delivered == 3000
+    cfg = _criterion_1_cfg(0.3, 20_000)
+    assert run_scenario(cfg, cfg.schedulers[0], seed=101).delivered == 20_000
+    assert heap_pushes[0] == 0
+
+
+def test_one_pass_and_the_loop_trip_the_queue_cap_alike(monkeypatch):
+    monkeypatch.setattr(engine, "QUEUE_CAP", 5)
+    cfg = one_band_cfg(lam=9.9, packets=20_000)
+    messages = []
+    for entry in ("run", "_run_events"):
+        with pytest.raises(OverloadDetected) as err:
+            getattr(SimState(cfg, cfg.schedulers[0], 1), entry)()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+
+
+def _calls_per_delivered_packet(scenario, kind, entry="run"):
     # Python function calls per delivered packet of one run of a bundled
-    # scenario at 3,000 packets per flow, seed 1.
-    cfg = scenarios.load(scenario)
-    cfg = replace(cfg, flows=tuple(replace(fl, packets=3000) for fl in cfg.flows))
+    # scenario at 3,000 packets per flow, seed 1, through the SimState
+    # method named by entry.
+    cfg = _scaled(scenarios.load(scenario), 3000)
     spec = SchedulerSpec.parse(kind)
-    SimState(cfg, spec, seed=1).run()  # first-run imports and caches
-    state = SimState(cfg, spec, seed=1)
+    getattr(SimState(cfg, spec, seed=1), entry)()  # first-run imports and caches
+    run = getattr(SimState(cfg, spec, seed=1), entry)
     calls = 0
 
     def count(frame, event, arg):
@@ -459,7 +651,7 @@ def _calls_per_delivered_packet(scenario, kind):
 
     sys.setprofile(count)
     try:
-        rep = state.run()
+        rep = run()
     finally:
         sys.setprofile(None)
     assert rep.delivered == 3000 * len(cfg.flows)
@@ -467,22 +659,31 @@ def _calls_per_delivered_packet(scenario, kind):
 
 
 @pytest.mark.parametrize(
-    "kind, bound",
-    [("single_band:0", 2.5), ("even_split", 3.0), ("leaky_bucket", 6.5)],
+    "kind, entry, bound",
+    [("single_band:0", "_run_events", 2.5), ("even_split", "_run_events", 3.0), ("leaky_bucket", "run", 6.5)],
     ids=["single_band:0", "even_split", "leaky_bucket"],
 )
-def test_python_calls_per_packet_on_a_single_path_run(kind, bound):
-    # The engine's per-packet cost as a count that host load cannot
+def test_python_calls_per_packet_on_a_single_path_run(kind, entry, bound):
+    # The event loop's per-packet cost as a count that host load cannot
     # move: Python function calls per delivered packet, on the
-    # asym_schemes config (two_band_asym).  The run loop handles every
-    # event inline, builds packets with object.__new__ and draws through
-    # the samplers' C-level stream, so a packet costs its scheduler pick
-    # and its receipt: 2.02 under single_band:0, 2.49 under even_split
+    # asym_schemes config (two_band_asym).  The loop handles every event
+    # inline, builds packets with object.__new__ and draws through the
+    # samplers' C-level stream, so a packet costs its scheduler pick and
+    # its receipt: 2.02 under single_band:0, 2.49 under even_split
     # (reorder-buffer calls) and 6.13 under leaky_bucket (two estimator
     # adds per packet and the feedback rounds).  With one call per push,
     # per handler, per draw and per Packet these were 10.02, 10.99 and
-    # 14.28.
-    assert _calls_per_delivered_packet("two_band_asym", kind) < bound
+    # 14.28.  run() takes the one pass for the static policies, so they
+    # call the loop itself.
+    assert _calls_per_delivered_packet("two_band_asym", kind, entry) < bound
+
+
+@pytest.mark.parametrize("kind", STATIC_ENTRIES)
+def test_python_calls_per_packet_on_a_one_pass_run(kind):
+    # The one pass calls next_band once per packet and nothing else per
+    # packet: measured 1.024 under single_band:0, single_band:1 and
+    # band_per_flow and 1.026 under even_split.
+    assert _calls_per_delivered_packet("two_band_asym", kind) < 1.5
 
 
 @pytest.mark.parametrize(
@@ -536,19 +737,11 @@ def test_pick_queue_serves_by_priority_then_round_robin():
     ],
     ids=["parametric-leaky_bucket", "parametric-even_split", "emergent-leaky_bucket", "emergent-even_split"],
 )
-def test_heap_pushes_match_the_pinned_count(monkeypatch, vacation, kind, pushes):
+def test_heap_pushes_match_the_pinned_count(heap_pushes, vacation, kind, pushes):
     # Two stations share two bands, so both bands have two queues; band
     # 1 adds a propagation latency, so receipts are events too.  The
     # counts were pinned from the engine with one handler method per
     # event kind; the flat loop must push exactly the same events.
-    n = 0
-
-    def counting_heappush(heap, item):
-        nonlocal n
-        n += 1
-        heapq.heappush(heap, item)
-
-    monkeypatch.setattr(engine, "heappush", counting_heappush)
     cfg = ScenarioConfig(
         name="pushes",
         bands=(
@@ -564,7 +757,7 @@ def test_heap_pushes_match_the_pinned_count(monkeypatch, vacation, kind, pushes)
         vacation=vacation,
     )
     assert run_scenario(cfg, cfg.schedulers[0], seed=8).delivered == 2000
-    assert n == pushes
+    assert heap_pushes[0] == pushes
 
 
 def test_finished_runs_leave_no_sampler_alive():
