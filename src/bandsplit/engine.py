@@ -431,17 +431,24 @@ class SimState:
         flow under a static policy, the event loop otherwise."""
         flows = self.flows
         if len(flows) == 1 and not flows[0].scheduler.uses_feedback:
-            return self._run_pass()
+            # The pass's buffers are freed before the report is built.
+            if self._run_pass():
+                return self._report()
+            # A receipt tie, which the loop orders by its insertion
+            # counter: run the loop on a fresh state.
+            self.__init__(self.config, self.scheduler_spec, self.seed)
         return self._run_events()
 
-    def _run_pass(self) -> MetricsReport:
+    def _run_pass(self) -> bool:
+        """Leave every counter as the event loop would, or return False
+        at a receipt tie that only the loop can order."""
         fr = self.flows[0]
         n = fr.packets
         # The gaps in stream order, summed in order: the loop's t + gap.
         arrivals = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
         choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
-        starts = array("d", bytes(8 * n))
-        receipts = array("d", bytes(8 * n))
+        starts = array("d", [0.0]) * n
+        receipts = array("d", [0.0]) * n
         used = 0
         for j, srv in enumerate(self.servers):
             if j not in choices:
@@ -493,27 +500,28 @@ class SimState:
         released = np.maximum.accumulate(r)
         cut = fr.warmup_cut
         if used > 1:
-            # A receipt at the latest receipt before it is a tie that the
-            # loop orders by its insertion counter: run the loop instead.
+            # A receipt at the latest receipt before it is a tie.
             lo = max(cut, 1)
             if (r[lo:] == released[lo - 1 : -1]).any():
-                self.__init__(self.config, self.scheduler_spec, self.seed)
-                return self._run_events()
+                return False
             # A packet is held when received below the latest receipt
             # before it, so exactly the held ones have a resequencing
             # delay above 0.  Sums run in seq order, the loop's release
-            # order.
-            reseq = released[cut:] - r[cut:]
+            # order.  The results overwrite the buffers they come from,
+            # so the pass allocates no further n-length array.
+            reseq = np.subtract(released[cut:], r[cut:], out=r[cut:])
             fr.ooo_count = int(np.count_nonzero(reseq))
-            fr.reseq_sum = float(np.add.accumulate(reseq)[-1])
             fr.reseq_max = float(reseq.max())
-        fr.lat.frombytes((released[cut:] - a[cut:]).tobytes())
-        fr.wait_sum = float(np.add.accumulate(s[cut:] - a[cut:])[-1])
+            fr.reseq_sum = float(np.add.accumulate(reseq, out=reseq)[-1])
         fr.band_counts = np.bincount(bands[cut:], minlength=len(self.servers)).tolist()
         fr.min_created = arrivals[cut]
         fr.max_released = float(released[-1])
+        lat = np.subtract(released[cut:], a[cut:], out=released[cut:])
+        fr.lat.frombytes(memoryview(lat).cast("B"))
+        wait = np.subtract(s[cut:], a[cut:], out=s[cut:])
+        fr.wait_sum = float(np.add.accumulate(wait, out=wait)[-1])
         fr.next_seq = fr.reorder.next_seq = self.total_released = n
-        return self._report()
+        return True
 
     def _run_events(self) -> MetricsReport:
         # Every event kind is handled inline, on state bound to locals
