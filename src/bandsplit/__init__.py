@@ -12,7 +12,7 @@ Library surface:
 
 from .config import BandConfig, FlowConfig, ScenarioConfig
 from .distributions import DistributionSpec
-from .engine import Packet, SimState, run_scenario
+from .engine import SimState, run_scenario
 from .errors import (
     BandsplitError,
     BracketFailure,

@@ -3,13 +3,33 @@
 Poisson sources feed per-flow schedulers; each band is a single server
 over per-(sta, ac) FIFO queues with strict priority across access
 categories and round-robin across stations inside one category.  Served
-packets cross an optional fixed propagation latency and land in a
-per-flow reorder buffer that releases in sequence order.
+packets cross an optional fixed propagation latency to the receiver,
+which releases each flow's packets in sequence order.
 
 ``SimState.run`` takes one of two paths.  A config with one flow under
 a static policy (``single_band``, ``even_split``, ``band_per_flow``:
 band choices that ignore the system state) runs as one pass per band;
-every other config runs the event loop.  Both give the same report.
+every other config runs the event loop.  Both record the same facts,
+and one report derives every metric from them:
+
+- Each flow holds per-seq buffers, allocated when the run starts: the
+  arrival, service start, receipt and band of each packet.  The loop
+  also records each receipt's position in its pop order (``order``).
+- ``SimState._report`` derives the rest.  A packet is released at the
+  latest receipt of its seq and all lower ones (the running maximum of
+  the receipts); its latency is release minus arrival, its wait start
+  minus arrival, and its resequencing delay release minus receipt.  It
+  was held (out of order) when its key is below the running maximum of
+  the earlier keys: its pop-order position in the loop, so same-instant
+  receipts count in the order they popped, and its receipt time in the
+  pass, which hands every receipt tie to the loop.  Each sum runs in seq
+  order (``np.add.accumulate``), the order of release.  The report
+  overwrites the buffers with its results, so it runs once per run.
+- The complete-run invariant is checked before any metric is read:
+  every flow generated its budget, every seq has exactly one receipt
+  (none is left unset, and the run counted as many receipts as
+  packets), and no packet is left in the event heap (in flight), a
+  queue or a server.
 
 The event loop, ``SimState._run_events``, is one flat loop that handles
 departures, receipts, vacation ends and arrivals inline, on state bound
@@ -17,24 +37,16 @@ to locals once per run.  Every push is
 ``heappush(heap, (t, kind, tick(), index, payload))``, where ``tick`` is the ``__next__`` of an
 ``itertools.count(1)`` (the insertion counter) and ``heappush`` is read
 from the module when the run starts.  Draws call each sampler's
-``take``, the C-level ``__next__`` of its flattened block stream, and
-packets are made with ``object.__new__``, so neither runs a Python
-frame.  A packet's Python calls are its scheduler pick and its receipt
-(``_receive``, the one entry point of every receipt), plus estimator
-adds and feedback rounds under a feedback policy and a
-``ReorderBuffer.release`` when it is held.
+``take``, the C-level ``__next__`` of its flattened block stream, and a
+queued or in-service packet is its ``(flow index, seq)`` tuple, so
+neither runs a Python frame.  A packet's one Python call is its
+scheduler pick, plus estimator adds and feedback rounds under a
+feedback policy.  The loop writes each buffer entry inline, at the
+packet's arrival, service start and receipt, and ends when the heap
+empties, at the last receipt: a lazy vacation chain pushes nothing.
 
 Per-packet work is kept to what each packet needs:
 
-- A packet received in order while its flow's buffer holds nothing is
-  released on receipt, without a ``ReorderBuffer.release`` call.  Every
-  other packet goes through ``release``, the one place that holds a
-  packet and rejects a duplicate sequence number.
-- Out of order is derived, not stored: a packet is out of order when
-  some lower sequence number of its flow had not been received at its
-  receipt.  Those are exactly the packets the buffer held, so in a
-  ``release`` run every packet but the one just received counts, also
-  when they are released at the instant they arrived.
 - A band with one (AC, station) queue takes its next packet from that
   queue, and when idle under emergent vacations it serves an arriving
   packet at once, without queueing it.  Only a band with several queues
@@ -42,13 +54,8 @@ Per-packet work is kept to what each packet needs:
   (``BandServer.pick_queue``), also for an arrival at an idle band, so
   the pointer advances as it would for a queued packet.
 - Each count is kept once.  A flow's generated packets are its next
-  sequence number, its delivered packets its reorder buffer's next
-  sequence number, and its measured packets the latencies it recorded;
-  a band is serving exactly when ``current`` holds a packet.  Every run
-  delivers each flow's whole budget, and the check at the end asks each
-  source for that: every flow generated and released its budget, and no
-  packet is left in the event heap (in flight), a queue, a server or a
-  reorder buffer.
+  sequence number, and a band is serving exactly when ``current`` holds
+  a packet.
 - A feedback round rebuilds the stats of a band only when the flow's
   tap on it took a sample since the last round.  Every other band keeps
   the stats the scheduler holds, which are what its unchanged windows
@@ -77,12 +84,11 @@ therefore costs no events.  Like every other event, that vacation end
 takes the insertion counter at its push, so two bands' vacation ends at
 the same instant pop in the order their waking packets arrived.
 
-The one pass, ``SimState._run_pass``, pushes no events and builds no
-``Packet``.  With one flow and choices that ignore the state, each band
-is a FIFO queue (the flow fills one of its queues) fed by a fixed packet
-sequence, and the bands share no random stream, so each band can run
-alone: Lindley's recursion (Lindley 1952) over its packets in seq order,
-with the loop's tie rules.
+The one pass, ``SimState._run_pass``, pushes no events.  With one flow
+and choices that ignore the state, each band is a FIFO queue (the flow
+fills one of its queues) fed by a fixed packet sequence, and the bands
+share no random stream, so each band can run alone: Lindley's recursion
+(Lindley 1952) over its packets in seq order, with the loop's tie rules.
 
 - It draws the flow's gaps in stream order and sums them in order, as
   the loop's ``t + gap`` does, and calls ``next_band`` once per packet.
@@ -94,16 +100,12 @@ with the loop's tie rules.
   The chain starts at 0 for the band's first packet and at the
   departure that left the band empty otherwise.
 - Service is drawn in service order, and a receipt is the departure
-  plus the band's propagation latency.
-- A packet is released at the latest receipt of its seq and all lower
-  ones, and it was held when its own receipt is below the latest before
-  it.  Each sum runs in seq order, the order in which the loop released
-  and summed.  Every flow and buffer counter ends as the loop leaves it,
-  so ``_report`` checks the same invariant and reads the same metrics.
-- A receipt equal to the latest before it, on a flow that used two or
-  more bands, is a tie that the loop orders by its insertion counter.
-  The pass then rebuilds the state from (config, policy, seed) and runs
-  the event loop, so no report can differ.
+  plus the band's propagation latency.  The buffers the pass fills are
+  the ones the loop fills for the same (config, policy, seed).
+- A measured receipt equal to the latest before it, on a flow that used
+  two or more bands, is a tie that the loop orders by its insertion
+  counter.  The pass then rebuilds the state from (config, policy,
+  seed) and runs the event loop, so no report can differ.
 - A band's queue at an arrival holds the band's earlier packets that had
   not started, plus the arrival, and the pass raises
   ``OverloadDetected`` at the first arrival that finds it above
@@ -134,7 +136,6 @@ from .errors import (
 from .estimators import VACATION_FLOOR, MomentEstimator, band_stats_from_windows
 from .metrics import MetricsReport
 from .model import BandStats
-from .reorder import ReorderBuffer
 from .schedulers import SchedulerSpec, make_scheduler
 
 # Event-kind tie priorities: departures before receives before vacation
@@ -152,27 +153,6 @@ _DOM_SCHEDULER = 3
 
 # A band queue longer than this aborts the run with OverloadDetected.
 QUEUE_CAP = 1_000_000
-
-
-class Packet:
-    """One sequence-numbered packet moving source -> band -> receiver.
-
-    The run loop builds packets with ``object.__new__`` and sets each
-    slot when the packet reaches that stage, so making one runs no
-    Python frame: ``seq``, ``created_at``, ``flow_idx`` and
-    ``enqueued_band`` at its arrival, then ``service_start`` and
-    ``received_at``.  Its release is not stamped: it happens at the
-    time of the ``_receive`` call that releases it.
-    """
-
-    __slots__ = (
-        "seq",
-        "created_at",
-        "enqueued_band",
-        "service_start",
-        "received_at",
-        "flow_idx",
-    )
 
 
 class _Tap:
@@ -223,7 +203,7 @@ class BandServer:
         self.vac_dur = 0.0
         self.vac_end = 0.0
         self.occupied = 0.0
-        self.current: Packet | None = None
+        self.current: tuple[int, int] | None = None  # (flow index, seq)
         self.current_dur = 0.0
         # The samplers' C-level stream readers; no vacation sampler means
         # emergent vacations.
@@ -248,48 +228,42 @@ class BandServer:
 
 
 class _FlowRuntime:
+    """One flow's source state, and its per-seq buffers: arrival,
+    service start, receipt and band of every packet, plus each receipt's
+    position in the event loop's pop order (``order``, loop runs only).
+    A run allocates the buffers when it starts and fills them in place;
+    ``SimState._report`` derives every metric from them."""
+
     __slots__ = (
         "packets",
         "index",
         "rank",
         "sta",
         "scheduler",
-        "reorder",
         "draw_gap",
         "next_seq",
         "served",
         "warmup_cut",
         "taps",
-        "lat",
-        "reseq_sum",
-        "reseq_max",
-        "ooo_count",
-        "band_counts",
-        "wait_sum",
-        "min_created",
-        "max_released",
+        "arrival",
+        "start",
+        "receipt",
+        "band",
+        "order",
     )
 
-    def __init__(self, cfg, index, rank, scheduler, reorder, arrivals: Sampler, warmup_cut, taps):
+    def __init__(self, cfg, index, rank, scheduler, arrivals: Sampler, warmup_cut, taps):
         self.packets = cfg.packets
         self.index = index
         self.rank = rank
         self.sta = cfg.sta
         self.scheduler = scheduler
-        self.reorder = reorder
         self.draw_gap = arrivals.take
         self.next_seq = 0
         self.served = 0
         self.warmup_cut = warmup_cut
         self.taps = taps
-        self.lat = array("d")
-        self.reseq_sum = 0.0
-        self.reseq_max = 0.0
-        self.ooo_count = 0
-        self.band_counts = [0] * len(scheduler.stats)
-        self.wait_sum = 0.0
-        self.min_created = math.inf
-        self.max_released = -math.inf
+        self.arrival = self.start = self.receipt = self.band = self.order = None
 
 
 def bootstrap_stats(service: DistributionSpec) -> BandStats:
@@ -304,10 +278,11 @@ def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
 
 
 class SimState:
-    """A fully wired simulation; run() drives it to completion.
+    """A fully wired simulation; run() drives it to completion and
+    returns the report derived from the flows' per-seq buffers.
 
-    Exposed for white-box tests (estimator windows, reorder buffers);
-    normal callers use run_scenario().
+    Exposed for white-box tests (estimator windows, per-seq buffers,
+    which the report overwrites); normal callers use run_scenario().
     """
 
     def __init__(self, config: ScenarioConfig, scheduler_spec: SchedulerSpec, seed: int):
@@ -353,15 +328,14 @@ class SimState:
                 index=i,
                 rank=config.acs.index(fl.ac),
                 scheduler=sched,
-                reorder=ReorderBuffer(),
                 arrivals=arrivals,
                 warmup_cut=int(config.warmup_frac * fl.packets),
                 taps=taps,
             )
             self.flows.append(fr)
 
-        self.total_released = 0
         self.heap: list = []
+        self.received = 0  # receipts, counted by the run
 
     # -- calls the run loop makes ---------------------------------------
 
@@ -379,51 +353,6 @@ class SimState:
         except OptimizerError:
             pass  # stale-but-safe: scheduler keeps its previous split
 
-    def _receive(self, fr: _FlowRuntime, pkt: Packet, t: float) -> None:
-        # The one entry point of every receipt.  A flow releases its
-        # packets in seq order, so its first measured release is the
-        # packet at seq == warmup_cut, which holds the flow's earliest
-        # measured creation, and each measured release is its latest.
-        pkt.received_at = t
-        buf = fr.reorder
-        seq = pkt.seq
-        if seq == buf.next_seq and not buf.pending:
-            # In order with nothing held: released on receipt, so its
-            # resequencing delay is 0.0 and the reseq sum and max stay.
-            buf.next_seq = seq + 1
-            self.total_released += 1
-            cut = fr.warmup_cut
-            if seq >= cut:
-                created = pkt.created_at
-                fr.lat.append(t - created)
-                fr.band_counts[pkt.enqueued_band] += 1
-                fr.wait_sum += pkt.service_start - created
-                fr.max_released = t
-                if seq == cut:
-                    fr.min_created = created
-            return
-        released = buf.release(pkt, t)
-        self.total_released += len(released)
-        cut = fr.warmup_cut
-        for rp in released:
-            seq = rp.seq
-            if seq >= cut:
-                # Every packet released after the one just received was
-                # held, so some lower seq had not arrived at its receipt.
-                if rp is not pkt:
-                    fr.ooo_count += 1
-                created = rp.created_at
-                fr.lat.append(t - created)
-                reseq = t - rp.received_at
-                fr.reseq_sum += reseq
-                if reseq > fr.reseq_max:
-                    fr.reseq_max = reseq
-                fr.band_counts[rp.enqueued_band] += 1
-                fr.wait_sum += rp.service_start - created
-                fr.max_released = t
-                if seq == cut:
-                    fr.min_created = created
-
     # -- the two paths ---------------------------------------------------
 
     def run(self) -> MetricsReport:
@@ -431,7 +360,6 @@ class SimState:
         flow under a static policy, the event loop otherwise."""
         flows = self.flows
         if len(flows) == 1 and not flows[0].scheduler.uses_feedback:
-            # The pass's buffers are freed before the report is built.
             if self._run_pass():
                 return self._report()
             # A receipt tie, which the loop orders by its insertion
@@ -440,15 +368,15 @@ class SimState:
         return self._run_events()
 
     def _run_pass(self) -> bool:
-        """Leave every counter as the event loop would, or return False
-        at a receipt tie that only the loop can order."""
+        """Fill the flow's per-seq buffers as the event loop would, or
+        return False at a receipt tie that only the loop can order."""
         fr = self.flows[0]
         n = fr.packets
         # The gaps in stream order, summed in order: the loop's t + gap.
-        arrivals = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
-        choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
-        starts = array("d", [0.0]) * n
-        receipts = array("d", [0.0]) * n
+        fr.arrival = arrivals = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
+        fr.band = choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
+        fr.start = starts = array("d", [0.0]) * n
+        fr.receipt = receipts = array("d", [math.nan]) * n
         used = 0
         for j, srv in enumerate(self.servers):
             if j not in choices:
@@ -486,41 +414,21 @@ class SimState:
                         starts[k] = s
                         receipts[k] = done + prop
 
-        a = np.frombuffer(arrivals)
-        s = np.frombuffer(starts)
-        r = np.frombuffer(receipts)
-        bands = np.frombuffer(choices, dtype=np.intc)
         if n > QUEUE_CAP:
             # Only a flow longer than the cap can fill a queue past it.
-            over = _first_overflow(a, s, bands)
+            over = _first_overflow(
+                np.frombuffer(arrivals), np.frombuffer(starts), np.frombuffer(choices, dtype=np.intc)
+            )
             if over is not None:
                 seq, band = over
                 raise OverloadDetected(f"band {band} queue exceeded cap {QUEUE_CAP} at t={arrivals[seq]:.6f}")
-        # Packet k is released at the latest receipt of packets 0..k.
-        released = np.maximum.accumulate(r)
-        cut = fr.warmup_cut
         if used > 1:
-            # A receipt at the latest receipt before it is a tie.
-            lo = max(cut, 1)
-            if (r[lo:] == released[lo - 1 : -1]).any():
+            # A measured receipt at the latest receipt before it is a tie.
+            r = np.frombuffer(receipts)
+            lo = max(fr.warmup_cut, 1)
+            if (r[lo:] == np.maximum.accumulate(r)[lo - 1 : -1]).any():
                 return False
-            # A packet is held when received below the latest receipt
-            # before it, so exactly the held ones have a resequencing
-            # delay above 0.  Sums run in seq order, the loop's release
-            # order.  The results overwrite the buffers they come from,
-            # so the pass allocates no further n-length array.
-            reseq = np.subtract(released[cut:], r[cut:], out=r[cut:])
-            fr.ooo_count = int(np.count_nonzero(reseq))
-            fr.reseq_max = float(reseq.max())
-            fr.reseq_sum = float(np.add.accumulate(reseq, out=reseq)[-1])
-        fr.band_counts = np.bincount(bands[cut:], minlength=len(self.servers)).tolist()
-        fr.min_created = arrivals[cut]
-        fr.max_released = float(released[-1])
-        lat = np.subtract(released[cut:], a[cut:], out=released[cut:])
-        fr.lat.frombytes(memoryview(lat).cast("B"))
-        wait = np.subtract(s[cut:], a[cut:], out=s[cut:])
-        fr.wait_sum = float(np.add.accumulate(wait, out=wait)[-1])
-        fr.next_seq = fr.reorder.next_seq = self.total_released = n
+        fr.next_seq = self.received = n
         return True
 
     def _run_events(self) -> MetricsReport:
@@ -531,33 +439,36 @@ class SimState:
         pop = heappop
         heap = self.heap
         tick = count(1).__next__  # the insertion counter of the tie order
-        new = object.__new__
-        config = self.config
         servers = self.servers
         flows = self.flows
-        num_stas = config.stas
-        interval = config.feedback_interval_pkts
-        target = sum(fr.packets for fr in flows)
-        receive = self._receive
+        num_stas = self.config.stas
+        interval = self.config.feedback_interval_pkts
         feedback = self._feedback
         for fr in flows:
+            n = fr.packets
+            fr.arrival = array("d", [0.0]) * n
+            fr.start = array("d", [0.0]) * n
+            fr.receipt = array("d", [math.nan]) * n
+            fr.band = array("i", [0]) * n
+            fr.order = array("i", [0]) * n
             push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index, None))
         for srv in servers:
             if srv.draw_vacation is not None:
                 dur = srv.draw_vacation()
                 srv.vac_dur = dur
                 srv.vac_end = dur
+        received = 0  # the next receipt's position in pop order
         while heap:
             # j is the band of a departure or vacation end, the flow of
-            # an arrival or receipt.
+            # an arrival or receipt; a receipt's payload is its seq.
             t, kind, _, j, payload = pop(heap)
             if kind == _EV_DEPART:
                 srv = servers[j]
-                pkt = srv.current
+                fi, seq = srv.current
                 dur = srv.current_dur
                 occupied = srv.occupied + dur
                 srv.occupied = occupied
-                fr = flows[pkt.flow_idx]
+                fr = flows[fi]
                 taps = fr.taps
                 if taps is not None:
                     tap = taps[j]
@@ -573,15 +484,13 @@ class SimState:
                     if served % interval == 0:
                         feedback(fr)
                 if srv.prop_latency == 0.0:
-                    receive(fr, pkt, t)
+                    fr.receipt[seq] = t
+                    fr.order[seq] = received
+                    received += 1
                 else:
-                    push(heap, (t + srv.prop_latency, _EV_RECEIVE, tick(), pkt.flow_idx, pkt))
+                    push(heap, (t + srv.prop_latency, _EV_RECEIVE, tick(), fi, seq))
                 if not srv.qlen:
-                    # Idle.  The last release ends the run here, before a
-                    # parametric band would start its next vacation.
                     srv.current = None
-                    if self.total_released >= target:
-                        break
                     if srv.draw_vacation is not None:
                         dur = srv.draw_vacation()
                         srv.vac_dur = dur
@@ -589,9 +498,10 @@ class SimState:
                     continue
                 # else: start the next queued packet, below.
             elif kind == _EV_RECEIVE:
-                receive(flows[j], payload, t)
-                if self.total_released >= target:
-                    break
+                fr = flows[j]
+                fr.receipt[payload] = t
+                fr.order[payload] = received
+                received += 1
                 continue
             elif kind == _EV_VACATION:
                 srv = servers[j]
@@ -600,12 +510,9 @@ class SimState:
             else:
                 fr = flows[j]
                 band = fr.scheduler.next_band()
-                pkt = new(Packet)
                 seq = fr.next_seq
-                pkt.seq = seq
-                pkt.created_at = t
-                pkt.flow_idx = j
-                pkt.enqueued_band = band
+                fr.arrival[seq] = t
+                fr.band[seq] = band
                 fr.next_seq = seq + 1
                 if seq + 1 < fr.packets:
                     push(heap, (t + fr.draw_gap(), _EV_ARRIVAL, tick(), j, None))
@@ -613,16 +520,16 @@ class SimState:
                 q = srv.only_queue
                 if srv.current is None and srv.draw_vacation is None and q is not None:
                     # An idle emergent band with one queue serves at once.
-                    pkt.service_start = t
+                    fr.start[seq] = t
                     dur = srv.draw_service()
-                    srv.current = pkt
+                    srv.current = (j, seq)
                     srv.current_dur = dur
                     push(heap, (t + dur, _EV_DEPART, tick(), band, None))
                     continue
                 if q is None:
-                    srv.queues[fr.rank][fr.sta].append(pkt)
+                    srv.queues[fr.rank][fr.sta].append((j, seq))
                 else:
-                    q.append(pkt)
+                    q.append((j, seq))
                 qlen = srv.qlen + 1
                 srv.qlen = qlen
                 if qlen > QUEUE_CAP:
@@ -657,56 +564,98 @@ class SimState:
                 q = srv.pick_queue(num_stas)
             pkt = q.popleft()
             srv.qlen -= 1
-            pkt.service_start = t
+            flows[pkt[0]].start[pkt[1]] = t
             dur = srv.draw_service()
             srv.current = pkt
             srv.current_dur = dur
             push(heap, (t + dur, _EV_DEPART, tick(), j, None))
+        self.received = received
         return self._report()
 
     # -- accounting ----------------------------------------------------
 
     def _report(self) -> MetricsReport:
-        # The complete-run invariant, checked before any metric is read.
+        """Every metric, derived from the flows' per-seq buffers in place.
+        The report overwrites the receipts and starts with its results, so
+        it runs once per run."""
+        # The complete-run invariant, checked before any metric is read:
+        # every flow generated its budget, every seq has exactly one
+        # receipt (none is missing, and there are as many receipts as
+        # packets), and no packet is left in the heap, a queue or a server.
         flows = self.flows
+        total = 0
         for fr in flows:
-            if not fr.next_seq == fr.reorder.next_seq == fr.packets:
+            missing = int(np.count_nonzero(np.isnan(np.frombuffer(fr.receipt))))
+            if fr.next_seq != fr.packets or missing:
                 raise ConservationViolated(
-                    f"flow {fr.index}: generated {fr.next_seq} and released "
-                    f"{fr.reorder.next_seq} of {fr.packets} packets"
+                    f"flow {fr.index}: generated {fr.next_seq} of {fr.packets} packets, "
+                    f"{missing} never received"
                 )
+            total += fr.packets
         queued = sum(srv.qlen + (srv.current is not None) for srv in self.servers)
-        held = sum(len(fr.reorder) for fr in flows)
-        if queued or held or self.heap:
+        if self.received != total or queued or self.heap:
             raise ConservationViolated(
-                f"run ended with {queued} packets queued or in service, {held} held "
-                f"for resequencing and {len(self.heap)} events in the heap"
+                f"run ended with {self.received} receipts of {total} packets, {queued} packets "
+                f"queued or in service and {len(self.heap)} events in the heap"
             )
 
-        lat_all = np.concatenate([np.frombuffer(fr.lat, dtype=float) for fr in flows])
+        lats = []
+        firsts = []
+        lasts = []
+        held = 0
+        reseq_sum = reseq_max = wait_sum = 0.0
+        band_counts = 0
+        for fr in flows:
+            # The band counts' temporary is freed before the release
+            # times are made, and the results overwrite the buffers, so a
+            # report adds about one n-length array per flow.
+            cut = fr.warmup_cut
+            bands = np.frombuffer(fr.band, dtype=np.intc)[cut:]
+            band_counts = band_counts + np.bincount(bands, minlength=len(self.servers))
+            r = np.frombuffer(fr.receipt)
+            # Packet k is released at the latest receipt of packets 0..k.
+            released = np.maximum.accumulate(r)
+            # A packet is held when its key is below the running maximum
+            # of the earlier keys: its receipt in the pass, which hands
+            # every tie to the loop, and its position in pop order in the
+            # loop.
+            if fr.order is None:
+                key, top = r, released
+            else:
+                key = np.frombuffer(fr.order, dtype=np.intc)
+                top = np.maximum.accumulate(key)
+            held += int(np.count_nonzero(key[cut:] < top[cut:]))
+            a = np.frombuffer(fr.arrival)[cut:]
+            firsts.append(float(a[0]))
+            lasts.append(float(released[-1]))
+            # Each sum runs in seq order, the order of release.
+            reseq = np.subtract(released[cut:], r[cut:], out=r[cut:])
+            reseq_max = max(reseq_max, float(reseq.max()))
+            reseq_sum += float(np.add.accumulate(reseq, out=reseq)[-1])
+            lats.append(np.subtract(released[cut:], a, out=released[cut:]))
+            wait = np.frombuffer(fr.start)[cut:]
+            np.subtract(wait, a, out=wait)
+            wait_sum += float(np.add.accumulate(wait, out=wait)[-1])
+        lat_all = lats[0] if len(lats) == 1 else np.concatenate(lats)
         measured = int(lat_all.size)
         mean_lat = float(lat_all.mean())
-        p95 = float(np.percentile(lat_all, 95))
-        reseq_sum = sum(fr.reseq_sum for fr in flows)
-        reseq_max = max(fr.reseq_max for fr in flows)
-        ooo = sum(fr.ooo_count for fr in flows)
-        band_counts = zip(*(fr.band_counts for fr in flows))
-        frac = tuple(sum(counts) / measured for counts in band_counts)
-        span = max(fr.max_released for fr in flows) - min(fr.min_created for fr in flows)
+        # The mean is taken; the percentile may reorder the latencies.
+        p95 = float(np.percentile(lat_all, 95, overwrite_input=True))
+        frac = tuple(count / measured for count in band_counts.tolist())
+        span = max(lasts) - min(firsts)
         goodput = measured / span if span > 0 else 0.0
-        wait_sum = sum(fr.wait_sum for fr in flows)
         return MetricsReport(
             scenario=self.config.name,
             scheduler=self.scheduler_spec.name,
             seed=self.seed,
-            delivered=self.total_released,
+            delivered=total,
             measured=measured,
             goodput_pps=goodput,
             mean_latency_s=mean_lat,
             p95_latency_s=p95,
             mean_reseq_delay_s=reseq_sum / measured,
             max_reseq_delay_s=reseq_max,
-            out_of_order_frac=ooo / measured,
+            out_of_order_frac=held / measured,
             per_band_frac=frac,
             mean_wait_s=wait_sum / measured,
         )

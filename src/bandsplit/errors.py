@@ -53,9 +53,9 @@ class ConfigInvalid(BandsplitError):
 
 
 class ConservationViolated(BandsplitError):
-    """A run ended short of some flow's packet budget, or with a packet
-    left in the event heap, a queue, a server or a reorder buffer (an
-    engine bug)."""
+    """A run ended short of some flow's packet budget, with a packet not
+    received exactly once, or with a packet left in the event heap, a
+    queue or a server (an engine bug)."""
 
 
 class OverloadDetected(BandsplitError):

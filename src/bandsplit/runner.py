@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +58,9 @@ def run_suite(
     if jobs == 1 or len(tasks) == 1:
         reports = [_run_one(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # The pool forks every worker up front, so start no more than
+        # there are runs.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             reports = list(pool.map(_run_one, tasks))
     reports.sort(key=lambda r: (r.scenario, r.scheduler, r.seed))
     if out_path is not None:
@@ -138,10 +141,14 @@ def _decode(row, where: str) -> dict:
         v = row[name]
         if isinstance(v, str) or type(v) is typ or (typ is float and type(v) is int):
             try:
-                rec[name] = typ(v)
-                continue
+                value = typ(v)
             except ValueError:
                 pass
+            else:
+                # nan and inf parse as floats but are no metric's value.
+                if typ is not float or math.isfinite(value):
+                    rec[name] = value
+                    continue
         raise InvalidRecords(f"{where}: field {name!r}: expected {typ.__name__}, got {v!r}")
     return rec
 

@@ -1,6 +1,7 @@
 """Shared test helpers: random feasible instances, the feasibility check
-of a split, a count of the schedulers' solves, and the acceptance
-summary hook (one PASS/FAIL line per criterion in the terminal summary).
+of a split, a count of the schedulers' solves, a copy of each run's
+per-seq buffers, and the acceptance summary hook (one PASS/FAIL line per
+criterion in the terminal summary).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from bandsplit import schedulers
+from bandsplit.engine import SimState
 from bandsplit.errors import LengthMismatch
 from bandsplit.model import BandStats
 from bandsplit.optimizer import optimize
@@ -64,6 +66,28 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(schedulers, "optimize", spy)
     return count
+
+
+BUFFERS = ("arrival", "start", "receipt", "band", "order")
+
+
+@pytest.fixture
+def buffers(monkeypatch):
+    """A spy on SimState._report.  Each report appends, per flow, a dict
+    of numpy copies of the flow's per-seq buffers (None for a buffer the
+    run did not fill), taken before the report overwrites them."""
+    runs = []
+    report = SimState._report
+
+    def copy(buf):
+        return None if buf is None else np.array(buf)
+
+    def spy(self):
+        runs.append([{name: copy(getattr(fr, name)) for name in BUFFERS} for fr in self.flows])
+        return report(self)
+
+    monkeypatch.setattr(SimState, "_report", spy)
+    return runs
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -280,7 +280,7 @@ def _random_config(rng: np.random.Generator, index: int) -> ScenarioConfig:
     )
 
 
-def test_criterion_9_conservation_and_ordering_properties():
+def test_criterion_9_conservation_and_ordering_properties(buffers):
     rng = np.random.default_rng(909)
     complete = 0
     for i in range(100):
@@ -288,11 +288,22 @@ def test_criterion_9_conservation_and_ordering_properties():
         state = SimState(cfg, cfg.schedulers[0], seed=1000 + i)
         # run() raises ConservationViolated unless the run is complete.
         rep = state.run()
-        # The whole budget, released in order: every flow's buffer
-        # released a gapless prefix of all its packets and holds none.
-        for fr, fl in zip(state.flows, cfg.flows):
-            assert fr.next_seq == fr.reorder.next_seq == fl.packets
-            assert not fr.reorder.pending
+        # The whole budget, each packet received once and in order: every
+        # flow generated all its packets, every seq has one receipt after
+        # its service start, and each band served and delivered a flow's
+        # packets in seq order (one FIFO queue per flow and band).
+        flows = buffers[-1]
+        for fr, fl, f in zip(state.flows, cfg.flows, flows):
+            assert fr.next_seq == fl.packets
+            assert (f["arrival"] <= f["start"]).all() and (f["start"] <= f["receipt"]).all()
+            for j in range(len(cfg.bands)):
+                on = f["band"] == j
+                assert (np.diff(f["start"][on]) >= 0.0).all() and (np.diff(f["receipt"][on]) >= 0.0).all()
+        if flows[0]["order"] is not None:
+            # The event loop numbers its receipts in pop order: each
+            # number once, so no seq was received twice.
+            order = np.concatenate([f["order"] for f in flows])
+            assert (np.sort(order) == np.arange(order.size)).all()
         assert not state.heap
         assert rep.delivered == sum(f.packets for f in cfg.flows)
         # Metric invariants.

@@ -1,6 +1,7 @@
 """CLI surface tests: subcommands, exit codes, bundled scenario access."""
 
 import json
+import math
 
 import pytest
 
@@ -317,8 +318,20 @@ def _jsonl(lines):
         ("r.jsonl", _jsonl([_RECORDS[0], list(_RECORDS[1].values())]), "line 2: expected a record object"),
         ("r.jsonl", _jsonl([_RECORDS[0], {k: v for k, v in _RECORDS[1].items() if k != "scheduler"}]), "line 2: missing field 'scheduler'"),
         ("r.jsonl", _jsonl(_RECORDS)[:-20], "line 2: not JSON"),
+        ("r.csv", _csv([_RECORDS[0], {**_RECORDS[1], "mean_latency_s": "nan"}]), "line 3: field 'mean_latency_s'"),
+        ("r.jsonl", _jsonl([{**_RECORDS[0], "goodput_pps": math.nan}, _RECORDS[1]]), "line 1: field 'goodput_pps'"),
+        ("r.jsonl", _jsonl([_RECORDS[0], {**_RECORDS[1], "band_frac_0": math.inf}]), "line 2: field 'band_frac_0'"),
     ],
-    ids=["csv-missing-column", "csv-non-numeric-cell", "jsonl-list-line", "jsonl-missing-field", "jsonl-truncated"],
+    ids=[
+        "csv-missing-column",
+        "csv-non-numeric-cell",
+        "jsonl-list-line",
+        "jsonl-missing-field",
+        "jsonl-truncated",
+        "csv-nan-cell",
+        "jsonl-nan",
+        "jsonl-infinity",
+    ],
 )
 def test_malformed_records_file_is_runtime_error(tmp_path, capsys, name, text, where):
     p = tmp_path / name

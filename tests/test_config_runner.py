@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from bandsplit import scenarios
+from bandsplit import runner, scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.errors import ConfigInvalid, MismatchedSeeds
@@ -162,6 +162,32 @@ def test_seed_override_and_jobs_merge_identical(tmp_path):
     assert len(seq) == 4
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert seq == par
+
+
+def test_run_suite_starts_no_more_workers_than_runs(monkeypatch):
+    # The process pool forks every worker when it starts, so --jobs 64
+    # for two_band_asym's 7 runs must ask for 7.  The fake pool maps in
+    # this process and starts none.
+    asked = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    cfg = scenarios.load("two_band_asym")
+    cfg = dataclasses.replace(cfg, flows=tuple(dataclasses.replace(fl, packets=300) for fl in cfg.flows))
+    assert len(run_suite(cfg, None, seeds=1, jobs=64)) == 7
+    assert asked == [7]
 
 
 def test_csv_and_jsonl_encode_identical_values(tmp_path):

@@ -58,12 +58,12 @@ def test_conservation_and_counts_at_natural_end():
 
 
 def _leave_a_packet_in_flight(state):
-    state.heap.append((math.inf, engine._EV_RECEIVE, 0, 0, engine.Packet()))
+    state.heap.append((math.inf, engine._EV_RECEIVE, 0, 0, 0))
 
 
 def _leave_a_packet_queued(state):
     srv = state.servers[0]
-    srv.queues[0][0].append(engine.Packet())
+    srv.queues[0][0].append((0, 0))
     srv.qlen += 1
 
 
@@ -72,12 +72,19 @@ def _phantom_packet(state):
 
 
 def _lose_a_release(state):
-    state.flows[0].reorder.next_seq -= 1
+    # The last packet's receipt is lost, so it is never released.
+    state.flows[0].receipt[-1] = math.nan
+    state.received -= 1
 
 
-def _leave_a_packet_held(state):
-    buf = state.flows[0].reorder
-    buf.pending[buf.next_seq + 1] = engine.Packet()
+def _receive_a_seq_twice_and_another_never(state):
+    # As many receipts as packets, but seq 2's went to another seq.
+    state.flows[0].receipt[2] = math.nan
+
+
+def _receive_a_seq_twice(state):
+    # One receipt more than packets, with every seq received.
+    state.received += 1
 
 
 @pytest.mark.parametrize(
@@ -87,20 +94,26 @@ def _leave_a_packet_held(state):
         _leave_a_packet_queued,
         _phantom_packet,
         _lose_a_release,
-        _leave_a_packet_held,
+        _receive_a_seq_twice_and_another_never,
+        _receive_a_seq_twice,
     ],
-    ids=["in_transit", "lost_queued", "phantom", "lost_release", "held"],
+    ids=["in_transit", "lost_queued", "phantom", "lost_release", "twice_and_never", "twice"],
 )
-def test_conservation_mismatch_is_an_explicit_error(tamper):
+def test_conservation_mismatch_is_an_explicit_error(monkeypatch, tamper):
     # Kept under python -O: the check is an exception, not an assert.
-    # The run completes and passes the check; each case then breaks one
-    # part of the complete-run invariant and checks again.
+    # An untouched run passes the check; each case breaks one part of
+    # the complete-run invariant just before the report checks it.
     cfg = one_band_cfg(packets=500)
-    state = SimState(cfg, cfg.schedulers[0], seed=4)
-    assert state.run() == state._report()
-    tamper(state)
+    assert run_scenario(cfg, cfg.schedulers[0], seed=4).delivered == 500
+    report = SimState._report
+
+    def tampered(self):
+        tamper(self)
+        return report(self)
+
+    monkeypatch.setattr(SimState, "_report", tampered)
     with pytest.raises(ConservationViolated):
-        state._report()
+        run_scenario(cfg, cfg.schedulers[0], seed=4)
 
 
 def test_overload_detection_trips_queue_cap(monkeypatch):
@@ -161,7 +174,16 @@ def test_emergent_vacations_measured_for_coexisting_flows():
         assert st.v2 >= st.vbar**2
 
 
-def test_strict_priority_across_access_categories():
+def _mean_latencies(state, flows):
+    """Each flow's mean measured latency, from its copied buffers: a
+    packet is released at the latest receipt of its seq and all lower."""
+    return [
+        float(np.mean((np.maximum.accumulate(f["receipt"]) - f["arrival"])[fr.warmup_cut :]))
+        for fr, f in zip(state.flows, flows)
+    ]
+
+
+def test_strict_priority_across_access_categories(buffers):
     # Same station, two ACs on one saturated band: the priority class
     # must see much less queueing than the background class.
     cfg = ScenarioConfig(
@@ -175,12 +197,12 @@ def test_strict_priority_across_access_categories():
         schedulers=(SchedulerSpec("single_band", 0),),
     )
     state = SimState(cfg, cfg.schedulers[0], seed=2)
-    rep = state.run()
-    lat = [sum(fr.lat) / len(fr.lat) for fr in state.flows]
+    state.run()
+    lat = _mean_latencies(state, buffers[-1])
     assert lat[0] < lat[1] * 0.5
 
 
-def test_round_robin_across_stations_is_fair():
+def test_round_robin_across_stations_is_fair(buffers):
     cfg = ScenarioConfig(
         name="rr",
         bands=(BandConfig(service=DistributionSpec("deterministic", mean=0.05)),),
@@ -192,8 +214,8 @@ def test_round_robin_across_stations_is_fair():
         schedulers=(SchedulerSpec("single_band", 0),),
     )
     state = SimState(cfg, cfg.schedulers[0], seed=2)
-    rep = state.run()
-    lat = [sum(fr.lat) / len(fr.lat) for fr in state.flows]
+    state.run()
+    lat = _mean_latencies(state, buffers[-1])
     assert lat[0] == pytest.approx(lat[1], rel=0.1)
 
 
@@ -253,11 +275,12 @@ def test_bootstrap_stats_moments():
     assert st.vbar == VACATION_FLOOR and st.v2 == VACATION_FLOOR**2
 
 
-def test_timestamps_monotone_and_bands_emit_in_flow_order():
-    # Instrument the event loop's receive path: every packet's timestamps
-    # must be monotone and each band must deliver a flow's packets in the
-    # order they were assigned.  run() takes the one pass on this
-    # one-flow even_split config, so the test calls the loop itself.
+def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
+    # From the event loop's per-seq buffers: every packet's timestamps
+    # must be monotone, receipts must come in time order, and each band
+    # must deliver a flow's packets in the order they were assigned.
+    # run() takes the one pass on this one-flow even_split config, so the
+    # test calls the loop itself: only the loop numbers its receipts.
     cfg = ScenarioConfig(
         name="order",
         bands=(
@@ -267,31 +290,14 @@ def test_timestamps_monotone_and_bands_emit_in_flow_order():
         flows=(FlowConfig(sta=0, ac=0, lambda_pps=9.0, packets=4000),),
         schedulers=(SchedulerSpec("even_split"),),
     )
-    state = SimState(cfg, cfg.schedulers[0], seed=21)
-    seen = []
-    original = SimState._receive
-
-    def spy(self, fr, pkt, t):
-        seen.append((pkt, t))
-        original(self, fr, pkt, t)
-
-    SimState._receive = spy
-    try:
-        state._run_events()
-    finally:
-        SimState._receive = original
-    assert len(seen) == 4000
-    last_seq_per_band = {}
-    last_t = 0.0
-    for pkt, t in seen:
-        # A receipt, and every release it triggers, happen at the t of
-        # its _receive call; those calls come in time order.
-        assert pkt.created_at <= pkt.service_start <= pkt.received_at == t
-        assert t >= last_t
-        last_t = t
-        prev = last_seq_per_band.get(pkt.enqueued_band, -1)
-        assert pkt.seq > prev
-        last_seq_per_band[pkt.enqueued_band] = pkt.seq
+    SimState(cfg, cfg.schedulers[0], seed=21)._run_events()
+    ((f,),) = buffers
+    assert (f["arrival"] <= f["start"]).all() and (f["start"] <= f["receipt"]).all()
+    popped = np.argsort(f["order"])  # the seqs in receipt order
+    assert (f["order"][popped] == np.arange(4000)).all()
+    assert (np.diff(f["receipt"][popped]) >= 0.0).all()
+    for band in (0, 1):
+        assert (np.diff(popped[f["band"][popped] == band]) > 0).all()
 
 
 def test_run_requires_single_scheduler():
@@ -376,22 +382,15 @@ def test_idle_vacations_push_no_heap_events(heap_pushes):
     assert heap_pushes[0] < 3 * rep.delivered
 
 
-def _receive_log(cfg, spec, seed):
-    """Run the event loop with a spy on its receive entry point; return
-    the report and each flow's (seq, t) receipts in call order."""
-    log = [[] for _ in cfg.flows]
-    original = SimState._receive
-
-    def spy(self, fr, pkt, t):
-        log[fr.index].append((pkt.seq, t))
-        original(self, fr, pkt, t)
-
-    SimState._receive = spy
-    try:
-        state = SimState(cfg, spec, seed)
-        rep = state._run_events()
-    finally:
-        SimState._receive = original
+def _receipt_log(buffers, cfg, spec, seed):
+    """Run the event loop; return the report, the state and each flow's
+    (seq, t) receipts in pop order, read from its copied buffers."""
+    state = SimState(cfg, spec, seed)
+    rep = state._run_events()
+    log = []
+    for f in buffers[-1]:
+        popped = np.argsort(f["order"])
+        log.append([(int(seq), float(f["receipt"][seq])) for seq in popped])
     return rep, state, log
 
 
@@ -423,12 +422,12 @@ def _high_rtt_cfg():
         (_high_rtt_cfg, "leaky_bucket"),
     ],
 )
-def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(build, kind):
+def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(buffers, build, kind):
     # The definition, from receipts alone: a measured packet is out of
-    # order when some lower seq of its flow had not been received (by
-    # call order, so same-instant receipts count in the order they ran).
+    # order when some lower seq of its flow had not been received (in pop
+    # order, so same-instant receipts count in the order they popped).
     cfg = build()
-    rep, state, log = _receive_log(cfg, SchedulerSpec(kind), seed=3)
+    rep, state, log = _receipt_log(buffers, cfg, SchedulerSpec(kind), seed=3)
     assert rep.delivered == sum(fl.packets for fl in cfg.flows)
     ahead = 0
     ahead_at_a_tie = 0
@@ -584,21 +583,17 @@ def _cross_check_states(group):
 @pytest.mark.parametrize(
     "group", ["bundled", "criterion_1", "three_band_parametric", "random", "arrivals_at_departures"]
 )
-def test_one_pass_matches_the_event_loop(group):
-    # The pass and the loop must give equal reports, down to the
-    # diagnostic fields (measured, mean_wait_s), and leave each flow's
-    # counters alike.
+def test_one_pass_matches_the_event_loop(buffers, group):
+    # The pass and the loop must record equal per-seq buffers (arrival,
+    # service start, receipt and band of every packet) and give equal
+    # reports, down to the diagnostic fields (measured, mean_wait_s).
     runs = 0
     for by_pass, by_loop in _cross_check_states(group):
         assert by_pass.run() == by_loop._run_events()
-        for a, b in zip(by_pass.flows, by_loop.flows):
-            assert (a.next_seq, a.reorder.next_seq, a.band_counts, a.ooo_count) == (
-                b.next_seq,
-                b.reorder.next_seq,
-                b.band_counts,
-                b.ooo_count,
-            )
-            assert a.lat == b.lat
+        (a,), (b,) = buffers[-2:]
+        assert a["order"] is None and b["order"] is not None  # run() took the pass
+        for name in ("arrival", "start", "receipt", "band"):
+            assert (a[name] == b[name]).all()
         runs += 1
     assert runs == {"bundled": 24, "criterion_1": 3, "three_band_parametric": 12, "random": 40}.get(group, 1)
 
@@ -660,41 +655,43 @@ def _calls_per_delivered_packet(scenario, kind, entry="run"):
 
 @pytest.mark.parametrize(
     "kind, entry, bound",
-    [("single_band:0", "_run_events", 2.5), ("even_split", "_run_events", 3.0), ("leaky_bucket", "run", 6.5)],
+    [("single_band:0", "_run_events", 1.5), ("even_split", "_run_events", 1.5), ("leaky_bucket", "run", 5.5)],
     ids=["single_band:0", "even_split", "leaky_bucket"],
 )
 def test_python_calls_per_packet_on_a_single_path_run(kind, entry, bound):
     # The event loop's per-packet cost as a count that host load cannot
     # move: Python function calls per delivered packet, on the
     # asym_schemes config (two_band_asym).  The loop handles every event
-    # inline, builds packets with object.__new__ and draws through the
-    # samplers' C-level stream, so a packet costs its scheduler pick and
-    # its receipt: 2.02 under single_band:0, 2.49 under even_split
-    # (reorder-buffer calls) and 6.13 under leaky_bucket (two estimator
-    # adds per packet and the feedback rounds).  With one call per push,
-    # per handler, per draw and per Packet these were 10.02, 10.99 and
-    # 14.28.  run() takes the one pass for the static policies, so they
-    # call the loop itself.
+    # inline, writes each packet's times into its flow's buffers and
+    # draws through the samplers' C-level stream, so a packet costs its
+    # scheduler pick: 1.02 under single_band:0 and even_split, and 5.02
+    # under leaky_bucket (two estimator adds per packet and the feedback
+    # rounds).  With a receipt call per packet these were 2.02, 2.49
+    # (reorder-buffer calls) and 6.15; with one call per push, per
+    # handler, per draw and per packet object 10.02, 10.99 and 14.28.
+    # run() takes the one pass for the static policies, so they call the
+    # loop itself.
     assert _calls_per_delivered_packet("two_band_asym", kind, entry) < bound
 
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES)
 def test_python_calls_per_packet_on_a_one_pass_run(kind):
     # The one pass calls next_band once per packet and nothing else per
-    # packet: measured 1.024 under single_band:0, single_band:1 and
-    # band_per_flow and 1.026 under even_split.
+    # packet: measured 1.020 under single_band:0, single_band:1,
+    # band_per_flow and even_split.
     assert _calls_per_delivered_packet("two_band_asym", kind) < 1.5
 
 
 @pytest.mark.parametrize(
     "kind, bound",
-    [("even_split", 4.0), ("leaky_bucket", 8.0)],
+    [("even_split", 2.5), ("leaky_bucket", 6.7)],
     ids=["even_split", "leaky_bucket"],
 )
 def test_python_calls_per_packet_on_multi_queue_bands(kind, bound):
     # two_sta_mixed: two stations share the bands, so every band has two
-    # queues and each service start calls pick_queue.  Measured: 3.51
-    # under even_split and 7.27 under leaky_bucket.
+    # queues and each service start calls pick_queue.  Measured: 2.01
+    # under even_split and 6.17 under leaky_bucket (3.51 and 7.31 with a
+    # receipt call per packet).
     assert _calls_per_delivered_packet("two_sta_mixed", kind) < bound
 
 
