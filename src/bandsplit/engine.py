@@ -8,33 +8,43 @@ which releases each flow's packets in sequence order.
 
 ``SimState.run`` takes one of two paths.  A config with one flow under
 a static policy (``single_band``, ``even_split``, ``band_per_flow``:
-band choices that ignore the system state) runs as one pass per band;
-every other config runs the event loop.  Both record the same facts,
-and one report derives every metric from them:
+band choices that ignore the system state) and at most ``QUEUE_CAP``
+packets runs as one pass per band; every other config runs the event
+loop.  Both record the same facts, and one report derives every metric
+from them:
 
 - Each flow holds per-seq buffers, allocated when the run starts: the
-  arrival, service start, receipt and band of each packet.  The loop
-  also records each receipt's position in its pop order (``order``).
+  arrival, service start, receipt and band of each packet.  A receipt
+  is the departure plus the band's propagation latency.  The loop also
+  records each packet's departure position, its place among all the
+  run's departures in pop order (``order``).
 - ``SimState._report`` derives the rest.  A packet is released at the
   latest receipt of its seq and all lower ones (the running maximum of
   the receipts); its latency is release minus arrival, its wait start
   minus arrival, and its resequencing delay release minus receipt.  It
   was held (out of order) when its key is below the running maximum of
-  the earlier keys: its pop-order position in the loop, so same-instant
-  receipts count in the order they popped, and its receipt time in the
-  pass, which hands every receipt tie to the loop.  Each sum runs in seq
-  order (``np.add.accumulate``), the order of release.  The report
-  overwrites the buffers with its results, so it runs once per run.
+  the earlier keys.  The key is its receipt time, unless a measured
+  receipt equals the latest receipt before it (a tie, ``_measured_tie``).
+  Then the key is the packet's rank by (receipt, latency > 0, departure
+  position): same-instant receipts count zero-latency bands first, then
+  in departure order.  That is the pop order of a loop that makes each
+  receipt behind a latency an event of its own, pushed at its departure
+  and sorted after departures.  The rule is exact when every service
+  advances the clock: a service too short to move ``t`` could start and
+  end after such receipt events had popped.  The pass hands every tie
+  to the loop, so only loop runs reach it.  Each sum runs in seq order
+  (``np.add.accumulate``), the order of release.  The report overwrites
+  the buffers with its results, so it runs once per run.
 - The complete-run invariant is checked before any metric is read:
   every flow generated its budget, every seq has exactly one receipt
   (none is left unset, and the run counted as many receipts as
-  packets), and no packet is left in the event heap (in flight), a
-  queue or a server.
+  packets), and no packet is left in the event heap, a queue or a
+  server.
 
 The event loop, ``SimState._run_events``, is one flat loop that handles
-departures, receipts, vacation ends and arrivals inline, on state bound
-to locals once per run.  Every push is
-``heappush(heap, (t, kind, tick(), index, payload))``, where ``tick`` is the ``__next__`` of an
+departures, vacation ends and arrivals inline, on state bound to locals
+once per run.  Every push is ``heappush(heap, (t, kind, tick(),
+index))``, where ``tick`` is the ``__next__`` of an
 ``itertools.count(1)`` (the insertion counter) and ``heappush`` is read
 from the module when the run starts.  Draws call each sampler's
 ``take``, the C-level ``__next__`` of its flattened block stream, and a
@@ -42,8 +52,9 @@ queued or in-service packet is its ``(flow index, seq)`` tuple, so
 neither runs a Python frame.  A packet's one Python call is its
 scheduler pick, plus estimator adds and feedback rounds under a
 feedback policy.  The loop writes each buffer entry inline, at the
-packet's arrival, service start and receipt, and ends when the heap
-empties, at the last receipt: a lazy vacation chain pushes nothing.
+packet's arrival, service start and departure (its receipt and
+departure position), and ends when the heap empties, at the last
+departure: a lazy vacation chain pushes nothing.
 
 Per-packet work is kept to what each packet needs:
 
@@ -101,17 +112,14 @@ share no random stream, so each band can run alone: Lindley's recursion
   departure that left the band empty otherwise.
 - Service is drawn in service order, and a receipt is the departure
   plus the band's propagation latency.  The buffers the pass fills are
-  the ones the loop fills for the same (config, policy, seed).
-- A measured receipt equal to the latest before it, on a flow that used
-  two or more bands, is a tie that the loop orders by its insertion
-  counter.  The pass then rebuilds the state from (config, policy,
-  seed) and runs the event loop, so no report can differ.
-- A band's queue at an arrival holds the band's earlier packets that had
-  not started, plus the arrival, and the pass raises
-  ``OverloadDetected`` at the first arrival that finds it above
-  ``QUEUE_CAP``, as the loop does (for any cap of at least one packet).
-  Only a flow longer than the cap can get there, so shorter flows skip
-  the check.
+  the ones the loop fills for the same (config, policy, seed), except
+  ``order``: the pass does not know the departure order across bands.
+- A measured receipt tie needs that order, so the pass then rebuilds
+  the state from (config, policy, seed) and runs the event loop, and no
+  report can differ.
+- A band's queue never holds more than the flow's packets, so a pass
+  run (at most ``QUEUE_CAP`` packets) cannot trip the cap, and the pass
+  has no cap check.
 """
 
 from __future__ import annotations
@@ -138,12 +146,11 @@ from .metrics import MetricsReport
 from .model import BandStats
 from .schedulers import SchedulerSpec, make_scheduler
 
-# Event-kind tie priorities: departures before receives before vacation
-# ends before arrivals.
+# Event-kind tie priorities: departures before vacation ends before
+# arrivals.
 _EV_DEPART = 0
-_EV_RECEIVE = 1
-_EV_VACATION = 2
-_EV_ARRIVAL = 3
+_EV_VACATION = 1
+_EV_ARRIVAL = 2
 
 # RNG stream domains, combined with the run seed per flow/band.
 _DOM_ARRIVAL = 0
@@ -229,8 +236,9 @@ class BandServer:
 
 class _FlowRuntime:
     """One flow's source state, and its per-seq buffers: arrival,
-    service start, receipt and band of every packet, plus each receipt's
-    position in the event loop's pop order (``order``, loop runs only).
+    service start, receipt and band of every packet, plus each packet's
+    departure position in the event loop's pop order (``order``, loop
+    runs only).
     A run allocates the buffers when it starts and fills them in place;
     ``SimState._report`` derives every metric from them."""
 
@@ -280,6 +288,8 @@ def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
 class SimState:
     """A fully wired simulation; run() drives it to completion and
     returns the report derived from the flows' per-seq buffers.
+    ``received`` counts the run's receipts, one per departure; ``heap``
+    holds the loop's pending events and is empty after a complete run.
 
     Exposed for white-box tests (estimator windows, per-seq buffers,
     which the report overwrites); normal callers use run_scenario().
@@ -335,7 +345,7 @@ class SimState:
             self.flows.append(fr)
 
         self.heap: list = []
-        self.received = 0  # receipts, counted by the run
+        self.received = 0  # receipts, one per departure, counted by the run
 
     # -- calls the run loop makes ---------------------------------------
 
@@ -357,19 +367,22 @@ class SimState:
 
     def run(self) -> MetricsReport:
         """Run to completion: one pass per band when the config has one
-        flow under a static policy, the event loop otherwise."""
+        flow under a static policy and no more packets than QUEUE_CAP,
+        the event loop otherwise."""
         flows = self.flows
-        if len(flows) == 1 and not flows[0].scheduler.uses_feedback:
+        # A band's queue never holds more than the flow's packets, so a
+        # flow of at most QUEUE_CAP packets cannot trip the cap.
+        if len(flows) == 1 and not flows[0].scheduler.uses_feedback and flows[0].packets <= QUEUE_CAP:
             if self._run_pass():
                 return self._report()
-            # A receipt tie, which the loop orders by its insertion
-            # counter: run the loop on a fresh state.
+            # A measured receipt tie, which only the loop's departure
+            # order resolves: run the loop on a fresh state.
             self.__init__(self.config, self.scheduler_spec, self.seed)
         return self._run_events()
 
     def _run_pass(self) -> bool:
         """Fill the flow's per-seq buffers as the event loop would, or
-        return False at a receipt tie that only the loop can order."""
+        return False at a measured receipt tie."""
         fr = self.flows[0]
         n = fr.packets
         # The gaps in stream order, summed in order: the loop's t + gap.
@@ -377,57 +390,36 @@ class SimState:
         fr.band = choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
         fr.start = starts = array("d", [0.0]) * n
         fr.receipt = receipts = array("d", [math.nan]) * n
-        used = 0
         for j, srv in enumerate(self.servers):
             if j not in choices:
                 continue
-            used += 1
             serve = srv.draw_service
             prop = srv.prop_latency
             vacation = srv.draw_vacation
             # done: the departure of the band's latest packet.  An arrival
             # at that instant finds the band idle, as departures pop first.
-            if vacation is None:
-                done = -math.inf
-                for k, band in enumerate(choices):
-                    if band == j:
-                        a = arrivals[k]
-                        s = a if a > done else done
-                        done = s + serve()
-                        starts[k] = s
-                        receipts[k] = done + prop
-            else:
-                # The band's first vacation starts at 0, and each departure
-                # that leaves it empty starts the next one; an arrival at an
-                # idle band waits out the first vacation ending after it.
-                done = 0.0
-                for k, band in enumerate(choices):
-                    if band == j:
-                        a = arrivals[k]
-                        if a < done:
-                            s = done
-                        else:
-                            s = done + vacation()
-                            while s <= a:
-                                s += vacation()
-                        done = s + serve()
-                        starts[k] = s
-                        receipts[k] = done + prop
-
-        if n > QUEUE_CAP:
-            # Only a flow longer than the cap can fill a queue past it.
-            over = _first_overflow(
-                np.frombuffer(arrivals), np.frombuffer(starts), np.frombuffer(choices, dtype=np.intc)
-            )
-            if over is not None:
-                seq, band = over
-                raise OverloadDetected(f"band {band} queue exceeded cap {QUEUE_CAP} at t={arrivals[seq]:.6f}")
-        if used > 1:
-            # A measured receipt at the latest receipt before it is a tie.
-            r = np.frombuffer(receipts)
-            lo = max(fr.warmup_cut, 1)
-            if (r[lo:] == np.maximum.accumulate(r)[lo - 1 : -1]).any():
-                return False
+            # A parametric band's first vacation starts at 0, and each
+            # departure that leaves it empty starts the next one; an
+            # arrival at an idle band waits out the first vacation ending
+            # after it.
+            done = -math.inf if vacation is None else 0.0
+            for k, band in enumerate(choices):
+                if band == j:
+                    a = arrivals[k]
+                    if a < done:
+                        s = done
+                    elif vacation is None:
+                        s = a
+                    else:
+                        s = done + vacation()
+                        while s <= a:
+                            s += vacation()
+                    done = s + serve()
+                    starts[k] = s
+                    receipts[k] = done + prop
+        r = np.frombuffer(receipts)
+        if _measured_tie(r, np.maximum.accumulate(r), fr.warmup_cut):
+            return False
         fr.next_seq = self.received = n
         return True
 
@@ -451,17 +443,17 @@ class SimState:
             fr.receipt = array("d", [math.nan]) * n
             fr.band = array("i", [0]) * n
             fr.order = array("i", [0]) * n
-            push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index, None))
+            push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index))
         for srv in servers:
             if srv.draw_vacation is not None:
                 dur = srv.draw_vacation()
                 srv.vac_dur = dur
                 srv.vac_end = dur
-        received = 0  # the next receipt's position in pop order
+        received = 0  # the next departure's position in pop order
         while heap:
             # j is the band of a departure or vacation end, the flow of
-            # an arrival or receipt; a receipt's payload is its seq.
-            t, kind, _, j, payload = pop(heap)
+            # an arrival.
+            t, kind, _, j = pop(heap)
             if kind == _EV_DEPART:
                 srv = servers[j]
                 fi, seq = srv.current
@@ -483,12 +475,9 @@ class SimState:
                     fr.served = served
                     if served % interval == 0:
                         feedback(fr)
-                if srv.prop_latency == 0.0:
-                    fr.receipt[seq] = t
-                    fr.order[seq] = received
-                    received += 1
-                else:
-                    push(heap, (t + srv.prop_latency, _EV_RECEIVE, tick(), fi, seq))
+                fr.receipt[seq] = t + srv.prop_latency
+                fr.order[seq] = received
+                received += 1
                 if not srv.qlen:
                     srv.current = None
                     if srv.draw_vacation is not None:
@@ -497,12 +486,6 @@ class SimState:
                         srv.vac_end = t + dur
                     continue
                 # else: start the next queued packet, below.
-            elif kind == _EV_RECEIVE:
-                fr = flows[j]
-                fr.receipt[payload] = t
-                fr.order[payload] = received
-                received += 1
-                continue
             elif kind == _EV_VACATION:
                 srv = servers[j]
                 srv.occupied += srv.vac_dur
@@ -515,7 +498,7 @@ class SimState:
                 fr.band[seq] = band
                 fr.next_seq = seq + 1
                 if seq + 1 < fr.packets:
-                    push(heap, (t + fr.draw_gap(), _EV_ARRIVAL, tick(), j, None))
+                    push(heap, (t + fr.draw_gap(), _EV_ARRIVAL, tick(), j))
                 srv = servers[band]
                 q = srv.only_queue
                 if srv.current is None and srv.draw_vacation is None and q is not None:
@@ -524,7 +507,7 @@ class SimState:
                     dur = srv.draw_service()
                     srv.current = (j, seq)
                     srv.current_dur = dur
-                    push(heap, (t + dur, _EV_DEPART, tick(), band, None))
+                    push(heap, (t + dur, _EV_DEPART, tick(), band))
                     continue
                 if q is None:
                     srv.queues[fr.rank][fr.sta].append((j, seq))
@@ -553,7 +536,7 @@ class SimState:
                             srv.occupied = occupied
                             srv.vac_dur = dur
                             srv.vac_end = end
-                        push(heap, (end, _EV_VACATION, tick(), band, None))
+                        push(heap, (end, _EV_VACATION, tick(), band))
                     continue
                 # An idle emergent band with several queues: its packet
                 # is picked below, so the round-robin pointer advances.
@@ -568,7 +551,7 @@ class SimState:
             dur = srv.draw_service()
             srv.current = pkt
             srv.current_dur = dur
-            push(heap, (t + dur, _EV_DEPART, tick(), j, None))
+            push(heap, (t + dur, _EV_DEPART, tick(), j))
         self.received = received
         return self._report()
 
@@ -605,6 +588,7 @@ class SimState:
         held = 0
         reseq_sum = reseq_max = wait_sum = 0.0
         band_counts = 0
+        late = np.array([srv.prop_latency > 0.0 for srv in self.servers])
         for fr in flows:
             # The band counts' temporary is freed before the release
             # times are made, and the results overwrite the buffers, so a
@@ -616,13 +600,15 @@ class SimState:
             # Packet k is released at the latest receipt of packets 0..k.
             released = np.maximum.accumulate(r)
             # A packet is held when its key is below the running maximum
-            # of the earlier keys: its receipt in the pass, which hands
-            # every tie to the loop, and its position in pop order in the
-            # loop.
-            if fr.order is None:
-                key, top = r, released
-            else:
-                key = np.frombuffer(fr.order, dtype=np.intc)
+            # of the earlier keys: its receipt time, or at a measured tie
+            # (loop runs only) its rank by (receipt, latency > 0,
+            # departure position).
+            key, top = r, released
+            if _measured_tie(r, released, cut):
+                departed = np.frombuffer(fr.order, dtype=np.intc)
+                pops = np.lexsort((departed, late[np.frombuffer(fr.band, dtype=np.intc)], r))
+                key = np.empty_like(pops)
+                key[pops] = np.arange(pops.size)
                 top = np.maximum.accumulate(key)
             held += int(np.count_nonzero(key[cut:] < top[cut:]))
             a = np.frombuffer(fr.arrival)[cut:]
@@ -661,20 +647,13 @@ class SimState:
         )
 
 
-def _first_overflow(arrivals, starts, choices) -> tuple[int, int] | None:
-    """(seq, band) of the first arrival that finds more than QUEUE_CAP
-    packets in its band's queue, itself included; None if none does."""
-    first = None
-    for j in np.unique(choices):
-        seqs = np.flatnonzero(choices == j)
-        # A band starts its packets in arrival order, so the earlier ones
-        # that had started by an arrival are a prefix.
-        ahead = np.arange(seqs.size)
-        started = np.minimum(np.searchsorted(starts[seqs], arrivals[seqs], side="right"), ahead)
-        over = np.flatnonzero(ahead - started + 1 > QUEUE_CAP)
-        if over.size and (first is None or seqs[over[0]] < first[0]):
-            first = (int(seqs[over[0]]), int(j))
-    return first
+def _measured_tie(r, released, cut: int) -> bool:
+    """Whether a measured receipt (seq ``cut`` on) equals the latest
+    receipt before it; ``released`` is the running maximum of ``r``.
+    Only then does the held count depend on how same-instant receipts
+    are ordered."""
+    lo = max(cut, 1)
+    return bool((r[lo:] == released[lo - 1 : -1]).any())
 
 
 def run_scenario(

@@ -57,8 +57,8 @@ def test_conservation_and_counts_at_natural_end():
     assert rep.out_of_order_frac == 0.0
 
 
-def _leave_a_packet_in_flight(state):
-    state.heap.append((math.inf, engine._EV_RECEIVE, 0, 0, 0))
+def _leave_an_event_in_the_heap(state):
+    state.heap.append((math.inf, engine._EV_DEPART, 0, 0))
 
 
 def _leave_a_packet_queued(state):
@@ -90,7 +90,7 @@ def _receive_a_seq_twice(state):
 @pytest.mark.parametrize(
     "tamper",
     [
-        _leave_a_packet_in_flight,
+        _leave_an_event_in_the_heap,
         _leave_a_packet_queued,
         _phantom_packet,
         _lose_a_release,
@@ -277,10 +277,11 @@ def test_bootstrap_stats_moments():
 
 def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
     # From the event loop's per-seq buffers: every packet's timestamps
-    # must be monotone, receipts must come in time order, and each band
-    # must deliver a flow's packets in the order they were assigned.
-    # run() takes the one pass on this one-flow even_split config, so the
-    # test calls the loop itself: only the loop numbers its receipts.
+    # must be monotone, departures must come in time order, and each band
+    # must serve and deliver a flow's packets in the order they were
+    # assigned.  run() takes the one pass on this one-flow even_split
+    # config, so the test calls the loop itself: only the loop numbers
+    # its departures.
     cfg = ScenarioConfig(
         name="order",
         bands=(
@@ -293,10 +294,13 @@ def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
     SimState(cfg, cfg.schedulers[0], seed=21)._run_events()
     ((f,),) = buffers
     assert (f["arrival"] <= f["start"]).all() and (f["start"] <= f["receipt"]).all()
-    popped = np.argsort(f["order"])  # the seqs in receipt order
-    assert (f["order"][popped] == np.arange(4000)).all()
-    assert (np.diff(f["receipt"][popped]) >= 0.0).all()
+    departed = np.argsort(f["order"])  # the seqs in departure order
+    assert (f["order"][departed] == np.arange(4000)).all()
+    latency = np.array([0.0, 0.01])[f["band"]]
+    assert (np.diff((f["receipt"] - latency)[departed]) >= 0.0).all()
+    popped = _receipt_order(cfg, f)
     for band in (0, 1):
+        assert (np.diff(departed[f["band"][departed] == band]) > 0).all()
         assert (np.diff(popped[f["band"][popped] == band]) > 0).all()
 
 
@@ -382,14 +386,23 @@ def test_idle_vacations_push_no_heap_events(heap_pushes):
     assert heap_pushes[0] < 3 * rep.delivered
 
 
+def _receipt_order(cfg, f):
+    """The seqs of one flow's copied loop buffers in receipt order.  A
+    receipt is written at its departure, and ``order`` is the departure
+    position; same-instant receipts come zero-latency bands first, then
+    in departure order (the engine's tie rule)."""
+    late = np.array([band.prop_latency_s > 0.0 for band in cfg.bands])
+    return np.lexsort((f["order"], late[f["band"]], f["receipt"]))
+
+
 def _receipt_log(buffers, cfg, spec, seed):
     """Run the event loop; return the report, the state and each flow's
-    (seq, t) receipts in pop order, read from its copied buffers."""
+    (seq, t) receipts in receipt order, read from its copied buffers."""
     state = SimState(cfg, spec, seed)
     rep = state._run_events()
     log = []
     for f in buffers[-1]:
-        popped = np.argsort(f["order"])
+        popped = _receipt_order(cfg, f)
         log.append([(int(seq), float(f["receipt"][seq])) for seq in popped])
     return rep, state, log
 
@@ -424,8 +437,9 @@ def _high_rtt_cfg():
 )
 def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(buffers, build, kind):
     # The definition, from receipts alone: a measured packet is out of
-    # order when some lower seq of its flow had not been received (in pop
-    # order, so same-instant receipts count in the order they popped).
+    # order when some lower seq of its flow had not been received (in
+    # receipt order, so same-instant receipts count in the tie rule's
+    # order: zero-latency bands first, then by departure).
     cfg = build()
     rep, state, log = _receipt_log(buffers, cfg, SchedulerSpec(kind), seed=3)
     assert rep.delivered == sum(fl.packets for fl in cfg.flows)
@@ -449,6 +463,31 @@ def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(buffers, build
         assert ahead_at_a_tie > 0
 
 
+def test_same_instant_receipts_count_zero_latency_bands_first():
+    # Exact binary times: band 0 serves 0.5 s with no latency, band 1
+    # serves 0.25 s behind 0.5 s of latency, both behind 0.25 s
+    # vacations, and a packet arrives every 0.25 s under even_split, so
+    # receipts of the two bands land on one instant.  The tie rule counts
+    # the zero-latency receipt first, then the rest in departure order.
+    # A key without the latency term reads 0.0.  The test calls the loop
+    # itself: the pass hands tied runs to a fresh state, which would
+    # drop the fixed gap.
+    cfg = ScenarioConfig(
+        name="tie_rule",
+        bands=(
+            BandConfig(service=DistributionSpec("deterministic", mean=0.5)),
+            BandConfig(service=DistributionSpec("deterministic", mean=0.25), prop_latency_s=0.5),
+        ),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=4.0, packets=400),),
+        schedulers=(SchedulerSpec("even_split"),),
+        vacation=DistributionSpec("deterministic", mean=0.25),
+        warmup_frac=0.0,
+    )
+    state = SimState(cfg, cfg.schedulers[0], seed=1)
+    state.flows[0].draw_gap = itertools.repeat(0.25).__next__
+    assert state._run_events().out_of_order_frac == 0.4975
+
+
 STATIC_ENTRIES = ("single_band:0", "single_band:1", "even_split", "band_per_flow")
 
 
@@ -469,7 +508,7 @@ def _criterion_1_cfg(rho, packets):
 
 def _three_band_parametric_cfg(vacation):
     # Band 1 is masked off; band 2 adds a propagation latency, so the two
-    # bands in use receive at departures and at receipt events.
+    # bands in use receive at their departures and after them.
     return ScenarioConfig(
         name="three",
         bands=(
@@ -599,9 +638,10 @@ def test_one_pass_matches_the_event_loop(buffers, group):
 
 
 def test_one_pass_falls_back_to_the_loop_on_tied_receipts(heap_pushes):
-    # Two identical deterministic bands deliver at one instant; the loop
-    # orders such receipts by its insertion counter, so the pass hands
-    # the run to the loop, which pushes events, and the reports agree.
+    # Two identical deterministic bands deliver at one instant; only the
+    # loop knows the departure order that ranks such receipts, so the
+    # pass hands the run to the loop, which pushes events, and the
+    # reports agree.
     cfg = _tied_deterministic_bands_cfg()
     by_loop = SimState(cfg, cfg.schedulers[0], seed=3)._run_events()
     heap_pushes[0] = 0
@@ -618,15 +658,25 @@ def test_one_flow_static_runs_push_no_heap_events(heap_pushes, kind):
     assert heap_pushes[0] == 0
 
 
-def test_one_pass_and_the_loop_trip_the_queue_cap_alike(monkeypatch):
+def test_run_takes_the_loop_for_flows_longer_than_the_queue_cap(monkeypatch, heap_pushes):
+    # A band's queue never holds more than the flow's packets, so run()
+    # takes the one pass only for a flow of at most QUEUE_CAP packets.  A
+    # longer flow runs the loop, which pushes events and raises its own
+    # message; a flow of exactly the cap takes the pass and pushes none.
     monkeypatch.setattr(engine, "QUEUE_CAP", 5)
     cfg = one_band_cfg(lam=9.9, packets=20_000)
     messages = []
     for entry in ("run", "_run_events"):
+        heap_pushes[0] = 0
         with pytest.raises(OverloadDetected) as err:
             getattr(SimState(cfg, cfg.schedulers[0], 1), entry)()
+        assert heap_pushes[0] > 0
         messages.append(str(err.value))
     assert messages[0] == messages[1]
+    heap_pushes[0] = 0
+    cfg = one_band_cfg(lam=9.9, packets=5)
+    assert run_scenario(cfg, cfg.schedulers[0], 1).delivered == 5
+    assert heap_pushes[0] == 0
 
 
 def _calls_per_delivered_packet(scenario, kind, entry="run"):
@@ -727,18 +777,21 @@ def test_pick_queue_serves_by_priority_then_round_robin():
 @pytest.mark.parametrize(
     "vacation, kind, pushes",
     [
-        (DistributionSpec("exponential", mean=0.01), "leaky_bucket", 5529),
-        (DistributionSpec("exponential", mean=0.01), "even_split", 6352),
-        (None, "leaky_bucket", 4094),
-        (None, "even_split", 5000),
+        (DistributionSpec("exponential", mean=0.01), "leaky_bucket", 5121),
+        (DistributionSpec("exponential", mean=0.01), "even_split", 5352),
+        (None, "leaky_bucket", 4000),
+        (None, "even_split", 4000),
     ],
     ids=["parametric-leaky_bucket", "parametric-even_split", "emergent-leaky_bucket", "emergent-even_split"],
 )
 def test_heap_pushes_match_the_pinned_count(heap_pushes, vacation, kind, pushes):
     # Two stations share two bands, so both bands have two queues; band
-    # 1 adds a propagation latency, so receipts are events too.  The
-    # counts were pinned from the engine with one handler method per
-    # event kind; the flat loop must push exactly the same events.
+    # 1 adds a propagation latency.  The counts were pinned from the
+    # engine with one handler method per event kind, which also pushed a
+    # receipt event for each band-1 packet: 5529, 6352, 4094 and 5000.
+    # Receipts are now written at departure, so each pin is the old one
+    # minus the band-1 receipts (408, 1000, 94 and 1000); every other
+    # event is pushed exactly as before.
     cfg = ScenarioConfig(
         name="pushes",
         bands=(
