@@ -15,26 +15,18 @@ from them:
 
 - Each flow holds per-seq buffers, allocated when the run starts: the
   arrival, service start, receipt and band of each packet.  A receipt
-  is the departure plus the band's propagation latency.  The loop also
-  records each packet's departure position, its place among all the
-  run's departures in pop order (``order``).
+  is the departure plus the band's propagation latency.
 - ``SimState._report`` derives the rest.  A packet is released at the
   latest receipt of its seq and all lower ones (the running maximum of
   the receipts); its latency is release minus arrival, its wait start
   minus arrival, and its resequencing delay release minus receipt.  It
-  was held (out of order) when its key is below the running maximum of
-  the earlier keys.  The key is its receipt time, unless a measured
-  receipt equals the latest receipt before it (a tie, ``_measured_tie``).
-  Then the key is the packet's rank by (receipt, latency > 0, departure
-  position): same-instant receipts count zero-latency bands first, then
-  in departure order.  That is the pop order of a loop that makes each
-  receipt behind a latency an event of its own, pushed at its departure
-  and sorted after departures.  The rule is exact when every service
-  advances the clock: a service too short to move ``t`` could start and
-  end after such receipt events had popped.  The pass hands every tie
-  to the loop, so only loop runs reach it.  Each sum runs in seq order
-  (``np.add.accumulate``), the order of release.  The report overwrites
-  the buffers with its results, so it runs once per run.
+  was held (out of order) exactly when it waited in the reorder buffer:
+  its resequencing delay is positive, so some lower seq was received
+  after it.  A receipt at the instant of the latest lower one is
+  released at once and is not held, so the count reads receipt times
+  alone and no order among same-instant events.  Each sum runs in seq
+  order (``np.add.accumulate``), the order of release.  The report
+  overwrites the buffers with its results, so it runs once per run.
 - The complete-run invariant is checked before any metric is read:
   every flow generated its budget, every seq has exactly one receipt
   (none is left unset, and the run counted as many receipts as
@@ -52,9 +44,9 @@ queued or in-service packet is its ``(flow index, seq)`` tuple, so
 neither runs a Python frame.  A packet's one Python call is its
 scheduler pick, plus estimator adds and feedback rounds under a
 feedback policy.  The loop writes each buffer entry inline, at the
-packet's arrival, service start and departure (its receipt and
-departure position), and ends when the heap empties, at the last
-departure: a lazy vacation chain pushes nothing.
+packet's arrival, service start and departure (its receipt), and ends
+when the heap empties, at the last departure: a lazy vacation chain
+pushes nothing.
 
 Per-packet work is kept to what each packet needs:
 
@@ -112,11 +104,8 @@ share no random stream, so each band can run alone: Lindley's recursion
   departure that left the band empty otherwise.
 - Service is drawn in service order, and a receipt is the departure
   plus the band's propagation latency.  The buffers the pass fills are
-  the ones the loop fills for the same (config, policy, seed), except
-  ``order``: the pass does not know the departure order across bands.
-- A measured receipt tie needs that order, so the pass then rebuilds
-  the state from (config, policy, seed) and runs the event loop, and no
-  report can differ.
+  the ones the loop fills for the same (config, policy, seed), so the
+  two paths give equal reports.
 - A band's queue never holds more than the flow's packets, so a pass
   run (at most ``QUEUE_CAP`` packets) cannot trip the cap, and the pass
   has no cap check.
@@ -236,10 +225,8 @@ class BandServer:
 
 class _FlowRuntime:
     """One flow's source state, and its per-seq buffers: arrival,
-    service start, receipt and band of every packet, plus each packet's
-    departure position in the event loop's pop order (``order``, loop
-    runs only).
-    A run allocates the buffers when it starts and fills them in place;
+    service start, receipt and band of every packet.  A run allocates
+    the buffers when it starts and fills them in place;
     ``SimState._report`` derives every metric from them."""
 
     __slots__ = (
@@ -257,7 +244,6 @@ class _FlowRuntime:
         "start",
         "receipt",
         "band",
-        "order",
     )
 
     def __init__(self, cfg, index, rank, scheduler, arrivals: Sampler, warmup_cut, taps):
@@ -271,7 +257,7 @@ class _FlowRuntime:
         self.served = 0
         self.warmup_cut = warmup_cut
         self.taps = taps
-        self.arrival = self.start = self.receipt = self.band = self.order = None
+        self.arrival = self.start = self.receipt = self.band = None
 
 
 def bootstrap_stats(service: DistributionSpec) -> BandStats:
@@ -373,16 +359,12 @@ class SimState:
         # A band's queue never holds more than the flow's packets, so a
         # flow of at most QUEUE_CAP packets cannot trip the cap.
         if len(flows) == 1 and not flows[0].scheduler.uses_feedback and flows[0].packets <= QUEUE_CAP:
-            if self._run_pass():
-                return self._report()
-            # A measured receipt tie, which only the loop's departure
-            # order resolves: run the loop on a fresh state.
-            self.__init__(self.config, self.scheduler_spec, self.seed)
+            self._run_pass()
+            return self._report()
         return self._run_events()
 
-    def _run_pass(self) -> bool:
-        """Fill the flow's per-seq buffers as the event loop would, or
-        return False at a measured receipt tie."""
+    def _run_pass(self) -> None:
+        """Fill the flow's per-seq buffers as the event loop would."""
         fr = self.flows[0]
         n = fr.packets
         # The gaps in stream order, summed in order: the loop's t + gap.
@@ -417,11 +399,7 @@ class SimState:
                     done = s + serve()
                     starts[k] = s
                     receipts[k] = done + prop
-        r = np.frombuffer(receipts)
-        if _measured_tie(r, np.maximum.accumulate(r), fr.warmup_cut):
-            return False
         fr.next_seq = self.received = n
-        return True
 
     def _run_events(self) -> MetricsReport:
         # Every event kind is handled inline, on state bound to locals
@@ -442,14 +420,13 @@ class SimState:
             fr.start = array("d", [0.0]) * n
             fr.receipt = array("d", [math.nan]) * n
             fr.band = array("i", [0]) * n
-            fr.order = array("i", [0]) * n
             push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index))
         for srv in servers:
             if srv.draw_vacation is not None:
                 dur = srv.draw_vacation()
                 srv.vac_dur = dur
                 srv.vac_end = dur
-        received = 0  # the next departure's position in pop order
+        received = 0  # receipts so far, one per departure
         while heap:
             # j is the band of a departure or vacation end, the flow of
             # an arrival.
@@ -476,7 +453,6 @@ class SimState:
                     if served % interval == 0:
                         feedback(fr)
                 fr.receipt[seq] = t + srv.prop_latency
-                fr.order[seq] = received
                 received += 1
                 if not srv.qlen:
                     srv.current = None
@@ -588,7 +564,6 @@ class SimState:
         held = 0
         reseq_sum = reseq_max = wait_sum = 0.0
         band_counts = 0
-        late = np.array([srv.prop_latency > 0.0 for srv in self.servers])
         for fr in flows:
             # The band counts' temporary is freed before the release
             # times are made, and the results overwrite the buffers, so a
@@ -599,24 +574,15 @@ class SimState:
             r = np.frombuffer(fr.receipt)
             # Packet k is released at the latest receipt of packets 0..k.
             released = np.maximum.accumulate(r)
-            # A packet is held when its key is below the running maximum
-            # of the earlier keys: its receipt time, or at a measured tie
-            # (loop runs only) its rank by (receipt, latency > 0,
-            # departure position).
-            key, top = r, released
-            if _measured_tie(r, released, cut):
-                departed = np.frombuffer(fr.order, dtype=np.intc)
-                pops = np.lexsort((departed, late[np.frombuffer(fr.band, dtype=np.intc)], r))
-                key = np.empty_like(pops)
-                key[pops] = np.arange(pops.size)
-                top = np.maximum.accumulate(key)
-            held += int(np.count_nonzero(key[cut:] < top[cut:]))
             a = np.frombuffer(fr.arrival)[cut:]
             firsts.append(float(a[0]))
             lasts.append(float(released[-1]))
-            # Each sum runs in seq order, the order of release.
             reseq = np.subtract(released[cut:], r[cut:], out=r[cut:])
+            # A packet is held when it waits for a lower seq: for finite
+            # times, released - receipt is 0 exactly when they are equal.
+            held += int(np.count_nonzero(reseq))
             reseq_max = max(reseq_max, float(reseq.max()))
+            # Each sum runs in seq order, the order of release.
             reseq_sum += float(np.add.accumulate(reseq, out=reseq)[-1])
             lats.append(np.subtract(released[cut:], a, out=released[cut:]))
             wait = np.frombuffer(fr.start)[cut:]
@@ -645,15 +611,6 @@ class SimState:
             per_band_frac=frac,
             mean_wait_s=wait_sum / measured,
         )
-
-
-def _measured_tie(r, released, cut: int) -> bool:
-    """Whether a measured receipt (seq ``cut`` on) equals the latest
-    receipt before it; ``released`` is the running maximum of ``r``.
-    Only then does the held count depend on how same-instant receipts
-    are ordered."""
-    lo = max(cut, 1)
-    return bool((r[lo:] == released[lo - 1 : -1]).any())
 
 
 def run_scenario(

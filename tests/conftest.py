@@ -68,22 +68,19 @@ def solves(monkeypatch):
     return count
 
 
-BUFFERS = ("arrival", "start", "receipt", "band", "order")
+BUFFERS = ("arrival", "start", "receipt", "band")
 
 
 @pytest.fixture
 def buffers(monkeypatch):
     """A spy on SimState._report.  Each report appends, per flow, a dict
-    of numpy copies of the flow's per-seq buffers (None for a buffer the
-    run did not fill), taken before the report overwrites them."""
+    of numpy copies of the flow's per-seq buffers, taken before the
+    report overwrites them."""
     runs = []
     report = SimState._report
 
-    def copy(buf):
-        return None if buf is None else np.array(buf)
-
     def spy(self):
-        runs.append([{name: copy(getattr(fr, name)) for name in BUFFERS} for fr in self.flows])
+        runs.append([{name: np.array(getattr(fr, name)) for name in BUFFERS} for fr in self.flows])
         return report(self)
 
     monkeypatch.setattr(SimState, "_report", spy)

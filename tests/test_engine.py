@@ -277,11 +277,11 @@ def test_bootstrap_stats_moments():
 
 def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
     # From the event loop's per-seq buffers: every packet's timestamps
-    # must be monotone, departures must come in time order, and each band
-    # must serve and deliver a flow's packets in the order they were
-    # assigned.  run() takes the one pass on this one-flow even_split
-    # config, so the test calls the loop itself: only the loop numbers
-    # its departures.
+    # must be monotone, and each band must serve and deliver a flow's
+    # packets in the order they were assigned, so its departures (receipt
+    # minus the band's latency) and receipts rise in seq order.  run()
+    # takes the one pass on this one-flow even_split config, so the test
+    # calls the loop itself.
     cfg = ScenarioConfig(
         name="order",
         bands=(
@@ -294,14 +294,10 @@ def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
     SimState(cfg, cfg.schedulers[0], seed=21)._run_events()
     ((f,),) = buffers
     assert (f["arrival"] <= f["start"]).all() and (f["start"] <= f["receipt"]).all()
-    departed = np.argsort(f["order"])  # the seqs in departure order
-    assert (f["order"][departed] == np.arange(4000)).all()
-    latency = np.array([0.0, 0.01])[f["band"]]
-    assert (np.diff((f["receipt"] - latency)[departed]) >= 0.0).all()
-    popped = _receipt_order(cfg, f)
-    for band in (0, 1):
-        assert (np.diff(departed[f["band"][departed] == band]) > 0).all()
-        assert (np.diff(popped[f["band"][popped] == band]) > 0).all()
+    for band, latency in ((0, 0.0), (1, 0.01)):
+        receipts = f["receipt"][f["band"] == band]
+        assert (np.diff(receipts - latency) > 0.0).all()
+        assert (np.diff(receipts) > 0.0).all()
 
 
 def test_run_requires_single_scheduler():
@@ -386,13 +382,19 @@ def test_idle_vacations_push_no_heap_events(heap_pushes):
     assert heap_pushes[0] < 3 * rep.delivered
 
 
-def _receipt_order(cfg, f):
-    """The seqs of one flow's copied loop buffers in receipt order.  A
-    receipt is written at its departure, and ``order`` is the departure
-    position; same-instant receipts come zero-latency bands first, then
-    in departure order (the engine's tie rule)."""
-    late = np.array([band.prop_latency_s > 0.0 for band in cfg.bands])
-    return np.lexsort((f["order"], late[f["band"]], f["receipt"]))
+def _receipt_order(f):
+    """The seqs of one flow's copied buffers in receipt order, the lower
+    seq first among same-instant receipts."""
+    r = f["receipt"]
+    return np.lexsort((np.arange(r.size), r))
+
+
+def _tied_seqs(f, cut):
+    """The measured seqs whose receipt equals the latest receipt of the
+    lower seqs: such a packet is released at its receipt."""
+    r = f["receipt"]
+    tied = np.flatnonzero(r[1:] == np.maximum.accumulate(r)[:-1]) + 1
+    return tied[tied >= cut]
 
 
 def _receipt_log(buffers, cfg, spec, seed):
@@ -402,8 +404,7 @@ def _receipt_log(buffers, cfg, spec, seed):
     rep = state._run_events()
     log = []
     for f in buffers[-1]:
-        popped = _receipt_order(cfg, f)
-        log.append([(int(seq), float(f["receipt"][seq])) for seq in popped])
+        log.append([(int(seq), float(f["receipt"][seq])) for seq in _receipt_order(f)])
     return rep, state, log
 
 
@@ -438,40 +439,42 @@ def _high_rtt_cfg():
 def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(buffers, build, kind):
     # The definition, from receipts alone: a measured packet is out of
     # order when some lower seq of its flow had not been received (in
-    # receipt order, so same-instant receipts count in the tie rule's
-    # order: zero-latency bands first, then by departure).
+    # receipt order, the lower seq first among same-instant receipts, so
+    # a receipt that ties the latest lower one is not out of order).
     cfg = build()
     rep, state, log = _receipt_log(buffers, cfg, SchedulerSpec(kind), seed=3)
     assert rep.delivered == sum(fl.packets for fl in cfg.flows)
     ahead = 0
-    ahead_at_a_tie = 0
-    for fr, receipts in zip(state.flows, log):
-        per_instant = Counter(t for _, t in receipts)
+    ties = 0
+    waited = 0
+    for fr, f, receipts in zip(state.flows, buffers[-1], log):
+        tied = set(_tied_seqs(f, fr.warmup_cut).tolist())
+        ties += len(tied)
         got = set()
         missing = 0  # lowest seq not yet received
-        for seq, t in receipts:
+        for seq, _ in receipts:
             if seq > missing and seq >= fr.warmup_cut:
                 ahead += 1
-                ahead_at_a_tie += per_instant[t] > 1
+                assert seq not in tied
             got.add(seq)
             while missing in got:
                 missing += 1
+        # The same packets, read as a positive resequencing delay.
+        reseq = np.maximum.accumulate(f["receipt"]) - f["receipt"]
+        waited += int(np.count_nonzero(reseq[fr.warmup_cut :] > 0.0))
     assert ahead > 0
     # The report divides the same integers, so equality is exact.
     assert ahead / rep.measured == rep.out_of_order_frac
+    assert waited / rep.measured == rep.out_of_order_frac
     if build is _tied_deterministic_bands_cfg:
-        assert ahead_at_a_tie > 0
+        assert ties > 0
 
 
-def test_same_instant_receipts_count_zero_latency_bands_first():
+def _tie_rule_state():
     # Exact binary times: band 0 serves 0.5 s with no latency, band 1
     # serves 0.25 s behind 0.5 s of latency, both behind 0.25 s
     # vacations, and a packet arrives every 0.25 s under even_split, so
-    # receipts of the two bands land on one instant.  The tie rule counts
-    # the zero-latency receipt first, then the rest in departure order.
-    # A key without the latency term reads 0.0.  The test calls the loop
-    # itself: the pass hands tied runs to a fresh state, which would
-    # drop the fixed gap.
+    # receipts of the two bands land on one instant.
     cfg = ScenarioConfig(
         name="tie_rule",
         bands=(
@@ -485,7 +488,15 @@ def test_same_instant_receipts_count_zero_latency_bands_first():
     )
     state = SimState(cfg, cfg.schedulers[0], seed=1)
     state.flows[0].draw_gap = itertools.repeat(0.25).__next__
-    assert state._run_events().out_of_order_frac == 0.4975
+    return state
+
+
+def test_same_instant_receipts_are_not_out_of_order(buffers):
+    # Half the receipts tie the latest lower receipt; each is released at
+    # once, so none waited in the reorder buffer and none is held.
+    assert _tie_rule_state().run().out_of_order_frac == 0.0
+    ((f,),) = buffers
+    assert _tied_seqs(f, 0).size == 199
 
 
 STATIC_ENTRIES = ("single_band:0", "single_band:1", "even_split", "band_per_flow")
@@ -617,36 +628,40 @@ def _cross_check_states(group):
             yield [SimState(cfg, cfg.schedulers[0], 3000 + i) for _ in range(2)]
     elif group == "arrivals_at_departures":
         yield [_fixed_gap_state(0.75) for _ in range(2)]
+    elif group == "ties":
+        # Measured receipts that equal the latest lower receipt.
+        cfg = _tied_deterministic_bands_cfg()
+        for seed in (1, 2, 3, 4, 5):
+            yield [SimState(cfg, cfg.schedulers[0], seed) for _ in range(2)]
+        yield [_tie_rule_state() for _ in range(2)]
 
 
 @pytest.mark.parametrize(
-    "group", ["bundled", "criterion_1", "three_band_parametric", "random", "arrivals_at_departures"]
+    "group", ["bundled", "criterion_1", "three_band_parametric", "random", "arrivals_at_departures", "ties"]
 )
-def test_one_pass_matches_the_event_loop(buffers, group):
+def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
     # The pass and the loop must record equal per-seq buffers (arrival,
     # service start, receipt and band of every packet) and give equal
     # reports, down to the diagnostic fields (measured, mean_wait_s).
     runs = 0
     for by_pass, by_loop in _cross_check_states(group):
-        assert by_pass.run() == by_loop._run_events()
+        heap_pushes[0] = 0
+        by_pass_report = by_pass.run()
+        assert heap_pushes[0] == 0  # run() took the pass
+        assert by_pass_report == by_loop._run_events()
         (a,), (b,) = buffers[-2:]
-        assert a["order"] is None and b["order"] is not None  # run() took the pass
         for name in ("arrival", "start", "receipt", "band"):
             assert (a[name] == b[name]).all()
+        if group == "ties":
+            assert _tied_seqs(b, by_loop.flows[0].warmup_cut).size > 0
         runs += 1
-    assert runs == {"bundled": 24, "criterion_1": 3, "three_band_parametric": 12, "random": 40}.get(group, 1)
-
-
-def test_one_pass_falls_back_to_the_loop_on_tied_receipts(heap_pushes):
-    # Two identical deterministic bands deliver at one instant; only the
-    # loop knows the departure order that ranks such receipts, so the
-    # pass hands the run to the loop, which pushes events, and the
-    # reports agree.
-    cfg = _tied_deterministic_bands_cfg()
-    by_loop = SimState(cfg, cfg.schedulers[0], seed=3)._run_events()
-    heap_pushes[0] = 0
-    assert SimState(cfg, cfg.schedulers[0], seed=3).run() == by_loop
-    assert heap_pushes[0] > 0
+    assert runs == {
+        "bundled": 24,
+        "criterion_1": 3,
+        "three_band_parametric": 12,
+        "random": 40,
+        "ties": 6,
+    }.get(group, 1)
 
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES)
