@@ -89,7 +89,7 @@ class DistributionSpec:
             raise ConfigInvalid(f"{where}: {exc}") from None
 
 
-def _blocks(spec: DistributionSpec, rng: np.random.Generator):
+def _blocks(spec: DistributionSpec, rng: np.random.Generator | None):
     """Endless ``_BLOCK``-draw lists from ``rng`` in stream order.
 
     A module-level generator over ``(spec, rng)``, not a method: a
@@ -116,12 +116,13 @@ class Sampler:
     consumption order of the RNG and runs stay reproducible.  ``take``
     is that chain's C-level ``__next__``: a draw through it runs no
     Python frame, and only a refill resumes the block generator.  The
-    engine calls ``take``; ``draw`` is the same stream as a method.
+    engine calls ``take``; ``draw`` is the same stream as a method.  A
+    deterministic spec never reads ``rng``, which may then be None.
     """
 
     __slots__ = ("take",)
 
-    def __init__(self, spec: DistributionSpec, rng: np.random.Generator):
+    def __init__(self, spec: DistributionSpec, rng: np.random.Generator | None):
         self.take = chain.from_iterable(_blocks(spec, rng)).__next__
 
     def draw(self) -> float:

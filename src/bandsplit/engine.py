@@ -6,12 +6,13 @@ categories and round-robin across stations inside one category.  Served
 packets cross an optional fixed propagation latency to the receiver,
 which releases each flow's packets in sequence order.
 
-``SimState.run`` takes one of two paths.  A config with one flow under
-a static policy (``single_band``, ``even_split``, ``band_per_flow``:
-band choices that ignore the system state) and at most ``QUEUE_CAP``
-packets runs as one pass per band; every other config runs the event
-loop.  Both record the same facts, and one report derives every metric
-from them:
+``SimState.run`` takes one of two paths.  A config with one flow of at
+most ``QUEUE_CAP`` packets runs as one pass with no events: one pass per
+band under a static policy (``single_band``, ``even_split``,
+``band_per_flow``: band choices that ignore the system state), one walk
+over the arrivals under a feedback policy.  A config with several flows
+runs the event loop.  Both paths record the same facts, and one report
+derives every metric from them:
 
 - Each flow holds per-seq buffers, allocated when the run starts: the
   arrival, service start, receipt and band of each packet.  A receipt
@@ -109,15 +110,43 @@ share no random stream, so each band can run alone: Lindley's recursion
 - A band's queue never holds more than the flow's packets, so a pass
   run (at most ``QUEUE_CAP`` packets) cannot trip the cap, and the pass
   has no cap check.
+
+Under a feedback policy a band choice depends on the rounds fired before
+the arrival, so ``SimState._run_feedback_pass`` walks the arrivals in
+seq order instead.  Each band is still FIFO with one flow, so each
+arrival takes the Lindley step above on its band at once: the band's
+occupied time takes the chain's vacations and then the service, in the
+loop's order, and the step leaves the packet's tap samples pending.
+
+- Before each arrival the walk fires every round whose departure pops
+  before it.  Round m fires at the departure that makes the flow's
+  served count a multiple of ``feedback_interval_pkts``: the
+  interval-th pending departure in the loop's pop order.  It pops before
+  arrival k exactly when its time is at most a_k, as departures pop
+  first; every such departure is of an earlier packet, so it is known.
+- The pop order is the key (d, 0, start).  Same-instant departures pop
+  in push order, which is the order of the events that started their
+  services, so ``start`` is that event's key: (a, 2, seq) for a service
+  that starts at the packet's own arrival, (end, 1, w) for one that
+  starts at a vacation end that packet w woke (only arrivals push
+  vacation ends, and arrivals pop in seq order), and the predecessor's
+  departure key for a queued packet.
+- At a round each band's tap takes its pending samples up to that
+  departure in one batch, with ``MomentEstimator.add``'s float
+  operations in the same order, and the band keeps only the departures
+  not yet fed.  The rounds after the last arrival fire too, and the
+  samples past the last round are fed, so after the run the taps, the
+  served count and the scheduler equal the loop's.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections import deque
 from heapq import heappop, heappush
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, count, islice
 
 import numpy as np
 
@@ -260,6 +289,35 @@ class _FlowRuntime:
         self.arrival = self.start = self.receipt = self.band = None
 
 
+class _PassBand:
+    """One band's state in the feedback pass.  ``keys`` holds the loop's
+    pop-order key of each departure not yet fed to the flow's tap, and
+    ``samples`` the (service, vacation) samples the tap takes from each,
+    flattened."""
+
+    __slots__ = ("done", "occupied", "keys", "samples", "serve", "vacation", "prop")
+
+    def __init__(self, srv: BandServer):
+        self.vacation = srv.draw_vacation
+        # done: the departure of the band's latest packet, as in _run_pass.
+        self.done = -math.inf if self.vacation is None else 0.0
+        self.occupied = 0.0
+        self.keys: list[tuple] = []
+        self.samples: list[float] = []
+        self.serve = srv.draw_service
+        self.prop = srv.prop_latency
+
+    def feed(self, tap: _Tap, fed: int) -> None:
+        """Feed the band's first ``fed`` pending departures to ``tap``."""
+        samples = self.samples
+        # The band's first departure, fed to an empty tap, gives no
+        # vacation sample.
+        tap.vacation.extend(samples[1 if len(tap.service) else 3 : 2 * fed : 2])
+        tap.service.extend(samples[0 : 2 * fed : 2])
+        del self.keys[:fed], samples[: 2 * fed]
+        tap.fresh = True
+
+
 def bootstrap_stats(service: DistributionSpec) -> BandStats:
     """Nominal band stats before any measurement: the configured service
     distribution's exact moments plus a floor vacation."""
@@ -269,6 +327,13 @@ def bootstrap_stats(service: DistributionSpec) -> BandStats:
 
 def _stream(seed: int, domain: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, domain, index)))
+
+
+def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Sampler:
+    """A sampler of ``spec`` on its own stream.  A deterministic spec
+    never draws, so it gets none; streams are independent per (seed,
+    domain, index), so no other draw moves."""
+    return Sampler(spec, None if spec.kind == "deterministic" else _stream(seed, domain, index))
 
 
 class SimState:
@@ -292,8 +357,8 @@ class SimState:
             BandServer(
                 num_ranks=len(config.acs),
                 num_stas=config.stas,
-                service=Sampler(band.service, _stream(seed, _DOM_SERVICE, j)),
-                vacation=Sampler(config.vacation, _stream(seed, _DOM_VACATION, j))
+                service=_sampler(band.service, seed, _DOM_SERVICE, j),
+                vacation=_sampler(config.vacation, seed, _DOM_VACATION, j)
                 if config.vacation is not None
                 else None,
                 prop_latency=band.prop_latency_s,
@@ -314,9 +379,8 @@ class SimState:
                 if scheduler_spec.kind == "minimum_delay"
                 else None,
             )
-            arrivals = Sampler(
-                DistributionSpec(kind="exponential", mean=1.0 / fl.lambda_pps),
-                _stream(seed, _DOM_ARRIVAL, i),
+            arrivals = _sampler(
+                DistributionSpec(kind="exponential", mean=1.0 / fl.lambda_pps), seed, _DOM_ARRIVAL, i
             )
             taps = [_Tap() for _ in config.bands] if sched.uses_feedback else None
             fr = _FlowRuntime(
@@ -352,26 +416,38 @@ class SimState:
     # -- the two paths ---------------------------------------------------
 
     def run(self) -> MetricsReport:
-        """Run to completion: one pass per band when the config has one
-        flow under a static policy and no more packets than QUEUE_CAP,
-        the event loop otherwise."""
+        """Run to completion: one pass when the config has one flow of no
+        more packets than QUEUE_CAP (per band under a static policy, per
+        arrival under a feedback policy), the event loop otherwise."""
         flows = self.flows
         # A band's queue never holds more than the flow's packets, so a
         # flow of at most QUEUE_CAP packets cannot trip the cap.
-        if len(flows) == 1 and not flows[0].scheduler.uses_feedback and flows[0].packets <= QUEUE_CAP:
-            self._run_pass()
+        if len(flows) == 1 and flows[0].packets <= QUEUE_CAP:
+            if flows[0].taps is None:
+                self._run_pass()
+            else:
+                self._run_feedback_pass()
             return self._report()
         return self._run_events()
+
+    def _start_pass(self, fr: _FlowRuntime) -> array:
+        """Allocate the flow's start and receipt buffers and fill its
+        arrivals: the gaps in stream order, summed in order, as the
+        loop's t + gap."""
+        n = fr.packets
+        fr.arrival = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
+        fr.start = array("d", [0.0]) * n
+        fr.receipt = array("d", [math.nan]) * n
+        return fr.arrival
 
     def _run_pass(self) -> None:
         """Fill the flow's per-seq buffers as the event loop would."""
         fr = self.flows[0]
         n = fr.packets
-        # The gaps in stream order, summed in order: the loop's t + gap.
-        fr.arrival = arrivals = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
+        arrivals = self._start_pass(fr)
         fr.band = choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
-        fr.start = starts = array("d", [0.0]) * n
-        fr.receipt = receipts = array("d", [math.nan]) * n
+        starts = fr.start
+        receipts = fr.receipt
         for j, srv in enumerate(self.servers):
             if j not in choices:
                 continue
@@ -400,6 +476,87 @@ class SimState:
                     starts[k] = s
                     receipts[k] = done + prop
         fr.next_seq = self.received = n
+
+    def _run_feedback_pass(self) -> None:
+        """Fill the flow's per-seq buffers, feed its taps and fire its
+        feedback rounds as the event loop would."""
+        fr = self.flows[0]
+        n = fr.packets
+        arrivals = self._start_pass(fr)
+        fr.band = choices = array("i", [0]) * n
+        starts = fr.start
+        receipts = fr.receipt
+        next_band = fr.scheduler.next_band
+        interval = self.config.feedback_interval_pkts
+        bands = [_PassBand(srv) for srv in self.servers]
+        pending = 0  # departures not yet fed to the taps
+        for k, a in enumerate(arrivals):
+            # The rounds whose departure pops before this arrival: at or
+            # before it, as departures pop first.
+            if pending >= interval:
+                pending = self._fire_rounds(fr, bands, pending, (a, _EV_VACATION))
+            j = next_band()
+            choices[k] = j
+            b = bands[j]
+            keys = b.keys
+            done = b.done
+            last = occupied = b.occupied
+            if a < done:
+                s = done
+                start = keys[-1]
+            elif b.vacation is None:
+                s = a
+                start = (a, _EV_ARRIVAL, k)
+            else:
+                vacation = b.vacation
+                dur = vacation()
+                occupied += dur
+                s = done + dur
+                while s <= a:
+                    dur = vacation()
+                    occupied += dur
+                    s += dur
+                start = (s, _EV_VACATION, k)
+            dur = b.serve()
+            b.done = done = s + dur
+            b.occupied = occupied = occupied + dur
+            keys.append((done, _EV_DEPART, start))
+            # The tap's samples: the service, and the band's occupied
+            # time since its previous departure less the service.  The
+            # band's first departure has no vacation sample; feed drops
+            # the one computed here.
+            vac = occupied - last - dur
+            b.samples += (dur, vac if vac > 0.0 else 0.0)
+            pending += 1
+            starts[k] = s
+            receipts[k] = done + b.prop
+        self._fire_rounds(fr, bands, pending, (math.inf, _EV_VACATION))
+        for b, tap in zip(bands, fr.taps):
+            if b.keys:
+                b.feed(tap, len(b.keys))
+            if len(tap.service):
+                tap.last_occupied = b.occupied
+        fr.served = fr.next_seq = self.received = n
+
+    def _fire_rounds(self, fr: _FlowRuntime, bands: list, pending: int, bound: tuple) -> int:
+        """Fire every feedback round whose departure key sorts before
+        ``bound``; return the departures still pending."""
+        interval = self.config.feedback_interval_pkts
+        while pending >= interval:
+            heads = [bisect_right(b.keys, bound) for b in bands]
+            if sum(heads) < interval:
+                break
+            # The round fires at the interval-th departure in pop order;
+            # each band feeds its departures up to that one.
+            last = sorted(chain.from_iterable([b.keys[:h] for b, h in zip(bands, heads)]))[interval - 1]
+            for b, tap, h in zip(bands, fr.taps, heads):
+                if h:
+                    fed = bisect_right(b.keys, last, 0, h)
+                    if fed:
+                        b.feed(tap, fed)
+            pending -= interval
+            self._feedback(fr)
+        return pending
 
     def _run_events(self) -> MetricsReport:
         # Every event kind is handled inline, on state bound to locals

@@ -9,6 +9,7 @@ means feed BandStats back to the schedulers.
 from __future__ import annotations
 
 import math
+from operator import mul
 
 from .errors import InsufficientSamples
 from .model import BandStats
@@ -57,7 +58,40 @@ class MomentEstimator:
         if self._pos >= self.window:
             self._pos = 0
             self._sum = math.fsum(self._ring)
-            self._sum_sq = math.fsum(v * v for v in self._ring)
+            self._sum_sq = math.fsum(map(mul, self._ring, self._ring))
+
+    def extend(self, xs: list[float]) -> None:
+        """``add`` each of ``xs`` in order, with the same float operations
+        in the same order, one run of samples up to the next wrap at a
+        time."""
+        ring = self._ring
+        window = self.window
+        i = 0
+        while i < len(xs):
+            pos = self._pos
+            seg = xs[i : i + window - pos]
+            i += len(seg)
+            total = self._sum
+            total_sq = self._sum_sq
+            if len(ring) < window:
+                # Filling: pos is the ring's length.
+                for x in seg:
+                    total += x
+                    total_sq += x * x
+                ring += seg
+            else:
+                for x, old in zip(seg, ring[pos : pos + len(seg)]):
+                    total += x - old
+                    total_sq += x * x - old * old
+                ring[pos : pos + len(seg)] = seg
+            pos += len(seg)
+            if pos >= window:
+                pos = 0
+                total = math.fsum(ring)
+                total_sq = math.fsum(map(mul, ring, ring))
+            self._pos = pos
+            self._sum = total
+            self._sum_sq = total_sq
 
     def __len__(self) -> int:
         return len(self._ring)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from math import ceil
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,10 @@ KINDS = (
 # Token comparisons use >= 1 - TOKEN_EPS so float dust on the increments
 # cannot stall a bucket that is analytically full.
 TOKEN_EPS = 1e-12
+_FULL = 1.0 - TOKEN_EPS
+
+# Uniforms MinimumDelay draws per refill.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -144,19 +149,24 @@ class LoadBalancing(Scheduler):
     def __init__(self, stats, avail):
         super().__init__(stats, avail)
         self.counts = [0] * len(self.stats)
+        self.rates = [st.mu for st in self.stats]
 
     def update_feedback(self, stats) -> None:
         super().update_feedback(stats)
         self.counts = [0] * len(self.stats)
+        self.rates = [st.mu for st in self.stats]
 
     def next_band(self) -> int:
+        counts = self.counts
+        rates = self.rates
         best = None
         best_load = math.inf
         for j in self.avail:
-            load = self.counts[j] / self.stats[j].mu
+            load = counts[j] / rates[j]
             if load < best_load:
-                best, best_load = j, load
-        self.counts[best] += 1
+                best = j
+                best_load = load
+        counts[best] += 1
         return best
 
 
@@ -228,7 +238,8 @@ class MinimumDelay(_OptimizingScheduler):
     kind = "minimum_delay"
 
     def __init__(self, stats, avail, lambda_total, rng: np.random.Generator):
-        self._rng = rng
+        # rng.random() one at a time, read through a C-level chain.
+        self._uniform = itertools.chain.from_iterable(_uniform_blocks(rng)).__next__
         super().__init__(stats, avail, lambda_total)
 
     def _on_new_split(self) -> None:
@@ -242,11 +253,22 @@ class MinimumDelay(_OptimizingScheduler):
             self._bounds.append((acc, j))
 
     def next_band(self) -> int:
-        u = self._rng.random()
+        u = self._uniform()
         for bound, j in self._bounds:
             if u < bound:
                 return j
         return self.avail[-1]
+
+
+def _uniform_blocks(rng: np.random.Generator):
+    """Endless ``_BLOCK``-draw lists of ``rng.random()`` in stream order.
+
+    A module-level generator over ``rng``, not a method, as
+    ``distributions._blocks`` is: a generator frame holding its scheduler
+    would make a reference cycle.
+    """
+    while True:
+        yield rng.random(_BLOCK).tolist()
 
 
 class LeakyBucket(_OptimizingScheduler):
@@ -280,28 +302,35 @@ class LeakyBucket(_OptimizingScheduler):
         avail = self.avail
         tokens = self.tokens
         incr = self.increments
-        full = 1.0 - TOKEN_EPS
-        # One pass: stop at a full bucket, else find the fewest rounds
-        # (at least one) that fill some bucket.  The available bands'
-        # targets sum to lambda > 0, so some increment is positive and
-        # the pass ends with rounds >= 1.
+        # One pass: stop at a full bucket with rounds at 0, so no bucket
+        # fills, else find the fewest rounds (at least one) that fill
+        # some bucket.  The available bands' targets sum to lambda > 0,
+        # so some increment is positive and the pass ends with rounds >= 1.
         rounds = 0
         for j in avail:
-            if tokens[j] >= full:
+            t = tokens[j]
+            if t >= _FULL:
+                rounds = 0
                 break
             r = incr[j]
             if r > 0.0:
-                need = max(math.ceil((full - tokens[j]) / r), 1)
+                need = ceil((_FULL - t) / r)
+                if need < 1:
+                    need = 1
                 if rounds == 0 or need < rounds:
                     rounds = need
-        else:
-            for j in avail:
-                tokens[j] += rounds * incr[j]
+        # Fill, and pick the fullest bucket, the first on a tie.
         best = avail[0]
-        for j in avail[1:]:
-            if tokens[j] > tokens[best]:
+        top = -math.inf
+        for j in avail:
+            t = tokens[j]
+            if rounds:
+                t += rounds * incr[j]
+                tokens[j] = t
+            if t > top:
                 best = j
-        tokens[best] -= 1.0
+                top = t
+        tokens[best] = top - 1.0
         return best
 
 

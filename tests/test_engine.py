@@ -24,7 +24,7 @@ from bandsplit.errors import (
 )
 from bandsplit.estimators import VACATION_FLOOR, band_stats_from_windows
 from bandsplit.model import RHO_MAX
-from bandsplit.schedulers import SchedulerSpec
+from bandsplit.schedulers import Scheduler, SchedulerSpec
 
 
 def one_band_cfg(lam=5.0, packets=20_000, kind="exponential", mean=0.1, **kw):
@@ -310,10 +310,9 @@ def test_run_requires_single_scheduler():
     assert run_scenario(cfg, cfg.schedulers[1], seed=1).delivered == 100
 
 
-@pytest.mark.parametrize("kind, streams", [("even_split", 3), ("minimum_delay", 4)])
-def test_only_minimum_delay_gets_a_scheduler_stream(monkeypatch, kind, streams):
-    # two_band_asym: one service stream per band and one arrival stream;
-    # minimum_delay alone draws from a scheduler stream.
+@pytest.fixture
+def streams(monkeypatch):
+    """The RNG streams SimState builds, counted by domain."""
     calls = Counter()
     stream = engine._stream
 
@@ -322,10 +321,36 @@ def test_only_minimum_delay_gets_a_scheduler_stream(monkeypatch, kind, streams):
         return stream(seed, domain, index)
 
     monkeypatch.setattr(engine, "_stream", counted)
-    cfg = scenarios.load("two_band_asym")
+    return calls
+
+
+@pytest.mark.parametrize("kind, count", [("even_split", 3), ("minimum_delay", 4)])
+def test_only_minimum_delay_gets_a_scheduler_stream(streams, kind, count):
+    # Two exponential bands: one service stream per band and one arrival
+    # stream; minimum_delay alone draws from a scheduler stream.
+    service = DistributionSpec("exponential", mean=0.1)
+    cfg = ScenarioConfig(
+        name="exp2",
+        bands=(BandConfig(service=service), BandConfig(service=service)),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=9.0, packets=100),),
+        schedulers=(SchedulerSpec(kind),),
+    )
     SimState(cfg, SchedulerSpec(kind), seed=1)
-    assert sum(calls.values()) == streams
-    assert calls[engine._DOM_SCHEDULER] == streams - 3
+    assert sum(streams.values()) == count
+    assert streams[engine._DOM_SCHEDULER] == count - 3
+
+
+@pytest.mark.parametrize("kind", ["even_split", "minimum_delay"])
+def test_deterministic_distributions_get_no_stream(streams, kind):
+    # two_band_asym's bands serve deterministically, and behind
+    # deterministic vacations no band draws: SimState builds the flow's
+    # arrival stream, and minimum_delay's scheduler stream, and no other.
+    cfg = replace(scenarios.load("two_band_asym"), vacation=DistributionSpec("deterministic", mean=0.05))
+    SimState(cfg, SchedulerSpec(kind), seed=1)
+    expected = {engine._DOM_ARRIVAL: 1}
+    if kind == "minimum_delay":
+        expected[engine._DOM_SCHEDULER] = 1
+    assert streams == expected
 
 
 def two_flow_parametric_cfg(**kw):
@@ -600,6 +625,57 @@ def _fixed_gap_state(gap):
     return state
 
 
+FEEDBACK_KINDS = ("load_balancing", "minimum_delay", "leaky_bucket")
+
+
+def _random_one_flow_feedback_cfg(rng, index):
+    # A random one-flow config under a feedback policy, with a round
+    # every 1, 10 or 100 served packets.
+    cfg = _random_one_flow_static_cfg(rng, index)
+    return replace(
+        cfg,
+        schedulers=(SchedulerSpec(FEEDBACK_KINDS[int(rng.integers(0, 3))]),),
+        feedback_interval_pkts=int(rng.choice([1, 10, 100])),
+    )
+
+
+def _tied_departures_state(kind, vacation, interval):
+    # Exact binary times: band 0 serves 0.5 s and band 1 0.25 s, and a
+    # packet arrives every 0.25 s, so the two bands depart at one instant
+    # and a round can fall between two same-instant departures.
+    cfg = ScenarioConfig(
+        name="tied_departures",
+        bands=(
+            BandConfig(service=DistributionSpec("deterministic", mean=0.5)),
+            BandConfig(service=DistributionSpec("deterministic", mean=0.25)),
+        ),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=4.0, packets=400),),
+        schedulers=(SchedulerSpec(kind),),
+        vacation=vacation,
+        feedback_interval_pkts=interval,
+        warmup_frac=0.0,
+    )
+    state = SimState(cfg, cfg.schedulers[0], seed=1)
+    state.flows[0].draw_gap = itertools.repeat(0.25).__next__
+    return state
+
+
+def _feedback_state(state):
+    """What a feedback run leaves behind: the flow's served count, its
+    taps' windows and the scheduler's state, with the next uniform a
+    minimum_delay scheduler would draw."""
+    (fr,) = state.flows
+    taps = [
+        [(w._ring, w._pos, w._sum, w._sum_sq) for w in (tap.service, tap.vacation)]
+        + [tap.last_occupied, tap.fresh]
+        for tap in fr.taps
+    ]
+    sched = {k: v for k, v in vars(fr.scheduler).items() if not callable(v)}
+    if hasattr(fr.scheduler, "_uniform"):
+        sched["next_uniform"] = fr.scheduler._uniform()
+    return fr.served, taps, sched
+
+
 def _cross_check_states(group):
     """Pairs of fresh, identical states, one per run to compare."""
     if group == "bundled":
@@ -634,15 +710,62 @@ def _cross_check_states(group):
         for seed in (1, 2, 3, 4, 5):
             yield [SimState(cfg, cfg.schedulers[0], seed) for _ in range(2)]
         yield [_tie_rule_state() for _ in range(2)]
+    elif group == "feedback_bundled":
+        for name in ("two_band_asym", "two_band_high_rtt"):
+            cfg = _scaled(scenarios.load(name), 3000)
+            for kind in FEEDBACK_KINDS:
+                for seed in (1, 2, 3):
+                    yield [SimState(cfg, SchedulerSpec(kind), seed) for _ in range(2)]
+    elif group == "feedback_parametric":
+        # The one-flow parametric setup of the vacation-term defect: the
+        # bands of two_band_asym behind 0.05 s vacations, light to heavy.
+        bands = scenarios.load("two_band_asym").bands
+        for lam in (3.0, 9.0, 12.0):
+            cfg = ScenarioConfig(
+                name="parametric",
+                bands=tuple(replace(band, prop_latency_s=0.0) for band in bands),
+                flows=(FlowConfig(sta=0, ac=0, lambda_pps=lam, packets=3000),),
+                schedulers=(SchedulerSpec("leaky_bucket"),),
+                vacation=DistributionSpec("deterministic", mean=0.05),
+            )
+            for kind in FEEDBACK_KINDS:
+                yield [SimState(cfg, SchedulerSpec(kind), 1) for _ in range(2)]
+        cfg = _three_band_parametric_cfg(DistributionSpec("exponential", mean=0.02))
+        for kind in FEEDBACK_KINDS:
+            yield [SimState(cfg, SchedulerSpec(kind), 2) for _ in range(2)]
+    elif group == "feedback_random":
+        rng = np.random.default_rng(47)
+        for i in range(30):
+            cfg = _random_one_flow_feedback_cfg(rng, i)
+            yield [SimState(cfg, cfg.schedulers[0], 5000 + i) for _ in range(2)]
+    elif group == "feedback_ties":
+        for vacation in (None, DistributionSpec("deterministic", mean=0.25)):
+            for interval in (1, 2, 3):
+                for kind in FEEDBACK_KINDS:
+                    yield [_tied_departures_state(kind, vacation, interval) for _ in range(2)]
 
 
 @pytest.mark.parametrize(
-    "group", ["bundled", "criterion_1", "three_band_parametric", "random", "arrivals_at_departures", "ties"]
+    "group",
+    [
+        "bundled",
+        "criterion_1",
+        "three_band_parametric",
+        "random",
+        "arrivals_at_departures",
+        "ties",
+        "feedback_bundled",
+        "feedback_parametric",
+        "feedback_random",
+        "feedback_ties",
+    ],
 )
 def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
     # The pass and the loop must record equal per-seq buffers (arrival,
     # service start, receipt and band of every packet) and give equal
     # reports, down to the diagnostic fields (measured, mean_wait_s).
+    # After a feedback run, the served count, the taps' windows and the
+    # scheduler's state must be equal too.
     runs = 0
     for by_pass, by_loop in _cross_check_states(group):
         heap_pushes[0] = 0
@@ -652,8 +775,14 @@ def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
         (a,), (b,) = buffers[-2:]
         for name in ("arrival", "start", "receipt", "band"):
             assert (a[name] == b[name]).all()
+        if group.startswith("feedback"):
+            assert _feedback_state(by_pass) == _feedback_state(by_loop)
         if group == "ties":
             assert _tied_seqs(b, by_loop.flows[0].warmup_cut).size > 0
+        if group == "feedback_ties":
+            # Both bands have no latency, so receipts are departures.
+            departures = [b["receipt"][b["band"] == j] for j in (0, 1)]
+            assert np.intersect1d(*departures).size > 0
         runs += 1
     assert runs == {
         "bundled": 24,
@@ -661,11 +790,17 @@ def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
         "three_band_parametric": 12,
         "random": 40,
         "ties": 6,
+        "feedback_bundled": 18,
+        "feedback_parametric": 12,
+        "feedback_random": 30,
+        "feedback_ties": 18,
     }.get(group, 1)
 
 
-@pytest.mark.parametrize("kind", STATIC_ENTRIES)
+@pytest.mark.parametrize("kind", STATIC_ENTRIES + FEEDBACK_KINDS)
 def test_one_flow_static_runs_push_no_heap_events(heap_pushes, kind):
+    # Every one-flow run of at most QUEUE_CAP packets takes a pass, under
+    # a static policy and under a feedback policy alike.
     cfg = _scaled(scenarios.load("two_band_asym"), 3000)
     assert run_scenario(cfg, SchedulerSpec.parse(kind), seed=1).delivered == 3000
     cfg = _criterion_1_cfg(0.3, 20_000)
@@ -720,22 +855,30 @@ def _calls_per_delivered_packet(scenario, kind, entry="run"):
 
 @pytest.mark.parametrize(
     "kind, entry, bound",
-    [("single_band:0", "_run_events", 1.5), ("even_split", "_run_events", 1.5), ("leaky_bucket", "run", 5.5)],
-    ids=["single_band:0", "even_split", "leaky_bucket"],
+    [
+        ("single_band:0", "_run_events", 1.5),
+        ("even_split", "_run_events", 1.5),
+        ("leaky_bucket", "_run_events", 4.0),
+        ("leaky_bucket", "run", 2.0),
+    ],
+    ids=["single_band:0", "even_split", "leaky_bucket-loop", "leaky_bucket"],
 )
 def test_python_calls_per_packet_on_a_single_path_run(kind, entry, bound):
-    # The event loop's per-packet cost as a count that host load cannot
-    # move: Python function calls per delivered packet, on the
-    # asym_schemes config (two_band_asym).  The loop handles every event
-    # inline, writes each packet's times into its flow's buffers and
-    # draws through the samplers' C-level stream, so a packet costs its
-    # scheduler pick: 1.02 under single_band:0 and even_split, and 5.02
-    # under leaky_bucket (two estimator adds per packet and the feedback
-    # rounds).  With a receipt call per packet these were 2.02, 2.49
+    # The per-packet cost as a count that host load cannot move: Python
+    # function calls per delivered packet, on the asym_schemes config
+    # (two_band_asym).  The loop handles every event inline, writes each
+    # packet's times into its flow's buffers and draws through the
+    # samplers' C-level stream, so a packet costs its scheduler pick:
+    # 1.02 under single_band:0 and even_split, and 3.65 under
+    # leaky_bucket (two estimator adds per packet and the feedback
+    # rounds; 5.02 while each window resync squared its samples in a
+    # generator).  With a receipt call per packet these were 2.02, 2.49
     # (reorder-buffer calls) and 6.15; with one call per push, per
     # handler, per draw and per packet object 10.02, 10.99 and 14.28.
-    # run() takes the one pass for the static policies, so they call the
-    # loop itself.
+    # run() takes a pass for every one-flow run, so the loop cases call
+    # the loop itself.  Through the feedback pass leaky_bucket costs
+    # 1.78: the pick, and per round a batch feed of each tap and the
+    # round's own calls.
     assert _calls_per_delivered_packet("two_band_asym", kind, entry) < bound
 
 
@@ -749,14 +892,15 @@ def test_python_calls_per_packet_on_a_one_pass_run(kind):
 
 @pytest.mark.parametrize(
     "kind, bound",
-    [("even_split", 2.5), ("leaky_bucket", 6.7)],
+    [("even_split", 2.5), ("leaky_bucket", 5.0)],
     ids=["even_split", "leaky_bucket"],
 )
 def test_python_calls_per_packet_on_multi_queue_bands(kind, bound):
     # two_sta_mixed: two stations share the bands, so every band has two
     # queues and each service start calls pick_queue.  Measured: 2.01
-    # under even_split and 6.17 under leaky_bucket (3.51 and 7.31 with a
-    # receipt call per packet).
+    # under even_split and 4.46 under leaky_bucket (6.17 while each
+    # window resync squared its samples in a generator; 3.51 and 7.31
+    # with a receipt call per packet).
     assert _calls_per_delivered_packet("two_sta_mixed", kind) < bound
 
 
@@ -826,17 +970,21 @@ def test_heap_pushes_match_the_pinned_count(heap_pushes, vacation, kind, pushes)
 
 
 def test_finished_runs_leave_no_sampler_alive():
-    # Reference counting alone must free a dropped run's samplers: a
-    # sampler in a reference cycle (say, a block generator closing over
-    # it) would keep every finished run's samplers until the cyclic GC.
-    cfg = two_flow_parametric_cfg()
-    cfg = replace(cfg, flows=tuple(replace(fl, packets=200) for fl in cfg.flows))
+    # Reference counting alone must free a dropped run's samplers and
+    # schedulers: one in a reference cycle (say, a block generator closing
+    # over it) would keep every finished run's until the cyclic GC.  The
+    # runs take the loop (two flows) and the feedback pass (one flow),
+    # under leaky_bucket and under minimum_delay, which draws its
+    # uniforms in blocks.
+    cfgs = [_scaled(two_flow_parametric_cfg(), 200), _scaled(scenarios.load("two_band_asym"), 200)]
     gc.collect()
     gc.disable()
     try:
         for seed in range(10):
-            run_scenario(cfg, cfg.schedulers[0], seed)
-        alive = sum(isinstance(o, Sampler) for o in gc.get_objects())
+            for cfg in cfgs:
+                for kind in ("leaky_bucket", "minimum_delay"):
+                    run_scenario(cfg, SchedulerSpec(kind), seed)
+        alive = sum(isinstance(o, (Sampler, Scheduler)) for o in gc.get_objects())
     finally:
         gc.enable()
     assert alive == 0

@@ -1,5 +1,7 @@
 """Moment-window and distribution tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,45 @@ def test_window_never_exceeds_capacity():
         est.add(float(i))
     assert len(est) == 8
     assert est.mean() == pytest.approx(np.mean(range(92, 100)), rel=1e-12)
+
+
+def _reference_add(est, x):
+    # MomentEstimator.add as it was before batches, with each resync
+    # squaring the samples in a generator.
+    if len(est._ring) < est.window:
+        est._ring.append(x)
+        est._sum += x
+        est._sum_sq += x * x
+    else:
+        old = est._ring[est._pos]
+        est._ring[est._pos] = x
+        est._sum += x - old
+        est._sum_sq += x * x - old * old
+    est._pos += 1
+    if est._pos >= est.window:
+        est._pos = 0
+        est._sum = math.fsum(est._ring)
+        est._sum_sq = math.fsum(v * v for v in est._ring)
+
+
+def test_add_and_extend_match_the_reference_bit_for_bit():
+    # Random batches, empty ones and ones longer than the window among
+    # them, so batches start and end on both sides of a wrap; the samples
+    # span six orders of magnitude and include zeros of both signs.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        window = int(rng.integers(1, 40))
+        ref, one, batch = (MomentEstimator(window) for _ in range(3))
+        for _ in range(int(rng.integers(1, 12))):
+            xs = (rng.exponential(1.0, int(rng.integers(0, 3 * window))) * 10.0 ** rng.integers(-3, 4)).tolist()
+            if rng.integers(0, 4) == 0:
+                xs = [0.0, -0.0] + xs
+            for x in xs:
+                _reference_add(ref, x)
+                one.add(x)
+            batch.extend(xs)
+            state = [(e._ring, e._pos, e._sum.hex(), e._sum_sq.hex()) for e in (ref, one, batch)]
+            assert state[0] == state[1] == state[2]
 
 
 def test_empty_window_raises():
