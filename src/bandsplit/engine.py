@@ -526,7 +526,9 @@ class SimState:
             # band's first departure has no vacation sample; feed drops
             # the one computed here.
             vac = occupied - last - dur
-            b.samples += (dur, vac if vac > 0.0 else 0.0)
+            samples = b.samples
+            samples.append(dur)
+            samples.append(vac if vac > 0.0 else 0.0)
             pending += 1
             starts[k] = s
             receipts[k] = done + b.prop
@@ -544,11 +546,15 @@ class SimState:
         interval = self.config.feedback_interval_pkts
         while pending >= interval:
             heads = [bisect_right(b.keys, bound) for b in bands]
-            if sum(heads) < interval:
+            extra = sum(heads) - interval
+            if extra < 0:
                 break
-            # The round fires at the interval-th departure in pop order;
-            # each band feeds its departures up to that one.
-            last = sorted(chain.from_iterable([b.keys[:h] for b, h in zip(bands, heads)]))[interval - 1]
+            # The round fires at the interval-th departure in pop order,
+            # the (extra + 1)-th latest of those before bound, which is
+            # among the extra + 1 latest of its band; each band feeds its
+            # departures up to that one.
+            latest = chain.from_iterable([b.keys[max(h - extra - 1, 0) : h] for b, h in zip(bands, heads)])
+            last = sorted(latest)[-extra - 1]
             for b, tap, h in zip(bands, fr.taps, heads):
                 if h:
                     fed = bisect_right(b.keys, last, 0, h)
