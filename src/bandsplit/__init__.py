@@ -3,7 +3,7 @@
 Library surface:
 
 * model        per-band delay formula, aggregate objective
-* optimizer    optimal rate split (exact solver, heavy-traffic closed form)
+* optimizer    optimal rate split
 * schedulers   per-packet band selection policies (token bucket and rivals)
 * engine       deterministic discrete-event simulator
 * runner       schemes x seeds orchestration, CSV/JSONL records, compare
@@ -44,7 +44,6 @@ from .optimizer import (
     gamma_approx,
     lambda_star_given_gamma,
     optimize,
-    solve_closed_form,
 )
 from .reorder import ReorderBuffer
 from .runner import compare, read_records, run_suite, write_records

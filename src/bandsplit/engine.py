@@ -7,16 +7,14 @@ packets cross an optional fixed propagation latency to the receiver,
 which releases each flow's packets in sequence order.
 
 ``SimState.run`` takes one of two paths.  A config with one flow of at
-most ``QUEUE_CAP`` packets runs as one pass with no events: one pass per
-band under a static policy (``single_band``, ``even_split``,
-``band_per_flow``: band choices that ignore the system state), one walk
-over the arrivals under a feedback policy.  A config with several flows
-runs the event loop.  Both paths record the same facts, and one report
-derives every metric from them:
+most ``QUEUE_CAP`` packets runs as one pass over the arrivals with no
+events; any other config runs the event loop.  Both paths record the
+same facts, and one report derives every metric from them:
 
 - Each flow holds per-seq buffers, allocated when the run starts: the
-  arrival, service start, receipt and band of each packet.  A receipt
-  is the departure plus the band's propagation latency.
+  arrival, service start, receipt and band of each packet.  The
+  arrivals are filled then, from the flow's gaps; a receipt is the
+  departure plus the band's propagation latency.
 - ``SimState._report`` derives the rest.  A packet is released at the
   latest receipt of its seq and all lower ones (the running maximum of
   the receipts); its latency is release minus arrival, its wait start
@@ -44,10 +42,11 @@ from the module when the run starts.  Draws call each sampler's
 queued or in-service packet is its ``(flow index, seq)`` tuple, so
 neither runs a Python frame.  A packet's one Python call is its
 scheduler pick, plus estimator adds and feedback rounds under a
-feedback policy.  The loop writes each buffer entry inline, at the
-packet's arrival, service start and departure (its receipt), and ends
-when the heap empties, at the last departure: a lazy vacation chain
-pushes nothing.
+feedback policy.  An arrival pushes the next one from the flow's
+arrival buffer; the loop writes each other buffer entry inline, at the
+packet's arrival (its band), service start and departure (its receipt),
+and ends when the heap empties, at the last departure: a lazy vacation
+chain pushes nothing.
 
 Per-packet work is kept to what each packet needs:
 
@@ -88,14 +87,15 @@ therefore costs no events.  Like every other event, that vacation end
 takes the insertion counter at its push, so two bands' vacation ends at
 the same instant pop in the order their waking packets arrived.
 
-The one pass, ``SimState._run_pass``, pushes no events.  With one flow
-and choices that ignore the state, each band is a FIFO queue (the flow
-fills one of its queues) fed by a fixed packet sequence, and the bands
-share no random stream, so each band can run alone: Lindley's recursion
-(Lindley 1952) over its packets in seq order, with the loop's tie rules.
+The one pass, ``SimState._run_pass``, pushes no events.  With one flow,
+each band is a FIFO queue (the flow fills one of its queues) and the
+bands share no random stream, so the pass walks the arrivals in seq
+order and takes each packet's step of Lindley's recursion (Lindley
+1952) on its band at once, with the loop's tie rules.
 
-- It draws the flow's gaps in stream order and sums them in order, as
-  the loop's ``t + gap`` does, and calls ``next_band`` once per packet.
+- The set-up both paths share draws the flow's gaps in stream order and
+  sums them in order, as ``t + gap`` would; the pass then calls
+  ``next_band`` once per packet.
 - A packet starts at its arrival or at its predecessor's departure,
   whichever is later.  An arrival at the instant of a departure finds
   the band idle, as departures pop first.  On a parametric band an idle
@@ -103,22 +103,23 @@ share no random stream, so each band can run alone: Lindley's recursion
   after it (a vacation ending at the arrival instant counts as passed).
   The chain starts at 0 for the band's first packet and at the
   departure that left the band empty otherwise.
-- Service is drawn in service order, and a receipt is the departure
-  plus the band's propagation latency.  The buffers the pass fills are
-  the ones the loop fills for the same (config, policy, seed), so the
-  two paths give equal reports.
+- Each band draws its service in service order, and a receipt is the
+  departure plus the band's propagation latency.  The buffers the pass
+  fills are the ones the loop fills for the same (config, policy,
+  seed), so the two paths give equal reports.
 - A band's queue never holds more than the flow's packets, so a pass
   run (at most ``QUEUE_CAP`` packets) cannot trip the cap, and the pass
   has no cap check.
 
-Under a feedback policy a band choice depends on the rounds fired before
-the arrival, so ``SimState._run_feedback_pass`` walks the arrivals in
-seq order instead.  Each band is still FIFO with one flow, so each
-arrival takes the Lindley step above on its band at once: the band's
-occupied time takes the chain's vacations and then the service, in the
-loop's order, and the step leaves the packet's tap samples pending.
+Under a static policy (``single_band``, ``even_split``,
+``band_per_flow``: band choices that ignore the system state) that is
+the whole pass.  Under a feedback policy a band choice depends on the
+rounds fired before the arrival, so the pass also keeps the loop's
+feedback bookkeeping: each step adds the chain's vacations and then the
+service to the band's occupied time, in the loop's order, and leaves
+the packet's tap samples pending.
 
-- Before each arrival the walk fires every round whose departure pops
+- Before each arrival the pass fires every round whose departure pops
   before it.  Round m fires at the departure that makes the flow's
   served count a multiple of ``feedback_interval_pkts``: the
   interval-th pending departure in the loop's pop order.  It pops before
@@ -290,18 +291,22 @@ class _FlowRuntime:
 
 
 class _PassBand:
-    """One band's state in the feedback pass.  ``keys`` holds the loop's
-    pop-order key of each departure not yet fed to the flow's tap, and
-    ``samples`` the (service, vacation) samples the tap takes from each,
-    flattened."""
+    """One band's state in the one pass.  Under a feedback policy
+    ``occupied`` is the band's occupied time so far and ``last`` that
+    time at its latest departure, ``keys`` holds the loop's pop-order key
+    of each departure not yet fed to the flow's tap, and ``samples`` the
+    (service, vacation) samples the tap takes from each, flattened."""
 
-    __slots__ = ("done", "occupied", "keys", "samples", "serve", "vacation", "prop")
+    __slots__ = ("done", "occupied", "last", "keys", "samples", "serve", "vacation", "prop")
 
     def __init__(self, srv: BandServer):
         self.vacation = srv.draw_vacation
-        # done: the departure of the band's latest packet, as in _run_pass.
+        # done: the departure of the band's latest packet.  An arrival at
+        # that instant finds the band idle, as departures pop first.  A
+        # parametric band's first vacation starts at 0, and each
+        # departure that leaves it empty starts the next one.
         self.done = -math.inf if self.vacation is None else 0.0
-        self.occupied = 0.0
+        self.occupied = self.last = 0.0
         self.keys: list[tuple] = []
         self.samples: list[float] = []
         self.serve = srv.draw_service
@@ -416,99 +421,52 @@ class SimState:
     # -- the two paths ---------------------------------------------------
 
     def run(self) -> MetricsReport:
-        """Run to completion: one pass when the config has one flow of no
-        more packets than QUEUE_CAP (per band under a static policy, per
-        arrival under a feedback policy), the event loop otherwise."""
+        """Run to completion: the one pass when the config has one flow of
+        no more packets than QUEUE_CAP, the event loop otherwise."""
         flows = self.flows
         # A band's queue never holds more than the flow's packets, so a
         # flow of at most QUEUE_CAP packets cannot trip the cap.
         if len(flows) == 1 and flows[0].packets <= QUEUE_CAP:
-            if flows[0].taps is None:
-                self._run_pass()
-            else:
-                self._run_feedback_pass()
+            self._run_pass()
             return self._report()
         return self._run_events()
 
-    def _start_pass(self, fr: _FlowRuntime) -> array:
-        """Allocate the flow's start and receipt buffers and fill its
-        arrivals: the gaps in stream order, summed in order, as the
-        loop's t + gap."""
+    def _start_flow(self, fr: _FlowRuntime) -> None:
+        """Allocate the flow's per-seq buffers and fill its arrivals: the
+        gaps in stream order, summed in order, as t + gap would."""
         n = fr.packets
         fr.arrival = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
         fr.start = array("d", [0.0]) * n
         fr.receipt = array("d", [math.nan]) * n
-        return fr.arrival
+        fr.band = array("i", [0]) * n
 
     def _run_pass(self) -> None:
-        """Fill the flow's per-seq buffers as the event loop would."""
+        """Fill the flow's per-seq buffers as the event loop would, and
+        under a feedback policy feed its taps and fire its rounds."""
         fr = self.flows[0]
         n = fr.packets
-        arrivals = self._start_pass(fr)
-        fr.band = choices = array("i", islice(iter(fr.scheduler.next_band, None), n))
-        starts = fr.start
-        receipts = fr.receipt
-        for j, srv in enumerate(self.servers):
-            if j not in choices:
-                continue
-            serve = srv.draw_service
-            prop = srv.prop_latency
-            vacation = srv.draw_vacation
-            # done: the departure of the band's latest packet.  An arrival
-            # at that instant finds the band idle, as departures pop first.
-            # A parametric band's first vacation starts at 0, and each
-            # departure that leaves it empty starts the next one; an
-            # arrival at an idle band waits out the first vacation ending
-            # after it.
-            done = -math.inf if vacation is None else 0.0
-            for k, band in enumerate(choices):
-                if band == j:
-                    a = arrivals[k]
-                    if a < done:
-                        s = done
-                    elif vacation is None:
-                        s = a
-                    else:
-                        s = done + vacation()
-                        while s <= a:
-                            s += vacation()
-                    done = s + serve()
-                    starts[k] = s
-                    receipts[k] = done + prop
-        fr.next_seq = self.received = n
-
-    def _run_feedback_pass(self) -> None:
-        """Fill the flow's per-seq buffers, feed its taps and fire its
-        feedback rounds as the event loop would."""
-        fr = self.flows[0]
-        n = fr.packets
-        arrivals = self._start_pass(fr)
-        fr.band = choices = array("i", [0]) * n
+        self._start_flow(fr)
+        arrivals = fr.arrival
+        choices = fr.band
         starts = fr.start
         receipts = fr.receipt
         next_band = fr.scheduler.next_band
+        feedback = fr.taps is not None
         interval = self.config.feedback_interval_pkts
         bands = [_PassBand(srv) for srv in self.servers]
         pending = 0  # departures not yet fed to the taps
         for k, a in enumerate(arrivals):
-            # The rounds whose departure pops before this arrival: at or
-            # before it, as departures pop first.
-            if pending >= interval:
-                pending = self._fire_rounds(fr, bands, pending, (a, _EV_VACATION))
             j = next_band()
             choices[k] = j
             b = bands[j]
-            keys = b.keys
             done = b.done
-            last = occupied = b.occupied
             if a < done:
                 s = done
-                start = keys[-1]
             elif b.vacation is None:
                 s = a
-                start = (a, _EV_ARRIVAL, k)
-            else:
+            elif feedback:
                 vacation = b.vacation
+                occupied = b.occupied
                 dur = vacation()
                 occupied += dur
                 s = done + dur
@@ -516,29 +474,49 @@ class SimState:
                     dur = vacation()
                     occupied += dur
                     s += dur
-                start = (s, _EV_VACATION, k)
+                b.occupied = occupied
+            else:
+                vacation = b.vacation
+                s = done + vacation()
+                while s <= a:
+                    s += vacation()
             dur = b.serve()
-            b.done = done = s + dur
-            b.occupied = occupied = occupied + dur
-            keys.append((done, _EV_DEPART, start))
-            # The tap's samples: the service, and the band's occupied
-            # time since its previous departure less the service.  The
-            # band's first departure has no vacation sample; feed drops
-            # the one computed here.
-            vac = occupied - last - dur
-            samples = b.samples
-            samples.append(dur)
-            samples.append(vac if vac > 0.0 else 0.0)
-            pending += 1
+            b.done = end = s + dur
             starts[k] = s
-            receipts[k] = done + b.prop
-        self._fire_rounds(fr, bands, pending, (math.inf, _EV_VACATION))
-        for b, tap in zip(bands, fr.taps):
-            if b.keys:
-                b.feed(tap, len(b.keys))
-            if len(tap.service):
-                tap.last_occupied = b.occupied
-        fr.served = fr.next_seq = self.received = n
+            receipts[k] = end + b.prop
+            if feedback:
+                # The departure's pop-order key, and the tap's samples: the
+                # service, and the band's occupied time since its previous
+                # departure less the service.  The band's first departure
+                # has no vacation sample; feed drops the one computed here.
+                keys = b.keys
+                if a < done:
+                    start = keys[-1]
+                elif b.vacation is None:
+                    start = (a, _EV_ARRIVAL, k)
+                else:
+                    start = (s, _EV_VACATION, k)
+                keys.append((end, _EV_DEPART, start))
+                last = b.last
+                b.last = b.occupied = occupied = b.occupied + dur
+                vac = occupied - last - dur
+                samples = b.samples
+                samples.append(dur)
+                samples.append(vac if vac > 0.0 else 0.0)
+                pending += 1
+                # The rounds whose departure pops before the next arrival:
+                # at or before it, as departures pop first.
+                if pending >= interval and k + 1 < n:
+                    pending = self._fire_rounds(fr, bands, pending, (arrivals[k + 1], _EV_VACATION))
+        if feedback:
+            self._fire_rounds(fr, bands, pending, (math.inf, _EV_VACATION))
+            for b, tap in zip(bands, fr.taps):
+                if b.keys:
+                    b.feed(tap, len(b.keys))
+                if len(tap.service):
+                    tap.last_occupied = b.occupied
+            fr.served = n
+        fr.next_seq = self.received = n
 
     def _fire_rounds(self, fr: _FlowRuntime, bands: list, pending: int, bound: tuple) -> int:
         """Fire every feedback round whose departure key sorts before
@@ -578,12 +556,8 @@ class SimState:
         interval = self.config.feedback_interval_pkts
         feedback = self._feedback
         for fr in flows:
-            n = fr.packets
-            fr.arrival = array("d", [0.0]) * n
-            fr.start = array("d", [0.0]) * n
-            fr.receipt = array("d", [math.nan]) * n
-            fr.band = array("i", [0]) * n
-            push(heap, (fr.draw_gap(), _EV_ARRIVAL, tick(), fr.index))
+            self._start_flow(fr)
+            push(heap, (fr.arrival[0], _EV_ARRIVAL, tick(), fr.index))
         for srv in servers:
             if srv.draw_vacation is not None:
                 dur = srv.draw_vacation()
@@ -633,11 +607,10 @@ class SimState:
                 fr = flows[j]
                 band = fr.scheduler.next_band()
                 seq = fr.next_seq
-                fr.arrival[seq] = t
                 fr.band[seq] = band
                 fr.next_seq = seq + 1
                 if seq + 1 < fr.packets:
-                    push(heap, (t + fr.draw_gap(), _EV_ARRIVAL, tick(), j))
+                    push(heap, (fr.arrival[seq + 1], _EV_ARRIVAL, tick(), j))
                 srv = servers[band]
                 q = srv.only_queue
                 if srv.current is None and srv.draw_vacation is None and q is not None:

@@ -20,9 +20,8 @@ whose only root below mu_j is
   driven to the utilisation cap are pinned there and the others
   re-solved over the rate left.  The KKT signs of the bound bands are
   checked at the end.
-* solve_closed_form: the paper's heavy-traffic split, lam_j(gamma) at the
-  approximate multiplier gamma_approx rescaled onto the sum constraint;
-  close to the optimum only when 2*lam is much larger than every mu_j.
+* the paper's heavy-traffic split, lam_j(gamma_approx) rescaled onto the
+  sum constraint, is a test reference (``tests/closed_form.py``).
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from typing import Sequence
 from .errors import BracketFailure, NoFeasibleBranch, Overload
 from .model import RHO_MAX, BandStats
 
-CLOSED_FORM = "closed_form_approx"
 NUMERIC = "numeric_gamma"
 
 # Cap on Newton steps per root.  The stop rule of _root_gamma ends a root
@@ -54,8 +52,8 @@ _Bands = list[tuple[float, float, float, float, float]]
 class LagrangeSolution:
     """Result of one solve.
 
-    ``gamma`` is the sum-constraint multiplier, ``method`` NUMERIC from
-    optimize or CLOSED_FORM from solve_closed_form.  ``lambdas`` holds
+    ``gamma`` is the sum-constraint multiplier, ``method`` the solver
+    that found it (NUMERIC from optimize).  ``lambdas`` holds
     the per-band rates in the order of the stats solved over, each
     strictly between 0 and RHO_MAX * mu_j except for bands at a bound of
     the active-set step: excluded bands are exactly 0.0 and capped bands
@@ -112,23 +110,6 @@ def _validate_instance(lambda_total: float, stats: Sequence[BandStats]) -> None:
         raise Overload(f"lambda={lambda_total} >= {RHO_MAX} * capacity ({cap})")
     if lambda_total <= 0:
         raise ValueError("lambda_total must be positive")
-
-
-def solve_closed_form(lambda_total: float, stats: Sequence[BandStats]) -> LagrangeSolution:
-    """Heavy-traffic split: lam_j(gamma_approx), rescaled onto the sum
-    constraint.  Raises NoFeasibleBranch when the candidate is infeasible."""
-    _validate_instance(lambda_total, stats)
-    gamma = gamma_approx(lambda_total, [st.mu for st in stats])
-    cand = lambda_star_given_gamma(gamma, stats, lambda_total)
-    if any(lam <= 0.0 for lam in cand):
-        raise NoFeasibleBranch(f"non-positive rate at gamma={gamma}")
-    # The approximate gamma does not satisfy sum(cand) == lam exactly;
-    # project onto the constraint before the feasibility check.
-    scale = lambda_total / sum(cand)
-    cand = [lam * scale for lam in cand]
-    if any(lam > RHO_MAX * st.mu for lam, st in zip(cand, stats)):
-        raise NoFeasibleBranch(f"rate above the utilisation cap at gamma={gamma}")
-    return LagrangeSolution(gamma, tuple(cand), CLOSED_FORM)
 
 
 def _band_terms(stats: Sequence[BandStats], lambda_total: float) -> _Bands:

@@ -799,8 +799,8 @@ def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES + FEEDBACK_KINDS)
 def test_one_flow_static_runs_push_no_heap_events(heap_pushes, kind):
-    # Every one-flow run of at most QUEUE_CAP packets takes a pass, under
-    # a static policy and under a feedback policy alike.
+    # Every one-flow run of at most QUEUE_CAP packets takes the one pass,
+    # under each of the six kinds, static and feedback alike.
     cfg = _scaled(scenarios.load("two_band_asym"), 3000)
     assert run_scenario(cfg, SchedulerSpec.parse(kind), seed=1).delivered == 3000
     cfg = _criterion_1_cfg(0.3, 20_000)
@@ -875,18 +875,19 @@ def test_python_calls_per_packet_on_a_single_path_run(kind, entry, bound):
     # generator).  With a receipt call per packet these were 2.02, 2.49
     # (reorder-buffer calls) and 6.15; with one call per push, per
     # handler, per draw and per packet object 10.02, 10.99 and 14.28.
-    # run() takes a pass for every one-flow run, so the loop cases call
-    # the loop itself.  Through the feedback pass leaky_bucket costs
-    # 1.78: the pick, and per round a batch feed of each tap and the
-    # round's own calls.
+    # run() takes the one pass for every one-flow run, so the loop cases
+    # call the loop itself.  Through the pass leaky_bucket costs 1.778:
+    # the pick, and per round a batch feed of each tap and the round's
+    # own calls.
     assert _calls_per_delivered_packet("two_band_asym", kind, entry) < bound
 
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES)
 def test_python_calls_per_packet_on_a_one_pass_run(kind):
-    # The one pass calls next_band once per packet and nothing else per
-    # packet: measured 1.020 under single_band:0, single_band:1,
-    # band_per_flow and even_split.
+    # Under a static policy the one pass calls next_band once per packet
+    # and nothing else per packet: measured 1.021 under single_band:0,
+    # single_band:1, band_per_flow and even_split (1.778 under
+    # leaky_bucket, whose rounds add calls).
     assert _calls_per_delivered_packet("two_band_asym", kind) < 1.5
 
 
@@ -973,7 +974,7 @@ def test_finished_runs_leave_no_sampler_alive():
     # Reference counting alone must free a dropped run's samplers and
     # schedulers: one in a reference cycle (say, a block generator closing
     # over it) would keep every finished run's until the cyclic GC.  The
-    # runs take the loop (two flows) and the feedback pass (one flow),
+    # runs take the loop (two flows) and the one pass (one flow),
     # under leaky_bucket and under minimum_delay, which draws its
     # uniforms in blocks.
     cfgs = [_scaled(two_flow_parametric_cfg(), 200), _scaled(scenarios.load("two_band_asym"), 200)]

@@ -10,14 +10,8 @@ import pytest
 
 from bandsplit.errors import NoFeasibleBranch, Overload
 from bandsplit.model import RHO_MAX, BandStats, aggregate_delay, band_delay, objective
-from bandsplit.optimizer import (
-    CLOSED_FORM,
-    NUMERIC,
-    gamma_approx,
-    lambda_star_given_gamma,
-    optimize,
-    solve_closed_form,
-)
+from bandsplit.optimizer import NUMERIC, gamma_approx, lambda_star_given_gamma, optimize
+from closed_form import CLOSED_FORM, solve_closed_form
 from conftest import feasible, random_instance
 from grid_oracle import grid_objective, solve_grid
 
