@@ -67,6 +67,10 @@ class FlowConfig:
     packets: int
     available_bands: tuple[int, ...] | None = None
 
+    def gap(self) -> DistributionSpec:
+        """The flow's inter-arrival time: exponential at rate lambda_pps."""
+        return DistributionSpec(kind="exponential", mean=1.0 / self.lambda_pps)
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -112,6 +116,10 @@ class ScenarioConfig:
                 raise ConfigInvalid(f"{where}.ac: {fl.ac} not among active acs {self.acs}")
             if not fl.lambda_pps > 0:
                 raise ConfigInvalid(f"{where}.lambda_pps: must be > 0")
+            try:
+                fl.gap()
+            except ConfigInvalid as exc:
+                raise ConfigInvalid(f"{where}.lambda_pps: inter-arrival time: {exc}") from None
             if fl.packets < 1:
                 raise ConfigInvalid(f"{where}.packets: must be >= 1")
             if (fl.sta, fl.ac) in seen_keys:

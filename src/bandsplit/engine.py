@@ -6,10 +6,8 @@ categories and round-robin across stations inside one category.  Served
 packets cross an optional fixed propagation latency to the receiver,
 which releases each flow's packets in sequence order.
 
-``SimState.run`` takes one of two paths.  A config with one flow of at
-most ``QUEUE_CAP`` packets runs as one pass over the arrivals with no
-events; any other config runs the event loop.  Both paths record the
-same facts, and one report derives every metric from them:
+Every run records the same facts, and one report derives every metric
+from them:
 
 - Each flow holds per-seq buffers, allocated when the run starts: the
   arrival, service start, receipt and band of each packet.  The
@@ -29,125 +27,78 @@ same facts, and one report derives every metric from them:
 - The complete-run invariant is checked before any metric is read:
   every flow generated its budget, every seq has exactly one receipt
   (none is left unset, and the run counted as many receipts as
-  packets), and no packet is left in the event heap, a queue or a
-  server.
-
-The event loop, ``SimState._run_events``, is one flat loop that handles
-departures, vacation ends and arrivals inline, on state bound to locals
-once per run.  Every push is ``heappush(heap, (t, kind, tick(),
-index))``, where ``tick`` is the ``__next__`` of an
-``itertools.count(1)`` (the insertion counter) and ``heappush`` is read
-from the module when the run starts.  Draws call each sampler's
-``take``, the C-level ``__next__`` of its flattened block stream, and a
-queued or in-service packet is its ``(flow index, seq)`` tuple, so
-neither runs a Python frame.  A packet's one Python call is its
-scheduler pick, plus estimator adds and feedback rounds under a
-feedback policy.  An arrival pushes the next one from the flow's
-arrival buffer; the loop writes each other buffer entry inline, at the
-packet's arrival (its band), service start and departure (its receipt),
-and ends when the heap empties, at the last departure: a lazy vacation
-chain pushes nothing.
-
-Per-packet work is kept to what each packet needs:
-
-- A band with one (AC, station) queue takes its next packet from that
-  queue, and when idle under emergent vacations it serves an arriving
-  packet at once, without queueing it.  Only a band with several queues
-  walks strict priority and the round-robin pointer
-  (``BandServer.pick_queue``), also for an arrival at an idle band, so
-  the pointer advances as it would for a queued packet.
-- Each count is kept once.  A flow's generated packets are its next
-  sequence number, and a band is serving exactly when ``current`` holds
-  a packet.
-- A feedback round rebuilds the stats of a band only when the flow's
-  tap on it took a sample since the last round.  Every other band keeps
-  the stats the scheduler holds, which are what its unchanged windows
-  would give again: the last round stored what they gave, or kept the
-  held stats when they were too short.  An optimizing scheduler handed
-  the stats that produced its current split keeps it without a solve.
+  packets), and no packet is left in a queue or a server.
 
 Determinism: every stochastic source draws from its own named RNG stream
-derived from the run seed, and simultaneous events are ordered by
-(time, event-kind priority, insertion counter) with departures first:
-same-instant events of one kind pop in the order they were pushed.
-(An arrival pushes its successor before the departure or vacation end
-it starts.  That moves counter values but not the push order of any two
-events of one kind, so it moves no pop.)  Identical (config, scheduler,
-seed) triples therefore reproduce bit-identical reports.
+derived from the run seed, so a band's draws depend only on the order of
+its own services and vacations.  Events are ordered by time, then kind
+(departures, then vacation ends, then arrivals), then the order they
+were scheduled in, so identical (config, scheduler, seed) triples
+reproduce bit-identical reports.
 
-Parametric vacations run as lazy chains.  An idle band keeps the end of
-its current vacation in its own state (``vac_end``) and pushes no event
-for it.  The first packet that joins the band while it is away runs the
-chain forward to the packet's arrival time, drawing and accounting each
-vacation it passes in the order the band would have taken them one by
-one (a vacation ending exactly at the arrival instant counts as passed,
-as vacation ends sort before arrivals), and pushes one event for the end
-of the vacation the packet waits out.  A band that no packet reaches
-therefore costs no events.  Like every other event, that vacation end
-takes the insertion counter at its push, so two bands' vacation ends at
-the same instant pop in the order their waking packets arrived.
+``SimState.run`` is one walk over every flow's arrivals in that order,
+with no event queue:
 
-The one pass, ``SimState._run_pass``, pushes no events.  With one flow,
-each band is a FIFO queue (the flow fills one of its queues) and the
-bands share no random stream, so the pass walks the arrivals in seq
-order and takes each packet's step of Lindley's recursion (Lindley
-1952) on its band at once, with the loop's tie rules.
+- Arrivals at one instant come in the order their flows' previous
+  arrivals came (flows in index order for their first).  A heap over
+  flows keyed by (next arrival time, push count) gives each flow a run of
+  arrivals, up to its first at or after the next heap entry's time, as
+  that entry was pushed first and wins a tie.  ``g`` counts arrivals.
+- A band that one flow alone reaches, with at most ``QUEUE_CAP``
+  packets, is that flow's FIFO queue, so each packet takes its step of
+  Lindley's recursion (Lindley 1952) there at its arrival: it starts at
+  its arrival or its predecessor's departure, whichever is later (at a
+  tie the band is idle, as departures come first).  On a parametric band
+  an idle arrival waits out the first vacation of the chain that ends
+  after it (one ending at the arrival counts as passed); the chain
+  starts at 0, then at each departure that leaves the band empty.  Its
+  queue never holds more than the flow's packets, so it cannot trip the
+  cap.
+- Any other band (``BandServer``) keeps queues for the (AC, station)
+  pairs its flows use and is settled lazily: before a packet joins it,
+  it runs its one pending departure or vacation end, and those they
+  start, up to the arrival, starting queued packets by priority and
+  round-robin (``BandServer.pick_queue``).  An idle emergent band serves
+  an arrival at once (picked, with several queues, so the round-robin
+  pointer advances).  A queued arrival that makes the queue longer than
+  ``QUEUE_CAP`` raises ``OverloadDetected``.  Parametric vacations run as
+  lazy chains: a departure that leaves the band empty draws a vacation,
+  and the first packet to wait runs the chain to its arrival and waits
+  out the vacation that ends after it.
 
-- The set-up both paths share draws the flow's gaps in stream order and
-  sums them in order, as ``t + gap`` would; the pass then calls
-  ``next_band`` once per packet.
-- A packet starts at its arrival or at its predecessor's departure,
-  whichever is later.  An arrival at the instant of a departure finds
-  the band idle, as departures pop first.  On a parametric band an idle
-  arrival instead waits out the first vacation of the chain that ends
-  after it (a vacation ending at the arrival instant counts as passed).
-  The chain starts at 0 for the band's first packet and at the
-  departure that left the band empty otherwise.
-- Each band draws its service in service order, and a receipt is the
-  departure plus the band's propagation latency.  The buffers the pass
-  fills are the ones the loop fills for the same (config, policy,
-  seed), so the two paths give equal reports.
-- A band's queue never holds more than the flow's packets, so a pass
-  run (at most ``QUEUE_CAP`` packets) cannot trip the cap, and the pass
-  has no cap check.
+Under a feedback policy a band choice depends on the rounds fired before
+the arrival.  Each departure also adds the chain's vacations and then
+the service to its band's occupied time, in time order, and leaves its
+tap samples pending with the flow.
 
-Under a static policy (``single_band``, ``even_split``,
-``band_per_flow``: band choices that ignore the system state) that is
-the whole pass.  Under a feedback policy a band choice depends on the
-rounds fired before the arrival, so the pass also keeps the loop's
-feedback bookkeeping: each step adds the chain's vacations and then the
-service to the band's occupied time, in the loop's order, and leaves
-the packet's tap samples pending.
-
-- Before each arrival the pass fires every round whose departure pops
-  before it.  Round m fires at the departure that makes the flow's
-  served count a multiple of ``feedback_interval_pkts``: the
-  interval-th pending departure in the loop's pop order.  It pops before
-  arrival k exactly when its time is at most a_k, as departures pop
-  first; every such departure is of an earlier packet, so it is known.
-- The pop order is the key (d, 0, start).  Same-instant departures pop
-  in push order, which is the order of the events that started their
-  services, so ``start`` is that event's key: (a, 2, seq) for a service
-  that starts at the packet's own arrival, (end, 1, w) for one that
-  starts at a vacation end that packet w woke (only arrivals push
-  vacation ends, and arrivals pop in seq order), and the predecessor's
-  departure key for a queued packet.
-- At a round each band's tap takes its pending samples up to that
-  departure in one batch, with ``MomentEstimator.add``'s float
-  operations in the same order, and the band keeps only the departures
-  not yet fed.  The rounds after the last arrival fire too, and the
-  samples past the last round are fed, so after the run the taps, the
-  served count and the scheduler equal the loop's.
+- Before an arrival of flow i the walk fires flow i's rounds whose
+  departure comes before it, after settling to the arrival the lazily
+  settled bands that hold packets of flow i.  Round m fires at the
+  departure that makes the flow's served count a multiple of
+  ``feedback_interval_pkts``, so none can while fewer packets of the
+  flow are pending.  A round touches only the flow's own taps and
+  scheduler, so nothing else waits for it.
+- A departure's key in the event order is (d, 0, start), where
+  ``start`` is the key of the event that started the service, as
+  same-instant departures come in that order: (a, 2, g) at the packet's
+  own arrival, (end, 1, g) at a vacation end that arrival g woke, or the
+  predecessor's departure key for a queued packet.
+- At a round each tap takes its samples up to that departure in one
+  batch, with ``MomentEstimator.add``'s float operations in the same
+  order.  The rounds after the last arrival fire too, and the samples
+  past the last round are fed, so after the run the taps, the served
+  count and the scheduler are those of a loop that fed each departure as
+  it came.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
-from heapq import heappop, heappush
-from itertools import accumulate, chain, count, islice
+from heapq import heapify, heappop, heappush
+from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
@@ -165,11 +116,11 @@ from .metrics import MetricsReport
 from .model import BandStats
 from .schedulers import SchedulerSpec, make_scheduler
 
-# Event-kind tie priorities: departures before vacation ends before
-# arrivals.
-_EV_DEPART = 0
-_EV_VACATION = 1
-_EV_ARRIVAL = 2
+# Event-kind ranks at one instant: departures before vacation ends
+# before arrivals.
+_DEPART = 0
+_VACATION = 1
+_ARRIVAL = 2
 
 # RNG stream domains, combined with the run seed per flow/band.
 _DOM_ARRIVAL = 0
@@ -194,70 +145,201 @@ class _Tap:
         self.fresh = False
 
 
+class _Lane:
+    """One flow's pending feedback on one band: ``keys`` holds the event
+    order key of each of its departures there not yet fed to its tap,
+    ``samples`` the (service, vacation) samples the tap takes from each,
+    flattened, and ``last`` the band's occupied time at the flow's latest
+    departure there.  On a lazily settled band ``queued`` counts the
+    flow's packets there that have not departed yet."""
+
+    __slots__ = ("keys", "samples", "first", "last", "queued")
+
+    def __init__(self):
+        self.keys: list[tuple] = []
+        self.samples: list[float] = []
+        self.first = 3  # the first vacation sample to feed
+        self.last = 0.0
+        self.queued = 0
+
+    def feed(self, tap: _Tap, fed: int) -> None:
+        """Feed the first ``fed`` pending departures to ``tap``."""
+        samples = self.samples
+        # The flow's first departure on the band gives no vacation sample.
+        tap.vacation.extend(samples[self.first : 2 * fed : 2])
+        tap.service.extend(samples[0 : 2 * fed : 2])
+        del self.keys[:fed], samples[: 2 * fed]
+        self.first = 1
+        tap.fresh = True
+
+
+class _FifoBand(_Lane):
+    """A band that one flow alone reaches, with at most ``QUEUE_CAP``
+    packets; it is its own flow's lane.  ``done`` is the departure of its
+    latest packet and ``occupied`` (feedback policies only) its occupied
+    time so far."""
+
+    __slots__ = ("done", "occupied", "serve", "vacation", "prop")
+    shared = False
+
+    def __init__(self, service: Sampler, vacation: Sampler | None, prop_latency: float):
+        super().__init__()
+        # The samplers' C-level stream readers; no vacation sampler means
+        # emergent vacations.
+        self.serve = service.take
+        self.vacation = None if vacation is None else vacation.take
+        self.prop = prop_latency
+        # An arrival at the instant of ``done`` finds the band idle, as
+        # departures come first.  A parametric band's first vacation
+        # starts at 0, and each departure that leaves it empty starts the
+        # next one.
+        self.done = -math.inf if self.vacation is None else 0.0
+        self.occupied = 0.0
+
+
 class BandServer:
-    """One band: queues, service process, optional vacation process."""
+    """A band that several flows reach, or one flow of more than
+    ``QUEUE_CAP`` packets: FIFO queues for the (AC rank, station) pairs
+    its flows use, and its service and vacation state.  ``nxt`` is the
+    time of its one pending event (inf if none): the departure in
+    service, or the end of the vacation in progress when arrival
+    ``waker`` (at ``woke_at``) found the band idle (on an emergent band,
+    that arrival).  Under a feedback policy ``key`` is the event order
+    key of the departure in service and ``lanes`` holds each flow's lane,
+    by flow index."""
 
     __slots__ = (
         "queues",
-        "only_queue",
+        "queue_of",
         "rr",
         "qlen",
+        "current",
+        "dur",
+        "key",
+        "nxt",
+        "woke_at",
+        "waker",
         "vac_dur",
         "vac_end",
         "occupied",
-        "current",
-        "current_dur",
-        "draw_service",
-        "draw_vacation",
-        "prop_latency",
+        "departed",
+        "lanes",
+        "serve",
+        "vacation",
+        "prop",
     )
+    shared = True
 
-    def __init__(
-        self,
-        num_ranks: int,
-        num_stas: int,
-        service: Sampler,
-        vacation: Sampler | None,
-        prop_latency: float,
-    ):
-        self.queues = [[deque() for _ in range(num_stas)] for _ in range(num_ranks)]
-        # With one (AC, station) queue, priority and round-robin have one
-        # choice: the run loop takes it without walking the ranks.
-        self.only_queue = self.queues[0][0] if num_ranks == 1 and num_stas == 1 else None
-        self.rr = [0] * num_ranks
+    def __init__(self, pairs, service: Sampler, vacation: Sampler | None, prop_latency: float):
+        # Priority runs over the ranks in use, round-robin over each
+        # rank's stations in use: a station that no flow uses is always
+        # empty, so walking it would never change a pick.
+        self.queue_of = {pair: deque() for pair in sorted(set(pairs))}
+        ranks = sorted({rank for rank, _ in pairs})
+        self.queues = [[q for (r, _), q in self.queue_of.items() if r == rank] for rank in ranks]
+        self.rr = [0] * len(ranks)
         self.qlen = 0
+        self.current: tuple[int, int] | None = None  # (flow index, seq)
+        self.dur = 0.0
+        self.key: tuple | None = None
+        self.nxt = math.inf
+        self.woke_at = 0.0
+        self.waker = 0
+        # The vacation in progress; a parametric band's chain starts with
+        # a zero-length one that ends at 0.
         self.vac_dur = 0.0
         self.vac_end = 0.0
         self.occupied = 0.0
-        self.current: tuple[int, int] | None = None  # (flow index, seq)
-        self.current_dur = 0.0
-        # The samplers' C-level stream readers; no vacation sampler means
-        # emergent vacations.
-        self.draw_service = service.take
-        self.draw_vacation = None if vacation is None else vacation.take
-        self.prop_latency = prop_latency
+        self.departed = 0
+        self.lanes: list[_Lane | None] | None = None
+        self.serve = service.take
+        self.vacation = None if vacation is None else vacation.take
+        self.prop = prop_latency
 
-    def pick_queue(self, num_stas: int) -> deque:
+    def pick_queue(self) -> deque:
         """Next queue under strict AC priority, round-robin across STAs.
         Called only while some queue of the band holds a packet."""
         rr = self.rr
         for rank, row in enumerate(self.queues):
             ptr = rr[rank]
-            for k in range(num_stas):
-                sta = ptr + k
-                if sta >= num_stas:
-                    sta -= num_stas
-                q = row[sta]
+            n = len(row)
+            for k in range(n):
+                i = ptr + k
+                if i >= n:
+                    i -= n
+                q = row[i]
                 if q:
-                    rr[rank] = sta + 1 if sta + 1 < num_stas else 0
+                    rr[rank] = i + 1 if i + 1 < n else 0
                     return q
+
+    def settle(self, t: float, flows: list) -> None:
+        """Run the band's events at or before ``t``: each departure, and
+        the wake-up of the idle band, starts the next queued packet."""
+        nxt = self.nxt
+        lanes = self.lanes
+        while nxt <= t:
+            pkt = self.current
+            if pkt is None:
+                # A vacation ends on a band that a packet woke (on an
+                # emergent band, a zero-length one at the arrival).  One
+                # ending at or before the waking arrival was passed, and
+                # the band takes the next one of its lazy chain.
+                self.occupied += self.vac_dur
+                vacation = self.vacation
+                if vacation is None:
+                    kind = _ARRIVAL
+                elif nxt <= self.woke_at:
+                    dur = vacation()
+                    self.vac_dur = dur
+                    nxt += dur
+                    continue
+                else:
+                    kind = _VACATION
+                key = (nxt, kind, self.waker) if lanes is not None else None
+            else:
+                fi, seq = pkt
+                fr = flows[fi]
+                fr.receipt[seq] = nxt + self.prop
+                self.departed += 1
+                dur = self.dur
+                occupied = self.occupied + dur
+                self.occupied = occupied
+                key = self.key
+                if lanes is not None:
+                    lane = lanes[fi]
+                    lane.keys.append(key)
+                    vac = occupied - lane.last - dur
+                    lane.samples += (dur, vac if vac > 0.0 else 0.0)
+                    lane.last = occupied
+                    lane.queued -= 1
+                if not self.qlen:
+                    self.current = None
+                    if self.vacation is not None:
+                        dur = self.vacation()
+                        self.vac_dur = dur
+                        self.vac_end = nxt + dur
+                    self.nxt = math.inf
+                    return
+            pkt = self.pick_queue().popleft()
+            self.qlen -= 1
+            flows[pkt[0]].start[pkt[1]] = nxt
+            dur = self.serve()
+            self.current = pkt
+            self.dur = dur
+            end = nxt + dur
+            if lanes is not None:
+                self.key = (end, _DEPART, key)
+            nxt = end
+        self.nxt = nxt
 
 
 class _FlowRuntime:
     """One flow's source state, and its per-seq buffers: arrival,
     service start, receipt and band of every packet.  A run allocates
     the buffers when it starts and fills them in place;
-    ``SimState._report`` derives every metric from them."""
+    ``SimState._report`` derives every metric from them.  Under a
+    feedback policy ``pending`` counts its packets whose samples are not
+    yet fed to the taps."""
 
     __slots__ = (
         "packets",
@@ -268,6 +350,7 @@ class _FlowRuntime:
         "draw_gap",
         "next_seq",
         "served",
+        "pending",
         "warmup_cut",
         "taps",
         "arrival",
@@ -285,42 +368,10 @@ class _FlowRuntime:
         self.draw_gap = arrivals.take
         self.next_seq = 0
         self.served = 0
+        self.pending = 0
         self.warmup_cut = warmup_cut
         self.taps = taps
         self.arrival = self.start = self.receipt = self.band = None
-
-
-class _PassBand:
-    """One band's state in the one pass.  Under a feedback policy
-    ``occupied`` is the band's occupied time so far and ``last`` that
-    time at its latest departure, ``keys`` holds the loop's pop-order key
-    of each departure not yet fed to the flow's tap, and ``samples`` the
-    (service, vacation) samples the tap takes from each, flattened."""
-
-    __slots__ = ("done", "occupied", "last", "keys", "samples", "serve", "vacation", "prop")
-
-    def __init__(self, srv: BandServer):
-        self.vacation = srv.draw_vacation
-        # done: the departure of the band's latest packet.  An arrival at
-        # that instant finds the band idle, as departures pop first.  A
-        # parametric band's first vacation starts at 0, and each
-        # departure that leaves it empty starts the next one.
-        self.done = -math.inf if self.vacation is None else 0.0
-        self.occupied = self.last = 0.0
-        self.keys: list[tuple] = []
-        self.samples: list[float] = []
-        self.serve = srv.draw_service
-        self.prop = srv.prop_latency
-
-    def feed(self, tap: _Tap, fed: int) -> None:
-        """Feed the band's first ``fed`` pending departures to ``tap``."""
-        samples = self.samples
-        # The band's first departure, fed to an empty tap, gives no
-        # vacation sample.
-        tap.vacation.extend(samples[1 if len(tap.service) else 3 : 2 * fed : 2])
-        tap.service.extend(samples[0 : 2 * fed : 2])
-        del self.keys[:fed], samples[: 2 * fed]
-        tap.fresh = True
 
 
 def bootstrap_stats(service: DistributionSpec) -> BandStats:
@@ -344,8 +395,9 @@ def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Samp
 class SimState:
     """A fully wired simulation; run() drives it to completion and
     returns the report derived from the flows' per-seq buffers.
-    ``received`` counts the run's receipts, one per departure; ``heap``
-    holds the loop's pending events and is empty after a complete run.
+    ``servers`` holds every band, ``shared`` the lazily settled ones
+    (``BandServer``), and ``received`` counts the run's receipts, one per
+    departure.
 
     Exposed for white-box tests (estimator windows, per-seq buffers,
     which the report overwrites); normal callers use run_scenario().
@@ -358,21 +410,9 @@ class SimState:
         self.scheduler_spec = scheduler_spec
         self.seed = seed
 
-        self.servers = [
-            BandServer(
-                num_ranks=len(config.acs),
-                num_stas=config.stas,
-                service=_sampler(band.service, seed, _DOM_SERVICE, j),
-                vacation=_sampler(config.vacation, seed, _DOM_VACATION, j)
-                if config.vacation is not None
-                else None,
-                prop_latency=band.prop_latency_s,
-            )
-            for j, band in enumerate(config.bands)
-        ]
-
         initial = [bootstrap_stats(b.service) for b in config.bands]
         self.flows: list[_FlowRuntime] = []
+        reach: list[list[int]] = [[] for _ in config.bands]
         for i, fl in enumerate(config.flows):
             sched = make_scheduler(
                 scheduler_spec,
@@ -384,25 +424,40 @@ class SimState:
                 if scheduler_spec.kind == "minimum_delay"
                 else None,
             )
-            arrivals = _sampler(
-                DistributionSpec(kind="exponential", mean=1.0 / fl.lambda_pps), seed, _DOM_ARRIVAL, i
-            )
             taps = [_Tap() for _ in config.bands] if sched.uses_feedback else None
             fr = _FlowRuntime(
                 cfg=fl,
                 index=i,
                 rank=config.acs.index(fl.ac),
                 scheduler=sched,
-                arrivals=arrivals,
+                arrivals=_sampler(fl.gap(), seed, _DOM_ARRIVAL, i),
                 warmup_cut=int(config.warmup_frac * fl.packets),
                 taps=taps,
             )
             self.flows.append(fr)
+            for j in sched.avail:
+                reach[j].append(i)
 
-        self.heap: list = []
+        self.servers: list = []
+        self.shared: list[BandServer] = []
+        for j, band in enumerate(config.bands):
+            service = _sampler(band.service, seed, _DOM_SERVICE, j)
+            vacation = (
+                None if config.vacation is None else _sampler(config.vacation, seed, _DOM_VACATION, j)
+            )
+            flows = [self.flows[i] for i in reach[j]]
+            if len(flows) <= 1 and all(fr.packets <= QUEUE_CAP for fr in flows):
+                srv = _FifoBand(service, vacation, band.prop_latency_s)
+            else:
+                srv = BandServer([(fr.rank, fr.sta) for fr in flows], service, vacation, band.prop_latency_s)
+                if self.flows[0].taps is not None:
+                    srv.lanes = [_Lane() if i in reach[j] else None for i in range(len(self.flows))]
+                self.shared.append(srv)
+            self.servers.append(srv)
+
         self.received = 0  # receipts, one per departure, counted by the run
 
-    # -- calls the run loop makes ---------------------------------------
+    # -- calls the run makes ---------------------------------------------
 
     def _feedback(self, fr: _FlowRuntime) -> None:
         stats = list(fr.scheduler.stats)
@@ -418,19 +473,6 @@ class SimState:
         except OptimizerError:
             pass  # stale-but-safe: scheduler keeps its previous split
 
-    # -- the two paths ---------------------------------------------------
-
-    def run(self) -> MetricsReport:
-        """Run to completion: the one pass when the config has one flow of
-        no more packets than QUEUE_CAP, the event loop otherwise."""
-        flows = self.flows
-        # A band's queue never holds more than the flow's packets, so a
-        # flow of at most QUEUE_CAP packets cannot trip the cap.
-        if len(flows) == 1 and flows[0].packets <= QUEUE_CAP:
-            self._run_pass()
-            return self._report()
-        return self._run_events()
-
     def _start_flow(self, fr: _FlowRuntime) -> None:
         """Allocate the flow's per-seq buffers and fill its arrivals: the
         gaps in stream order, summed in order, as t + gap would."""
@@ -440,232 +482,177 @@ class SimState:
         fr.receipt = array("d", [math.nan]) * n
         fr.band = array("i", [0]) * n
 
-    def _run_pass(self) -> None:
-        """Fill the flow's per-seq buffers as the event loop would, and
-        under a feedback policy feed its taps and fire its rounds."""
-        fr = self.flows[0]
-        n = fr.packets
-        self._start_flow(fr)
-        arrivals = fr.arrival
-        choices = fr.band
-        starts = fr.start
-        receipts = fr.receipt
-        next_band = fr.scheduler.next_band
-        feedback = fr.taps is not None
-        interval = self.config.feedback_interval_pkts
-        bands = [_PassBand(srv) for srv in self.servers]
-        pending = 0  # departures not yet fed to the taps
-        for k, a in enumerate(arrivals):
-            j = next_band()
-            choices[k] = j
-            b = bands[j]
-            done = b.done
-            if a < done:
-                s = done
-            elif b.vacation is None:
-                s = a
-            elif feedback:
-                vacation = b.vacation
-                occupied = b.occupied
-                dur = vacation()
-                occupied += dur
-                s = done + dur
-                while s <= a:
-                    dur = vacation()
-                    occupied += dur
-                    s += dur
-                b.occupied = occupied
-            else:
-                vacation = b.vacation
-                s = done + vacation()
-                while s <= a:
-                    s += vacation()
-            dur = b.serve()
-            b.done = end = s + dur
-            starts[k] = s
-            receipts[k] = end + b.prop
-            if feedback:
-                # The departure's pop-order key, and the tap's samples: the
-                # service, and the band's occupied time since its previous
-                # departure less the service.  The band's first departure
-                # has no vacation sample; feed drops the one computed here.
-                keys = b.keys
-                if a < done:
-                    start = keys[-1]
-                elif b.vacation is None:
-                    start = (a, _EV_ARRIVAL, k)
-                else:
-                    start = (s, _EV_VACATION, k)
-                keys.append((end, _EV_DEPART, start))
-                last = b.last
-                b.last = b.occupied = occupied = b.occupied + dur
-                vac = occupied - last - dur
-                samples = b.samples
-                samples.append(dur)
-                samples.append(vac if vac > 0.0 else 0.0)
-                pending += 1
-                # The rounds whose departure pops before the next arrival:
-                # at or before it, as departures pop first.
-                if pending >= interval and k + 1 < n:
-                    pending = self._fire_rounds(fr, bands, pending, (arrivals[k + 1], _EV_VACATION))
-        if feedback:
-            self._fire_rounds(fr, bands, pending, (math.inf, _EV_VACATION))
-            for b, tap in zip(bands, fr.taps):
-                if b.keys:
-                    b.feed(tap, len(b.keys))
-                if len(tap.service):
-                    tap.last_occupied = b.occupied
-            fr.served = n
-        fr.next_seq = self.received = n
-
-    def _fire_rounds(self, fr: _FlowRuntime, bands: list, pending: int, bound: tuple) -> int:
-        """Fire every feedback round whose departure key sorts before
-        ``bound``; return the departures still pending."""
-        interval = self.config.feedback_interval_pkts
-        while pending >= interval:
-            heads = [bisect_right(b.keys, bound) for b in bands]
-            extra = sum(heads) - interval
-            if extra < 0:
-                break
-            # The round fires at the interval-th departure in pop order,
-            # the (extra + 1)-th latest of those before bound, which is
-            # among the extra + 1 latest of its band; each band feeds its
-            # departures up to that one.
-            latest = chain.from_iterable([b.keys[max(h - extra - 1, 0) : h] for b, h in zip(bands, heads)])
-            last = sorted(latest)[-extra - 1]
-            for b, tap, h in zip(bands, fr.taps, heads):
-                if h:
-                    fed = bisect_right(b.keys, last, 0, h)
-                    if fed:
-                        b.feed(tap, fed)
-            pending -= interval
-            self._feedback(fr)
-        return pending
-
-    def _run_events(self) -> MetricsReport:
-        # Every event kind is handled inline, on state bound to locals
-        # here.  heappush is read from the module now, at run time, so a
-        # patched engine.heappush sees every push.
-        push = heappush
-        pop = heappop
-        heap = self.heap
-        tick = count(1).__next__  # the insertion counter of the tie order
-        servers = self.servers
+    def run(self) -> MetricsReport:
+        """Walk every flow's arrivals in event order, filling the flows'
+        per-seq buffers, and under a feedback policy feeding the taps and
+        firing the rounds; return the report."""
         flows = self.flows
-        num_stas = self.config.stas
+        servers = self.servers
+        feedback = flows[0].taps is not None
         interval = self.config.feedback_interval_pkts
-        feedback = self._feedback
+        cap = QUEUE_CAP
+        # Per flow, bound once: what its steps use, and under a feedback
+        # policy its lazily settled bands, each with its lane there, and
+        # what its rounds use: its lanes, their keys and its taps on the
+        # bands it reaches.
+        walks = []
         for fr in flows:
             self._start_flow(fr)
-            push(heap, (fr.arrival[0], _EV_ARRIVAL, tick(), fr.index))
-        for srv in servers:
-            if srv.draw_vacation is not None:
-                dur = srv.draw_vacation()
-                srv.vac_dur = dur
-                srv.vac_end = dur
-        received = 0  # receipts so far, one per departure
+            reached = [servers[j] for j in fr.scheduler.avail]
+            lazy = rounds = None
+            if feedback:
+                lazy = [(b, b.lanes[fr.index]) for b in reached if b.shared]
+                lanes = [b.lanes[fr.index] if b.shared else b for b in reached]
+                rounds = (fr, lanes, [lane.keys for lane in lanes], [fr.taps[j] for j in fr.scheduler.avail])
+            queues = [b.queue_of.get((fr.rank, fr.sta)) if b.shared else None for b in servers]
+            steps = (fr.arrival, fr.band, fr.start, fr.receipt, fr.scheduler.next_band, queues)
+            walks.append((fr, steps, lazy, rounds))
+        # heappush is read from the module now, at run time, so a patched
+        # engine.heappush sees every push.
+        push = heappush
+        heap = [(fr.arrival[0], fr.index, fr.index) for fr in flows]
+        heapify(heap)
+        pushes = len(flows)
+        g = 0  # arrivals walked so far
+        joined = 0  # arrivals that joined a lazily settled band
         while heap:
-            # j is the band of a departure or vacation end, the flow of
-            # an arrival.
-            t, kind, _, j = pop(heap)
-            if kind == _EV_DEPART:
-                srv = servers[j]
-                fi, seq = srv.current
-                dur = srv.current_dur
-                occupied = srv.occupied + dur
-                srv.occupied = occupied
-                fr = flows[fi]
-                taps = fr.taps
-                if taps is not None:
-                    tap = taps[j]
-                    tap.service.add(dur)
-                    last = tap.last_occupied
-                    if last is not None:
-                        vac = occupied - last - dur
-                        tap.vacation.add(vac if vac > 0.0 else 0.0)
-                    tap.last_occupied = occupied
-                    tap.fresh = True
-                    served = fr.served + 1
-                    fr.served = served
-                    if served % interval == 0:
-                        feedback(fr)
-                fr.receipt[seq] = t + srv.prop_latency
-                received += 1
-                if not srv.qlen:
-                    srv.current = None
-                    if srv.draw_vacation is not None:
-                        dur = srv.draw_vacation()
-                        srv.vac_dur = dur
-                        srv.vac_end = t + dur
+            _, _, i = heappop(heap)
+            fr, steps, lazy, rounds = walks[i]
+            arrivals, choices, starts, receipts, next_band, queues = steps
+            k0 = fr.next_seq
+            k1 = bisect_left(arrivals, heap[0][0], k0 + 1) if heap else fr.packets
+            base = g - k0  # g of arrival k is base + k
+            pending = fr.pending  # only the flow's own steps and rounds move it
+            for k, a in enumerate(arrivals[k0:k1], k0):
+                if feedback and pending >= interval:
+                    # Fire the rounds whose departure comes before the
+                    # arrival (at or before it, as departures come first);
+                    # none can while fewer than interval packets are
+                    # pending.  The flow's packets on a band with an event
+                    # by then may depart by then, so those bands settle.
+                    for srv, lane in lazy:
+                        if lane.queued and srv.nxt <= a:
+                            srv.settle(a, flows)
+                    pending = self._fire_rounds(rounds, a, pending)
+                j = next_band()
+                choices[k] = j
+                b = servers[j]
+                if b.shared:
+                    joined += 1
+                    if b.nxt <= a:
+                        b.settle(a, flows)
+                    queues[j].append((i, k))
+                    qlen = b.qlen + 1
+                    b.qlen = qlen
+                    if qlen > cap:
+                        raise OverloadDetected(f"band {j} queue exceeded cap {cap} at t={a:.6f}")
+                    if qlen == 1 and b.current is None:
+                        # The packet wakes the idle band, which starts it
+                        # when settled: an emergent band at once, a
+                        # parametric one when the vacation in progress at
+                        # the arrival ends.
+                        b.nxt = a if b.vacation is None else b.vac_end
+                        b.woke_at = a
+                        b.waker = base + k
+                    if feedback:
+                        b.lanes[i].queued += 1
+                        pending += 1
                     continue
-                # else: start the next queued packet, below.
-            elif kind == _EV_VACATION:
-                srv = servers[j]
-                srv.occupied += srv.vac_dur
-                # The packet that woke the band waits: start it below.
-            else:
-                fr = flows[j]
-                band = fr.scheduler.next_band()
-                seq = fr.next_seq
-                fr.band[seq] = band
-                fr.next_seq = seq + 1
-                if seq + 1 < fr.packets:
-                    push(heap, (fr.arrival[seq + 1], _EV_ARRIVAL, tick(), j))
-                srv = servers[band]
-                q = srv.only_queue
-                if srv.current is None and srv.draw_vacation is None and q is not None:
-                    # An idle emergent band with one queue serves at once.
-                    fr.start[seq] = t
-                    dur = srv.draw_service()
-                    srv.current = (j, seq)
-                    srv.current_dur = dur
-                    push(heap, (t + dur, _EV_DEPART, tick(), band))
-                    continue
-                if q is None:
-                    srv.queues[fr.rank][fr.sta].append((j, seq))
+                done = b.done
+                if a < done:
+                    s = done
+                elif b.vacation is None:
+                    s = a
+                elif feedback:
+                    vacation = b.vacation
+                    occupied = b.occupied
+                    dur = vacation()
+                    occupied += dur
+                    s = done + dur
+                    while s <= a:
+                        dur = vacation()
+                        occupied += dur
+                        s += dur
+                    b.occupied = occupied
                 else:
-                    q.append((j, seq))
-                qlen = srv.qlen + 1
-                srv.qlen = qlen
-                if qlen > QUEUE_CAP:
-                    raise OverloadDetected(f"band {band} queue exceeded cap {QUEUE_CAP} at t={t:.6f}")
-                if srv.current is not None:
-                    continue
-                draw_vacation = srv.draw_vacation
-                if draw_vacation is not None:
-                    # A parametric band with nothing in service is on
-                    # vacation.  The first packet to wait runs its lazy
-                    # chain up to t and pushes the end it waits out.
-                    if qlen == 1:
-                        end = srv.vac_end
-                        if end <= t:
-                            occupied = srv.occupied
-                            dur = srv.vac_dur
-                            while end <= t:
-                                occupied += dur
-                                dur = draw_vacation()
-                                end += dur
-                            srv.occupied = occupied
-                            srv.vac_dur = dur
-                            srv.vac_end = end
-                        push(heap, (end, _EV_VACATION, tick(), band))
-                    continue
-                # An idle emergent band with several queues: its packet
-                # is picked below, so the round-robin pointer advances.
-                j = band
-            # Start service on band j, whose queue is not empty.
-            q = srv.only_queue
-            if q is None:
-                q = srv.pick_queue(num_stas)
-            pkt = q.popleft()
-            srv.qlen -= 1
-            flows[pkt[0]].start[pkt[1]] = t
-            dur = srv.draw_service()
-            srv.current = pkt
-            srv.current_dur = dur
-            push(heap, (t + dur, _EV_DEPART, tick(), j))
-        self.received = received
+                    vacation = b.vacation
+                    s = done + vacation()
+                    while s <= a:
+                        s += vacation()
+                dur = b.serve()
+                b.done = end = s + dur
+                starts[k] = s
+                receipts[k] = end + b.prop
+                if feedback:
+                    # The departure's event order key, and the tap's
+                    # samples: the service, and the band's occupied time
+                    # since its previous departure less the service.  The
+                    # band's first departure has no vacation sample; feed
+                    # drops the one computed here.
+                    keys = b.keys
+                    if a < done:
+                        start = keys[-1]
+                    elif b.vacation is None:
+                        start = (a, _ARRIVAL, base + k)
+                    else:
+                        start = (s, _VACATION, base + k)
+                    keys.append((end, _DEPART, start))
+                    last = b.last
+                    b.last = b.occupied = occupied = b.occupied + dur
+                    vac = occupied - last - dur
+                    samples = b.samples
+                    samples.append(dur)
+                    samples.append(vac if vac > 0.0 else 0.0)
+                    pending += 1
+            fr.pending = pending
+            g += k1 - k0
+            fr.next_seq = k1
+            if k1 < fr.packets:
+                push(heap, (arrivals[k1], pushes, i))
+                pushes += 1
+        for srv in self.shared:
+            if srv.nxt < math.inf:
+                srv.settle(math.inf, flows)
+        if feedback:
+            for _, _, _, rounds in walks:
+                fr, lanes, _, taps = rounds
+                self._fire_rounds(rounds, math.inf, fr.pending)
+                for lane, tap in zip(lanes, taps):
+                    if lane.keys:
+                        lane.feed(tap, len(lane.keys))
+                    if len(tap.service):
+                        tap.last_occupied = lane.last
+                fr.served = fr.packets
+        self.received = g - joined + sum(srv.departed for srv in self.shared)
         return self._report()
+
+    def _fire_rounds(self, rounds: tuple, t: float, pending: int) -> int:
+        """Fire every feedback round of the flow whose departure comes at
+        or before ``t``: its key sorts before (t, 1), as departures come
+        before arrivals.  The flow's departures by ``t`` are known.
+        Return its packets still pending, of the ``pending`` before."""
+        fr, lanes, keys, taps = rounds
+        interval = self.config.feedback_interval_pkts
+        heads = list(map(bisect_right, keys, repeat((t, _VACATION))))
+        extra = sum(heads) - interval
+        while extra >= 0:
+            # The round fires at the interval-th departure in event
+            # order, the (extra + 1)-th latest of those before bound,
+            # which is among the extra + 1 latest of its band; each band
+            # feeds its departures up to that one: with no extra, all.
+            feds = heads
+            if extra:
+                latest = chain.from_iterable([lane.keys[max(h - extra - 1, 0) : h] for lane, h in zip(lanes, heads)])
+                last = sorted(latest)[-extra - 1]
+                feds = [bisect_right(lane.keys, last, 0, h) for lane, h in zip(lanes, heads)]
+            for lane, tap, fed in zip(lanes, taps, feds):
+                if fed:
+                    lane.feed(tap, fed)
+            pending -= interval
+            self._feedback(fr)
+            heads = [h - fed for h, fed in zip(heads, feds)]
+            extra -= interval
+        return pending
 
     # -- accounting ----------------------------------------------------
 
@@ -676,7 +663,7 @@ class SimState:
         # The complete-run invariant, checked before any metric is read:
         # every flow generated its budget, every seq has exactly one
         # receipt (none is missing, and there are as many receipts as
-        # packets), and no packet is left in the heap, a queue or a server.
+        # packets), and no packet is left in a queue or a server.
         flows = self.flows
         total = 0
         for fr in flows:
@@ -687,11 +674,11 @@ class SimState:
                     f"{missing} never received"
                 )
             total += fr.packets
-        queued = sum(srv.qlen + (srv.current is not None) for srv in self.servers)
-        if self.received != total or queued or self.heap:
+        queued = sum(srv.qlen + (srv.current is not None) for srv in self.shared)
+        if self.received != total or queued:
             raise ConservationViolated(
-                f"run ended with {self.received} receipts of {total} packets, {queued} packets "
-                f"queued or in service and {len(self.heap)} events in the heap"
+                f"run ended with {self.received} receipts of {total} packets and {queued} packets "
+                f"queued or in service"
             )
 
         lats = []

@@ -54,8 +54,8 @@ class ConfigInvalid(BandsplitError):
 
 class ConservationViolated(BandsplitError):
     """A run ended short of some flow's packet budget, with a packet not
-    received exactly once, or with a packet left in the event heap, a
-    queue or a server (an engine bug)."""
+    received exactly once, or with a packet left in a queue or a server
+    (an engine bug)."""
 
 
 class OverloadDetected(BandsplitError):

@@ -62,36 +62,32 @@ class MomentEstimator:
 
     def extend(self, xs: list[float]) -> None:
         """``add`` each of ``xs`` in order, with the same float operations
-        in the same order, one run of samples up to the next wrap at a
-        time."""
+        in the same order, on the window's state bound to locals."""
         ring = self._ring
         window = self.window
-        i = 0
-        while i < len(xs):
-            pos = self._pos
-            seg = xs[i : i + window - pos]
-            i += len(seg)
-            total = self._sum
-            total_sq = self._sum_sq
-            if len(ring) < window:
-                # Filling: pos is the ring's length.
-                for x in seg:
-                    total += x
-                    total_sq += x * x
-                ring += seg
+        pos = self._pos
+        total = self._sum
+        total_sq = self._sum_sq
+        filling = len(ring) < window
+        for x in xs:
+            if filling:
+                ring.append(x)
+                total += x
+                total_sq += x * x
             else:
-                for x, old in zip(seg, ring[pos : pos + len(seg)]):
-                    total += x - old
-                    total_sq += x * x - old * old
-                ring[pos : pos + len(seg)] = seg
-            pos += len(seg)
+                old = ring[pos]
+                ring[pos] = x
+                total += x - old
+                total_sq += x * x - old * old
+            pos += 1
             if pos >= window:
                 pos = 0
+                filling = False
                 total = math.fsum(ring)
                 total_sq = math.fsum(map(mul, ring, ring))
-            self._pos = pos
-            self._sum = total
-            self._sum_sq = total_sq
+        self._pos = pos
+        self._sum = total
+        self._sum_sq = total_sq
 
     def __len__(self) -> int:
         return len(self._ring)

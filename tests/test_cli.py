@@ -272,6 +272,20 @@ def test_distribution_whose_moments_overflow_or_vanish_is_config_error(tmp_path,
     assert err.startswith("config error") and path in err
 
 
+@pytest.mark.parametrize("lam", [1e-300, 1e-200])
+def test_tiny_arrival_rate_is_config_error_at_load(tmp_path, capsys, lam):
+    # A rate so small that the exponential gap's second moment overflows
+    # cannot run: the loader builds the gap and names the field.
+    d = {**_ONE_BAND, "flows": [{"sta": 0, "ac": 0, "lambda_pps": lam, "packets": 200}]}
+    with pytest.raises(ConfigInvalid, match=r"flows\[0\]\.lambda_pps"):
+        ScenarioConfig.from_dict(d)
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d), encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: flows[0].lambda_pps")
+
+
 @pytest.mark.parametrize("mean", [1e-17, 1e-12])
 def test_vacations_too_short_to_run_are_config_error(tmp_path, capsys, mean):
     # An idle band would draw 1 / (1 pps * mean) vacations per packet gap:

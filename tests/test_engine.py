@@ -7,12 +7,13 @@ import heapq
 import itertools
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import loop_oracle
 from bandsplit import engine, scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec, Sampler
@@ -25,6 +26,8 @@ from bandsplit.errors import (
 from bandsplit.estimators import VACATION_FLOOR, band_stats_from_windows
 from bandsplit.model import RHO_MAX
 from bandsplit.schedulers import Scheduler, SchedulerSpec
+from test_acceptance import _random_config as criterion_9_cfg
+from test_golden_records import _three_band as golden_three_band
 
 
 def one_band_cfg(lam=5.0, packets=20_000, kind="exponential", mean=0.1, **kw):
@@ -52,17 +55,17 @@ def test_conservation_and_counts_at_natural_end():
     rep = state.run()
     assert rep.delivered == 3000
     assert rep.measured == 2700  # past the 10% warm-up
-    assert not state.heap
+    assert state.received == 3000
     assert rep.mean_reseq_delay_s == 0.0
     assert rep.out_of_order_frac == 0.0
 
 
-def _leave_an_event_in_the_heap(state):
-    state.heap.append((math.inf, engine._EV_DEPART, 0, 0))
+def _leave_a_packet_in_service(state):
+    state.shared[0].current = (0, 0)
 
 
 def _leave_a_packet_queued(state):
-    srv = state.servers[0]
+    srv = state.shared[0]
     srv.queues[0][0].append((0, 0))
     srv.qlen += 1
 
@@ -90,7 +93,7 @@ def _receive_a_seq_twice(state):
 @pytest.mark.parametrize(
     "tamper",
     [
-        _leave_an_event_in_the_heap,
+        _leave_a_packet_in_service,
         _leave_a_packet_queued,
         _phantom_packet,
         _lose_a_release,
@@ -102,8 +105,16 @@ def _receive_a_seq_twice(state):
 def test_conservation_mismatch_is_an_explicit_error(monkeypatch, tamper):
     # Kept under python -O: the check is an exception, not an assert.
     # An untouched run passes the check; each case breaks one part of
-    # the complete-run invariant just before the report checks it.
-    cfg = one_band_cfg(packets=500)
+    # the complete-run invariant just before the report checks it.  Two
+    # flows share the band, so it keeps queues and a server.
+    cfg = replace(
+        one_band_cfg(packets=250),
+        stas=2,
+        flows=(
+            FlowConfig(sta=0, ac=0, lambda_pps=2.5, packets=250),
+            FlowConfig(sta=1, ac=0, lambda_pps=2.5, packets=250),
+        ),
+    )
     assert run_scenario(cfg, cfg.schedulers[0], seed=4).delivered == 500
     report = SimState._report
 
@@ -276,12 +287,10 @@ def test_bootstrap_stats_moments():
 
 
 def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
-    # From the event loop's per-seq buffers: every packet's timestamps
-    # must be monotone, and each band must serve and deliver a flow's
-    # packets in the order they were assigned, so its departures (receipt
-    # minus the band's latency) and receipts rise in seq order.  run()
-    # takes the one pass on this one-flow even_split config, so the test
-    # calls the loop itself.
+    # From the run's per-seq buffers: every packet's timestamps must be
+    # monotone, and each band must serve and deliver a flow's packets in
+    # the order they were assigned, so its departures (receipt minus the
+    # band's latency) and receipts rise in seq order.
     cfg = ScenarioConfig(
         name="order",
         bands=(
@@ -291,7 +300,7 @@ def test_timestamps_monotone_and_bands_emit_in_flow_order(buffers):
         flows=(FlowConfig(sta=0, ac=0, lambda_pps=9.0, packets=4000),),
         schedulers=(SchedulerSpec("even_split"),),
     )
-    SimState(cfg, cfg.schedulers[0], seed=21)._run_events()
+    SimState(cfg, cfg.schedulers[0], seed=21).run()
     ((f,),) = buffers
     assert (f["arrival"] <= f["start"]).all() and (f["start"] <= f["receipt"]).all()
     for band, latency in ((0, 0.0), (1, 0.01)):
@@ -377,24 +386,35 @@ def test_parametric_vacations_with_two_flows_complete():
     assert rep.delivered == 6000
 
 
-@pytest.fixture
-def heap_pushes(monkeypatch):
-    """The engine's heap pushes so far, counted in heap_pushes[0]."""
+def _counted_pushes(monkeypatch, module):
     n = [0]
 
     def counting_heappush(heap, item):
         n[0] += 1
         heapq.heappush(heap, item)
 
-    monkeypatch.setattr(engine, "heappush", counting_heappush)
+    monkeypatch.setattr(module, "heappush", counting_heappush)
     return n
 
 
-def test_idle_vacations_push_no_heap_events(heap_pushes):
-    # Criterion-1 config at rho = 0.3, through the event loop (run()
-    # takes the one pass here and pushes nothing).  With one event per
-    # vacation the idle band costs about 6.7 pushes per packet; lazily it
-    # costs at most one arrival, one departure and one wake-up per packet.
+@pytest.fixture
+def heap_pushes(monkeypatch):
+    """The walk's heap pushes so far, counted in heap_pushes[0]: one per
+    run of a flow's arrivals, except each flow's first run."""
+    return _counted_pushes(monkeypatch, engine)
+
+
+@pytest.fixture
+def oracle_pushes(monkeypatch):
+    """The loop oracle's heap pushes so far, in oracle_pushes[0]."""
+    return _counted_pushes(monkeypatch, loop_oracle)
+
+
+def test_idle_vacations_push_no_heap_events(oracle_pushes):
+    # Criterion-1 config at rho = 0.3, through the loop oracle.  With one
+    # event per vacation the idle band costs about 6.7 pushes per packet;
+    # lazily it costs at most one arrival, one departure and one wake-up
+    # per packet.  The walk keeps the same lazy chain and pushes nothing.
     cfg = one_band_cfg(
         lam=3.0,
         packets=20_000,
@@ -402,9 +422,9 @@ def test_idle_vacations_push_no_heap_events(heap_pushes):
         mean=0.1,
         vacation=DistributionSpec("deterministic", mean=0.05),
     )
-    rep = SimState(cfg, cfg.schedulers[0], seed=101)._run_events()
+    rep = loop_oracle.run_events(SimState(cfg, cfg.schedulers[0], seed=101))
     assert rep.delivered == 20_000
-    assert heap_pushes[0] < 3 * rep.delivered
+    assert oracle_pushes[0] < 3 * rep.delivered
 
 
 def _receipt_order(f):
@@ -423,10 +443,10 @@ def _tied_seqs(f, cut):
 
 
 def _receipt_log(buffers, cfg, spec, seed):
-    """Run the event loop; return the report, the state and each flow's
+    """Run the config; return the report, the state and each flow's
     (seq, t) receipts in receipt order, read from its copied buffers."""
     state = SimState(cfg, spec, seed)
-    rep = state._run_events()
+    rep = state.run()
     log = []
     for f in buffers[-1]:
         log.append([(int(seq), float(f["receipt"][seq])) for seq in _receipt_order(f)])
@@ -661,19 +681,105 @@ def _tied_departures_state(kind, vacation, interval):
 
 
 def _feedback_state(state):
-    """What a feedback run leaves behind: the flow's served count, its
+    """What a feedback run leaves behind, per flow: the served count, the
     taps' windows and the scheduler's state, with the next uniform a
     minimum_delay scheduler would draw."""
-    (fr,) = state.flows
-    taps = [
-        [(w._ring, w._pos, w._sum, w._sum_sq) for w in (tap.service, tap.vacation)]
-        + [tap.last_occupied, tap.fresh]
-        for tap in fr.taps
-    ]
-    sched = {k: v for k, v in vars(fr.scheduler).items() if not callable(v)}
-    if hasattr(fr.scheduler, "_uniform"):
-        sched["next_uniform"] = fr.scheduler._uniform()
-    return fr.served, taps, sched
+    out = []
+    for fr in state.flows:
+        taps = [
+            [(w._ring, w._pos, w._sum, w._sum_sq) for w in (tap.service, tap.vacation)]
+            + [tap.last_occupied, tap.fresh]
+            for tap in fr.taps
+        ]
+        sched = {k: v for k, v in vars(fr.scheduler).items() if not callable(v)}
+        if hasattr(fr.scheduler, "_uniform"):
+            sched["next_uniform"] = fr.scheduler._uniform()
+        out.append((fr.served, taps, sched))
+    return out
+
+
+ALL_KINDS = ("single_band:0",) + STATIC_ENTRIES[2:] + FEEDBACK_KINDS
+
+
+def _four_band_cfg(packets):
+    # four_band_feedback's shape: two stations in two ACs, flow 1 masked
+    # off band 0, a round every 10 packets.
+    return ScenarioConfig.from_dict(
+        {
+            "name": "fb4",
+            "bands": [
+                {"service": {"kind": "deterministic", "mean": 0.02}},
+                {"service": {"kind": "exponential", "mean": 0.04}, "prop_latency_s": 0.005},
+                {
+                    "service": {"kind": "lognormal", "mu_log": -3.0, "sigma_log": 0.5},
+                    "prop_latency_s": 0.015,
+                },
+                {"service": {"kind": "deterministic", "mean": 0.1}, "prop_latency_s": 0.03},
+            ],
+            "stas": 2,
+            "acs": [0, 1],
+            "flows": [
+                {"sta": 0, "ac": 0, "lambda_pps": 40.0, "packets": packets},
+                {"sta": 1, "ac": 1, "lambda_pps": 20.0, "packets": packets, "available_bands": [1, 2, 3]},
+            ],
+            "schedulers": ["minimum_delay"],
+            "feedback_interval_pkts": 10,
+        }
+    )
+
+
+def _multi_flow_tie_state(queues, gaps, services, kind, vacation, interval, masked=None):
+    # Exact binary times: deterministic bands, given as (service,
+    # latency) pairs, and flows with fixed gaps, so arrivals of different
+    # flows land on one instant, and with them departures and vacation
+    # ends.  queues puts each flow in a (station, AC); flow ``masked``
+    # uses bands 0 and 1 only.
+    cfg = ScenarioConfig(
+        name="multi_flow_ties",
+        bands=tuple(
+            BandConfig(service=DistributionSpec("deterministic", mean=mean), prop_latency_s=prop)
+            for mean, prop in services
+        ),
+        stas=1 + max(sta for sta, _ in queues),
+        acs=tuple(sorted({ac for _, ac in queues})),
+        flows=tuple(
+            FlowConfig(
+                sta=sta, ac=ac, lambda_pps=1.0 / gap, packets=200, available_bands=(0, 1) if i == masked else None
+            )
+            for i, ((sta, ac), gap) in enumerate(zip(queues, gaps))
+        ),
+        schedulers=(SchedulerSpec.parse(kind),),
+        vacation=vacation,
+        feedback_interval_pkts=interval,
+        warmup_frac=0.0,
+    )
+    state = SimState(cfg, cfg.schedulers[0], seed=1)
+    for fr, gap in zip(state.flows, gaps):
+        fr.draw_gap = itertools.repeat(gap).__next__
+    return state
+
+
+def _multi_flow_tie_states():
+    # Two stations in one AC, one station in two ACs, and three flows in
+    # both; bands 0 and 1 serve 0.5 s, band 2 0.25 s behind 0.25 s of
+    # latency, and flow 1 is masked off band 2.
+    bands = ((0.5, 0.0), (0.5, 0.0), (0.25, 0.25))
+    for vacation in (None, DistributionSpec("deterministic", mean=0.25)):
+        for interval in (1, 2, 3):
+            for queues in (((0, 0), (1, 0)), ((0, 0), (0, 1)), ((0, 0), (1, 1), (1, 0))):
+                for kind in ("even_split", "minimum_delay", "leaky_bucket"):
+                    yield queues, (0.5, 1.0, 2.0), bands, kind, vacation, interval, 1
+    # Two bands that wake at one instant for arrivals of different flows
+    # and then serve one flow's packets, which depart at one instant: the
+    # wake-ups come in the arrivals' order across flows, not in either
+    # flow's own seq order.
+    for gaps, service, vac, kind, interval, queues in (
+        ((0.25, 1.5, 1.5), (0.5, 0.25, 0.25), 0.25, "minimum_delay", 2, ((0, 1), (1, 0), (1, 1))),
+        ((0.25, 0.5, 1.5), (0.25, 0.25, 0.25), 0.5, "leaky_bucket", 2, ((0, 1), (1, 0), (1, 1))),
+        ((0.75, 0.75, 0.25), (0.25, 0.25, 0.25), 0.5, "minimum_delay", 3, ((0, 0), (1, 1), (0, 1))),
+    ):
+        bands = tuple((mean, 0.0) for mean in service)
+        yield queues, gaps, bands, kind, DistributionSpec("deterministic", mean=vac), interval, None
 
 
 def _cross_check_states(group):
@@ -743,6 +849,32 @@ def _cross_check_states(group):
             for interval in (1, 2, 3):
                 for kind in FEEDBACK_KINDS:
                     yield [_tied_departures_state(kind, vacation, interval) for _ in range(2)]
+    elif group == "two_sta_mixed":
+        cfg = _scaled(scenarios.load("two_sta_mixed"), 3000)
+        for kind in ("single_band:1",) + ALL_KINDS[1:]:
+            for seed in (1, 2):
+                yield [SimState(cfg, SchedulerSpec.parse(kind), seed) for _ in range(2)]
+    elif group == "three_band":
+        for vacation in ("det", "exp", "logn"):
+            cfg = golden_three_band(vacation)
+            for kind in ALL_KINDS:
+                yield [SimState(cfg, SchedulerSpec.parse(kind), 7) for _ in range(2)]
+    elif group == "four_band_feedback":
+        cfg = _four_band_cfg(2000)
+        for kind in ("single_band:1",) + ALL_KINDS[1:]:
+            yield [SimState(cfg, SchedulerSpec.parse(kind), 1) for _ in range(2)]
+    elif group == "criterion_9":
+        # Every other one of criterion 9's random configs, each under one
+        # of the six kinds in turn, at its own seed.
+        rng = np.random.default_rng(909)
+        for i in range(100):
+            cfg = criterion_9_cfg(rng, i)
+            if i % 2 == 0:
+                spec = SchedulerSpec.parse(ALL_KINDS[i // 2 % len(ALL_KINDS)])
+                yield [SimState(cfg, spec, 1000 + i) for _ in range(2)]
+    elif group == "multi_flow_ties":
+        for case in _multi_flow_tie_states():
+            yield [_multi_flow_tie_state(*case) for _ in range(2)]
 
 
 @pytest.mark.parametrize(
@@ -758,30 +890,42 @@ def _cross_check_states(group):
         "feedback_parametric",
         "feedback_random",
         "feedback_ties",
+        "two_sta_mixed",
+        "three_band",
+        "four_band_feedback",
+        "criterion_9",
+        "multi_flow_ties",
     ],
 )
 def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
-    # The pass and the loop must record equal per-seq buffers (arrival,
-    # service start, receipt and band of every packet) and give equal
-    # reports, down to the diagnostic fields (measured, mean_wait_s).
-    # After a feedback run, the served count, the taps' windows and the
-    # scheduler's state must be equal too.
+    # The walk (run()) and the loop oracle must record equal per-seq
+    # buffers (arrival, service start, receipt and band of every packet)
+    # and give equal reports, down to the diagnostic fields (measured,
+    # mean_wait_s).  After a feedback run, each flow's served count, taps'
+    # windows and scheduler state must be equal too.
     runs = 0
-    for by_pass, by_loop in _cross_check_states(group):
+    for by_walk, by_loop in _cross_check_states(group):
         heap_pushes[0] = 0
-        by_pass_report = by_pass.run()
-        assert heap_pushes[0] == 0  # run() took the pass
-        assert by_pass_report == by_loop._run_events()
-        (a,), (b,) = buffers[-2:]
-        for name in ("arrival", "start", "receipt", "band"):
-            assert (a[name] == b[name]).all()
-        if group.startswith("feedback"):
-            assert _feedback_state(by_pass) == _feedback_state(by_loop)
+        by_walk_report = by_walk.run()
+        if len(by_walk.flows) == 1:
+            assert heap_pushes[0] == 0  # one flow: one run of arrivals
+        assert by_walk_report == loop_oracle.run_events(by_loop)
+        for a, b in zip(*buffers[-2:]):
+            for name in ("arrival", "start", "receipt", "band"):
+                assert (a[name] == b[name]).all()
+        if by_walk.flows[0].taps is not None:
+            assert _feedback_state(by_walk) == _feedback_state(by_loop)
+        b = buffers[-1][0]
         if group == "ties":
             assert _tied_seqs(b, by_loop.flows[0].warmup_cut).size > 0
         if group == "feedback_ties":
             # Both bands have no latency, so receipts are departures.
             departures = [b["receipt"][b["band"] == j] for j in (0, 1)]
+            assert np.intersect1d(*departures).size > 0
+        if group == "multi_flow_ties":
+            # Departures of two bands at one instant (bands 0 and 1 have
+            # no latency, so their receipts are their departures).
+            departures = [np.concatenate([f["receipt"][f["band"] == j] for f in buffers[-1]]) for j in (0, 1)]
             assert np.intersect1d(*departures).size > 0
         runs += 1
     assert runs == {
@@ -794,13 +938,19 @@ def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
         "feedback_parametric": 12,
         "feedback_random": 30,
         "feedback_ties": 18,
+        "two_sta_mixed": 12,
+        "three_band": 18,
+        "four_band_feedback": 6,
+        "criterion_9": 50,
+        "multi_flow_ties": 57,
     }.get(group, 1)
 
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES + FEEDBACK_KINDS)
 def test_one_flow_static_runs_push_no_heap_events(heap_pushes, kind):
-    # Every one-flow run of at most QUEUE_CAP packets takes the one pass,
-    # under each of the six kinds, static and feedback alike.
+    # A one-flow run walks its arrivals in one run and pushes nothing onto
+    # the heap over flows, under each of the six kinds, static and
+    # feedback alike.
     cfg = _scaled(scenarios.load("two_band_asym"), 3000)
     assert run_scenario(cfg, SchedulerSpec.parse(kind), seed=1).delivered == 3000
     cfg = _criterion_1_cfg(0.3, 20_000)
@@ -808,35 +958,47 @@ def test_one_flow_static_runs_push_no_heap_events(heap_pushes, kind):
     assert heap_pushes[0] == 0
 
 
-def test_run_takes_the_loop_for_flows_longer_than_the_queue_cap(monkeypatch, heap_pushes):
-    # A band's queue never holds more than the flow's packets, so run()
-    # takes the one pass only for a flow of at most QUEUE_CAP packets.  A
-    # longer flow runs the loop, which pushes events and raises its own
-    # message; a flow of exactly the cap takes the pass and pushes none.
+def _shared_band_cfg(packets):
+    # Two stations share one band, each sending at 4.95 pps.
+    return replace(
+        one_band_cfg(lam=4.95, packets=packets),
+        stas=2,
+        flows=(
+            FlowConfig(sta=0, ac=0, lambda_pps=4.95, packets=packets),
+            FlowConfig(sta=1, ac=0, lambda_pps=4.95, packets=packets),
+        ),
+    )
+
+
+def test_queue_cap_is_checked_on_lazily_settled_bands(monkeypatch):
+    # A band that one flow of at most QUEUE_CAP packets alone reaches
+    # takes the Lindley step: its queue never holds more than the flow's
+    # packets, so it cannot trip the cap.  A longer flow's band, or a band
+    # several flows reach, is settled lazily and checks the cap on every
+    # queued arrival, with the loop oracle's message.
     monkeypatch.setattr(engine, "QUEUE_CAP", 5)
-    cfg = one_band_cfg(lam=9.9, packets=20_000)
-    messages = []
-    for entry in ("run", "_run_events"):
-        heap_pushes[0] = 0
-        with pytest.raises(OverloadDetected) as err:
-            getattr(SimState(cfg, cfg.schedulers[0], 1), entry)()
-        assert heap_pushes[0] > 0
-        messages.append(str(err.value))
-    assert messages[0] == messages[1]
-    heap_pushes[0] = 0
+    for cfg in (one_band_cfg(lam=9.9, packets=20_000), _shared_band_cfg(10_000)):
+        messages = []
+        for run in (SimState.run, loop_oracle.run_events):
+            state = SimState(cfg, cfg.schedulers[0], 1)
+            assert len(state.shared) == 1
+            with pytest.raises(OverloadDetected) as err:
+                run(state)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
     cfg = one_band_cfg(lam=9.9, packets=5)
-    assert run_scenario(cfg, cfg.schedulers[0], 1).delivered == 5
-    assert heap_pushes[0] == 0
+    state = SimState(cfg, cfg.schedulers[0], 1)
+    assert not state.shared
+    assert state.run().delivered == 5
 
 
-def _calls_per_delivered_packet(scenario, kind, entry="run"):
+def _calls_per_delivered_packet(scenario, kind):
     # Python function calls per delivered packet of one run of a bundled
-    # scenario at 3,000 packets per flow, seed 1, through the SimState
-    # method named by entry.
+    # scenario at 3,000 packets per flow, seed 1.
     cfg = _scaled(scenarios.load(scenario), 3000)
     spec = SchedulerSpec.parse(kind)
-    getattr(SimState(cfg, spec, seed=1), entry)()  # first-run imports and caches
-    run = getattr(SimState(cfg, spec, seed=1), entry)
+    SimState(cfg, spec, seed=1).run()  # first-run imports and caches
+    run = SimState(cfg, spec, seed=1).run
     calls = 0
 
     def count(frame, event, arg):
@@ -854,54 +1016,59 @@ def _calls_per_delivered_packet(scenario, kind, entry="run"):
 
 
 @pytest.mark.parametrize(
-    "kind, entry, bound",
+    "kind, lazy, bound",
     [
-        ("single_band:0", "_run_events", 1.5),
-        ("even_split", "_run_events", 1.5),
-        ("leaky_bucket", "_run_events", 4.0),
-        ("leaky_bucket", "run", 2.0),
+        ("single_band:0", True, 3.2),
+        ("even_split", True, 3.3),
+        ("leaky_bucket", True, 4.0),
+        ("leaky_bucket", False, 2.0),
     ],
     ids=["single_band:0", "even_split", "leaky_bucket-loop", "leaky_bucket"],
 )
-def test_python_calls_per_packet_on_a_single_path_run(kind, entry, bound):
+def test_python_calls_per_packet_on_a_single_path_run(monkeypatch, kind, lazy, bound):
     # The per-packet cost as a count that host load cannot move: Python
     # function calls per delivered packet, on the asym_schemes config
-    # (two_band_asym).  The loop handles every event inline, writes each
-    # packet's times into its flow's buffers and draws through the
-    # samplers' C-level stream, so a packet costs its scheduler pick:
-    # 1.02 under single_band:0 and even_split, and 3.65 under
-    # leaky_bucket (two estimator adds per packet and the feedback
-    # rounds; 5.02 while each window resync squared its samples in a
-    # generator).  With a receipt call per packet these were 2.02, 2.49
-    # (reorder-buffer calls) and 6.15; with one call per push, per
-    # handler, per draw and per packet object 10.02, 10.99 and 14.28.
-    # run() takes the one pass for every one-flow run, so the loop cases
-    # call the loop itself.  Through the pass leaky_bucket costs 1.778:
-    # the pick, and per round a batch feed of each tap and the round's
-    # own calls.
-    assert _calls_per_delivered_packet("two_band_asym", kind, entry) < bound
+    # (two_band_asym).  The walk writes each packet's times into its
+    # flow's buffers and draws through the samplers' C-level stream, so
+    # on a Lindley band a packet costs its scheduler pick, plus under
+    # leaky_bucket a batch feed of each tap and the round's own calls per
+    # round: measured 1.748.  With QUEUE_CAP below the flow's packets
+    # both bands are settled lazily, as the event loop ran them: each
+    # service start picks its queue, and a settle call runs the band's
+    # events up to an arrival, so a packet costs about two calls more:
+    # measured 2.902 under single_band:0, 3.010 under even_split and
+    # 3.684 under leaky_bucket.  The event loop, which ran every event
+    # inline, measured 1.02, 1.02 and 3.65 (two estimator adds per
+    # packet); with a receipt call per packet 2.02, 2.49 (reorder-buffer
+    # calls) and 6.15; with one call per push, per handler, per draw and
+    # per packet object 10.02, 10.99 and 14.28.
+    if lazy:
+        monkeypatch.setattr(engine, "QUEUE_CAP", 2999)
+    assert _calls_per_delivered_packet("two_band_asym", kind) < bound
 
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES)
 def test_python_calls_per_packet_on_a_one_pass_run(kind):
-    # Under a static policy the one pass calls next_band once per packet
-    # and nothing else per packet: measured 1.021 under single_band:0,
-    # single_band:1, band_per_flow and even_split (1.778 under
-    # leaky_bucket, whose rounds add calls).
+    # Under a static policy a one-flow walk calls next_band once per
+    # packet and nothing else per packet: measured 1.020 under
+    # single_band:0 and 1.021 under even_split (1.748 under leaky_bucket,
+    # whose rounds add calls).
     assert _calls_per_delivered_packet("two_band_asym", kind) < 1.5
 
 
 @pytest.mark.parametrize(
     "kind, bound",
-    [("even_split", 2.5), ("leaky_bucket", 5.0)],
+    [("even_split", 2.5), ("leaky_bucket", 3.5)],
     ids=["even_split", "leaky_bucket"],
 )
 def test_python_calls_per_packet_on_multi_queue_bands(kind, bound):
-    # two_sta_mixed: two stations share the bands, so every band has two
-    # queues and each service start calls pick_queue.  Measured: 2.01
-    # under even_split and 4.46 under leaky_bucket (6.17 while each
-    # window resync squared its samples in a generator; 3.51 and 7.31
-    # with a receipt call per packet).
+    # two_sta_mixed: both stations reach band 1, so it keeps two queues,
+    # is settled lazily and each service start there calls pick_queue;
+    # flow 0 alone reaches band 0, which takes the Lindley step.
+    # Measured: 2.381 under even_split and 2.714 under leaky_bucket,
+    # whose taps are fed in batches.  The event loop measured 2.01 and
+    # 4.46 (6.17 while each window resync squared its samples in a
+    # generator; 3.51 and 7.31 with a receipt call per packet).
     assert _calls_per_delivered_packet("two_sta_mixed", kind) < bound
 
 
@@ -911,18 +1078,17 @@ def test_pick_queue_serves_by_priority_then_round_robin():
     # take turns from the round-robin pointer, wrapping past the last
     # station and skipping an empty one.
     srv = engine.BandServer(
-        num_ranks=2,
-        num_stas=3,
-        service=Sampler(DistributionSpec("deterministic", mean=0.1), np.random.default_rng(0)),
+        [(rank, sta) for rank in (0, 1) for sta in (0, 1, 2)],
+        service=Sampler(DistributionSpec("deterministic", mean=0.1), None),
         vacation=None,
         prop_latency=0.0,
     )
 
     def put(rank, sta, mark):
-        srv.queues[rank][sta].append(mark)
+        srv.queue_of[rank, sta].append(mark)
 
     def serve():
-        return srv.pick_queue(3).popleft()
+        return srv.pick_queue().popleft()
 
     srv.rr[0] = 2
     for rank, sta, mark in ((0, 0, "a0"), (0, 0, "a1"), (0, 2, "c0"), (1, 0, "x0"), (1, 1, "y0"), (1, 1, "y1")):
@@ -932,6 +1098,36 @@ def test_pick_queue_serves_by_priority_then_round_robin():
     order += [serve() for _ in range(3)]
     assert order == ["c0", "a0", "a1", "x0", "b0", "y0", "y1"]
     assert srv.rr == [2, 2]
+
+
+def test_queues_are_built_only_for_used_stations(buffers):
+    # stas sets the station indices a config may use, not the queues a
+    # run builds: a band keeps queues only when it is settled lazily, and
+    # only for the (AC, station) pairs of the flows that reach it, so a
+    # huge stas costs nothing and moves no record.
+    cfg = _scaled(scenarios.load("two_band_asym"), 1000)
+    reports = [
+        SimState(replace(cfg, stas=stas), SchedulerSpec("even_split"), 1).run() for stas in (1, 100_000)
+    ]
+    assert reports[0] == reports[1]
+    for name in ("arrival", "start", "receipt", "band"):
+        assert (buffers[0][0][name] == buffers[1][0][name]).all()
+    state = SimState(replace(cfg, stas=100_000), SchedulerSpec("even_split"), 1)
+    assert not state.shared
+    # Two flows at stations 7 and 99,999 of two ACs share every band.
+    multi = replace(
+        cfg,
+        stas=100_000,
+        acs=(0, 2),
+        flows=(
+            FlowConfig(sta=7, ac=2, lambda_pps=4.0, packets=1000),
+            FlowConfig(sta=99_999, ac=0, lambda_pps=4.0, packets=1000),
+        ),
+    )
+    state = SimState(multi, SchedulerSpec("even_split"), 1)
+    assert [srv.queues for srv in state.shared] == [[[deque()], [deque()]]] * 2
+    assert [sorted(srv.queue_of) for srv in state.shared] == [[(0, 99_999), (1, 7)]] * 2
+    assert state.run().delivered == 2000
 
 
 @pytest.mark.parametrize(
@@ -944,14 +1140,15 @@ def test_pick_queue_serves_by_priority_then_round_robin():
     ],
     ids=["parametric-leaky_bucket", "parametric-even_split", "emergent-leaky_bucket", "emergent-even_split"],
 )
-def test_heap_pushes_match_the_pinned_count(heap_pushes, vacation, kind, pushes):
-    # Two stations share two bands, so both bands have two queues; band
-    # 1 adds a propagation latency.  The counts were pinned from the
-    # engine with one handler method per event kind, which also pushed a
-    # receipt event for each band-1 packet: 5529, 6352, 4094 and 5000.
-    # Receipts are now written at departure, so each pin is the old one
-    # minus the band-1 receipts (408, 1000, 94 and 1000); every other
-    # event is pushed exactly as before.
+def test_heap_pushes_match_the_pinned_count(oracle_pushes, vacation, kind, pushes):
+    # The loop oracle's event count.  Two stations share two bands, so
+    # both bands have two queues; band 1 adds a propagation latency.  The
+    # counts were pinned from the engine with one handler method per
+    # event kind, which also pushed a receipt event for each band-1
+    # packet: 5529, 6352, 4094 and 5000.  Receipts are now written at
+    # departure, so each pin is the old one minus the band-1 receipts
+    # (408, 1000, 94 and 1000); every other event is pushed exactly as
+    # before.
     cfg = ScenarioConfig(
         name="pushes",
         bands=(
@@ -966,17 +1163,17 @@ def test_heap_pushes_match_the_pinned_count(heap_pushes, vacation, kind, pushes)
         schedulers=(SchedulerSpec(kind),),
         vacation=vacation,
     )
-    assert run_scenario(cfg, cfg.schedulers[0], seed=8).delivered == 2000
-    assert heap_pushes[0] == pushes
+    assert loop_oracle.run_events(SimState(cfg, cfg.schedulers[0], seed=8)).delivered == 2000
+    assert oracle_pushes[0] == pushes
 
 
 def test_finished_runs_leave_no_sampler_alive():
     # Reference counting alone must free a dropped run's samplers and
     # schedulers: one in a reference cycle (say, a block generator closing
     # over it) would keep every finished run's until the cyclic GC.  The
-    # runs take the loop (two flows) and the one pass (one flow),
-    # under leaky_bucket and under minimum_delay, which draws its
-    # uniforms in blocks.
+    # runs have two flows on lazily settled bands and one flow on
+    # Lindley bands, under leaky_bucket and under minimum_delay, which
+    # draws its uniforms in blocks.
     cfgs = [_scaled(two_flow_parametric_cfg(), 200), _scaled(scenarios.load("two_band_asym"), 200)]
     gc.collect()
     gc.disable()
@@ -1022,28 +1219,7 @@ def test_optimize_calls_per_feedback_round_on_a_four_band_run(solves):
     # sends a whole round there and then gets bit-equal stats.
     # Measured: 253 solves in 400 rounds (0.63); a solve in every round
     # makes 400.  The gate at 0.7 leaves a margin of 27 solves.
-    cfg = ScenarioConfig.from_dict(
-        {
-            "name": "fb4",
-            "bands": [
-                {"service": {"kind": "deterministic", "mean": 0.02}},
-                {"service": {"kind": "exponential", "mean": 0.04}, "prop_latency_s": 0.005},
-                {
-                    "service": {"kind": "lognormal", "mu_log": -3.0, "sigma_log": 0.5},
-                    "prop_latency_s": 0.015,
-                },
-                {"service": {"kind": "deterministic", "mean": 0.1}, "prop_latency_s": 0.03},
-            ],
-            "stas": 2,
-            "acs": [0, 1],
-            "flows": [
-                {"sta": 0, "ac": 0, "lambda_pps": 40.0, "packets": 2000},
-                {"sta": 1, "ac": 1, "lambda_pps": 20.0, "packets": 2000, "available_bands": [1, 2, 3]},
-            ],
-            "schedulers": ["minimum_delay"],
-            "feedback_interval_pkts": 10,
-        }
-    )
+    cfg = _four_band_cfg(2000)
     state = SimState(cfg, cfg.schedulers[0], seed=1)
     before = solves["optimize"]  # each flow's initial solve
     state.run()
