@@ -228,11 +228,17 @@ def _parse_object(d, where: str, parsers: dict) -> dict:
 
 
 def _construct(cls, kw: dict, where: str):
-    """``cls(**kw)``; a field with no dataclass default must be in ``kw``."""
+    """``cls(**kw)``; a field with no dataclass default must be in ``kw``.
+    A nested object's own check is reported at its path."""
     for f in fields(cls):
         if f.default is MISSING and f.name not in kw:
             raise ConfigInvalid(f"{_path(where, f.name)}: missing required field")
-    return cls(**kw)
+    try:
+        return cls(**kw)
+    except ConfigInvalid as exc:
+        if not where:
+            raise
+        raise ConfigInvalid(f"{where}: {exc}") from None
 
 
 def _path(where: str, key: str) -> str:

@@ -89,6 +89,20 @@ class DistributionSpec:
             raise ConfigInvalid(f"{where}: {exc}") from None
 
 
+def _draw(spec: DistributionSpec, rng: np.random.Generator | None, n: int) -> np.ndarray:
+    """The next ``n`` draws of ``spec`` from ``rng``, in stream order.
+
+    Each value reads the stream on its own (no draw buffers state for
+    the next), so one call for n values reads it exactly as any split of
+    n into several calls does, bit for bit.
+    """
+    if spec.kind == "deterministic":
+        return np.full(n, spec.mean)
+    if spec.kind == "exponential":
+        return rng.exponential(spec.mean, n)
+    return rng.lognormal(spec.mu_log, spec.sigma_log, n)
+
+
 def _blocks(spec: DistributionSpec, rng: np.random.Generator | None):
     """Endless ``_BLOCK``-draw lists from ``rng`` in stream order.
 
@@ -100,12 +114,8 @@ def _blocks(spec: DistributionSpec, rng: np.random.Generator | None):
         block = [spec.mean] * _BLOCK
         while True:
             yield block
-    elif spec.kind == "exponential":
-        while True:
-            yield rng.exponential(spec.mean, _BLOCK).tolist()
-    else:
-        while True:
-            yield rng.lognormal(spec.mu_log, spec.sigma_log, _BLOCK).tolist()
+    while True:
+        yield _draw(spec, rng, _BLOCK).tolist()
 
 
 class Sampler:
@@ -116,14 +126,22 @@ class Sampler:
     consumption order of the RNG and runs stay reproducible.  ``take``
     is that chain's C-level ``__next__``: a draw through it runs no
     Python frame, and only a refill resumes the block generator.  The
-    engine calls ``take``; ``draw`` is the same stream as a method.  A
-    deterministic spec never reads ``rng``, which may then be None.
+    engine calls ``take``; ``draw`` is the same stream as a method.
+    ``many(n)`` returns the next n draws as one array, equal to n
+    ``take()`` calls on a sampler that ``take`` has not read; a run
+    reads each sampler through one of the two.  A deterministic spec
+    never reads ``rng``, which may then be None.
     """
 
-    __slots__ = ("take",)
+    __slots__ = ("take", "spec", "rng")
 
     def __init__(self, spec: DistributionSpec, rng: np.random.Generator | None):
         self.take = chain.from_iterable(_blocks(spec, rng)).__next__
+        self.spec = spec
+        self.rng = rng
 
     def draw(self) -> float:
         return self.take()
+
+    def many(self, n: int) -> np.ndarray:
+        return _draw(self.spec, self.rng, n)

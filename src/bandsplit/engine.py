@@ -11,7 +11,8 @@ from them:
 
 - Each flow holds per-seq buffers, allocated when the run starts: the
   arrival, service start, receipt and band of each packet.  The
-  arrivals are filled then, from the flow's gaps; a receipt is the
+  arrivals are filled then, as ``np.cumsum`` of one bulk draw of the
+  flow's gaps (the left fold that t + gap makes); a receipt is the
   departure plus the band's propagation latency.
 - ``SimState._report`` derives the rest.  A packet is released at the
   latest receipt of its seq and all lower ones (the running maximum of
@@ -36,7 +37,37 @@ its own services and vacations.  Events are ordered by time, then kind
 were scheduled in, so identical (config, scheduler, seed) triples
 reproduce bit-identical reports.
 
-``SimState.run`` is one walk over every flow's arrivals in that order,
+``SimState.run`` takes the array path when nothing couples one band's
+packets to another's: the policy reads no feedback (``uses_feedback``
+false, so its picks depend on no time), vacations are emergent (so an
+idle band draws nothing between packets) and every band is one flow's,
+of at most ``QUEUE_CAP`` packets (``shared`` is empty).  Each band is
+then Lindley's recursion over the packets its flow sends there, in seq
+order: a packet starts at its arrival or its predecessor's departure,
+whichever is later, and departs its service later.  The path takes each
+flow's packets in chunks of ``_CHUNK``: the picks come in one call
+(``next_bands``), each band's services in one draw, and ``_lindley``
+computes the band's starts and departures, carrying its last departure
+to the next chunk.  ``_lindley`` is exact, bit for bit the walk's:
+
+1. It guesses which packets find the band idle, from the max-plus form
+   of the recursion in real arithmetic, d_k = S_k + max_{i<=k}(a_i -
+   S_{i-1}), S the partial sums of the services.
+2. Given idle flags, each departure is a left fold from the start of its
+   busy period over the services, the walk's float additions in the
+   walk's order; the folds run along the rows of 2D blocks, one per
+   class of busy-period lengths (``_fold``).
+3. It derives the flags again from those departures, with the walk's
+   tie rule: packet k is idle when a_k >= d_{k-1}.  If they equal the
+   flags it folded with, each departure is the walk's, by induction
+   over k.
+4. Otherwise every departure before the first changed flag is the
+   walk's, and so is that flag; the next round folds from there with
+   the new flags, so each round fixes at least one more packet.  After
+   ``_ROUNDS`` rounds the walk's scalar step finishes from the first
+   packet still in doubt.
+
+Every other run is one walk over every flow's arrivals in event order,
 with no event queue:
 
 - Arrivals at one instant come in the order their flows' previous
@@ -98,7 +129,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import accumulate, chain, islice, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -130,6 +161,11 @@ _DOM_SCHEDULER = 3
 
 # A band queue longer than this aborts the run with OverloadDetected.
 QUEUE_CAP = 1_000_000
+
+# The array path takes a flow's packets this many at a time, and
+# ``_lindley`` folds this many rounds before its scalar finish.
+_CHUNK = 65_536
+_ROUNDS = 3
 
 
 class _Tap:
@@ -179,14 +215,15 @@ class _FifoBand(_Lane):
     latest packet and ``occupied`` (feedback policies only) its occupied
     time so far."""
 
-    __slots__ = ("done", "occupied", "serve", "vacation", "prop")
+    __slots__ = ("done", "occupied", "serve", "serve_many", "vacation", "prop")
     shared = False
 
     def __init__(self, service: Sampler, vacation: Sampler | None, prop_latency: float):
         super().__init__()
-        # The samplers' C-level stream readers; no vacation sampler means
-        # emergent vacations.
+        # The samplers' C-level stream readers, and the bulk reader of the
+        # array path; no vacation sampler means emergent vacations.
         self.serve = service.take
+        self.serve_many = service.many
         self.vacation = None if vacation is None else vacation.take
         self.prop = prop_latency
         # An arrival at the instant of ``done`` finds the band idle, as
@@ -334,12 +371,12 @@ class BandServer:
 
 
 class _FlowRuntime:
-    """One flow's source state, and its per-seq buffers: arrival,
-    service start, receipt and band of every packet.  A run allocates
-    the buffers when it starts and fills them in place;
-    ``SimState._report`` derives every metric from them.  Under a
-    feedback policy ``pending`` counts its packets whose samples are not
-    yet fed to the taps."""
+    """One flow's source state (``gaps``, its inter-arrival sampler), and
+    its per-seq buffers: arrival, service start, receipt and band of
+    every packet.  A run allocates the buffers when it starts and fills
+    them in place; ``SimState._report`` derives every metric from them.
+    Under a feedback policy ``pending`` counts its packets whose samples
+    are not yet fed to the taps."""
 
     __slots__ = (
         "packets",
@@ -347,7 +384,7 @@ class _FlowRuntime:
         "rank",
         "sta",
         "scheduler",
-        "draw_gap",
+        "gaps",
         "next_seq",
         "served",
         "pending",
@@ -365,7 +402,7 @@ class _FlowRuntime:
         self.rank = rank
         self.sta = cfg.sta
         self.scheduler = scheduler
-        self.draw_gap = arrivals.take
+        self.gaps = arrivals
         self.next_seq = 0
         self.served = 0
         self.pending = 0
@@ -390,6 +427,115 @@ def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Samp
     never draws, so it gets none; streams are independent per (seed,
     domain, index), so no other draw moves."""
     return Sampler(spec, None if spec.kind == "deterministic" else _stream(seed, domain, index))
+
+
+def _guess_idle(a: np.ndarray, x: np.ndarray, done: float) -> np.ndarray:
+    """Whether each packet of a FIFO band finds it idle, guessed from
+    Lindley's recursion in max-plus form: the departure of packet k is
+    S_k + max(done, max_{i<=k}(a_i - S_{i-1})), S the partial sums of the
+    services x and ``done`` the departure before a[0].  Its floats round
+    differently from the walk's, so ``_lindley`` checks the guess."""
+    s = np.cumsum(x)
+    lead = np.empty_like(a)
+    lead[0] = a[0]
+    np.subtract(a[1:], s[:-1], out=lead[1:])
+    np.maximum.accumulate(lead, out=lead)
+    np.maximum(lead, done, out=lead)
+    ends = np.add(s, lead, out=s)
+    idle = np.empty(a.size, bool)
+    idle[0] = a[0] >= done
+    np.greater_equal(a[1:], ends[:-1], out=idle[1:])
+    return idle
+
+
+def _fold(a: np.ndarray, x: np.ndarray, idle: np.ndarray, done: float, out: np.ndarray) -> None:
+    """Departures of a FIFO band whose packets find it idle exactly where
+    ``idle`` says, into ``out``: each busy period is a left fold from its
+    first packet's start (its arrival, or ``done`` for a busy first
+    packet) over its services, the walk's float additions in its order.
+
+    A period of length L, 2^(c-1) < L <= 2^c, is a row of 2^c + 1 cells
+    in the block of class c, its start then its services, padded with
+    zeros, so the blocks hold under three cells per packet.  A block
+    folds along its rows: column by column when it has more rows than
+    columns, else by ``np.add.accumulate``.
+    """
+    n = a.size
+    heads = np.flatnonzero(idle)
+    base = a[heads]
+    if not idle[0]:
+        heads = np.concatenate(([0], heads))
+        base = np.concatenate(([done], base))
+    lens = np.diff(heads, append=n)
+    classes = np.frexp(lens - 1)[1].astype(np.int8)
+    # Each period's first cell, its rows laid out class by class.
+    order = np.argsort(classes, kind="stable")
+    widths = (1 << classes[order].astype(np.intp)) + 1
+    ends = np.cumsum(widths)
+    first = np.empty_like(ends)
+    first[order] = ends - widths
+    cells = np.zeros(int(ends[-1]))
+    cells[first] = base
+    seqs = np.repeat(first + 1 - heads, lens)
+    seqs += np.arange(n)
+    cells[seqs] = x
+    lo = 0
+    for c, rows in enumerate(np.bincount(classes).tolist()):
+        if rows:
+            width = (1 << c) + 1
+            block = cells[lo : lo + rows * width].reshape(rows, width)
+            lo += rows * width
+            if rows > width:
+                for i in range(1, width):
+                    np.add(block[:, i - 1], block[:, i], out=block[:, i])
+            else:
+                np.add.accumulate(block, axis=1, out=block)
+    np.take(cells, seqs, out=out)
+
+
+def _lindley(a: np.ndarray, x: np.ndarray, done: float) -> tuple[np.ndarray, np.ndarray]:
+    """Service starts and departures of packets with arrivals ``a`` and
+    services ``x`` on a FIFO band whose last departure was ``done``,
+    bit for bit the walk's: start max(a_k, d_{k-1}) (at a tie the band is
+    idle), departure start + x_k.
+
+    Fold the departures (``_fold``) from guessed idle flags, then derive
+    the flags again from those departures with the walk's rule, packet k
+    idle when a_k >= d_{k-1}.  Where the flags agree, the departures are
+    the walk's, by induction over k.  Up to the first flag that changed,
+    the departures are already the walk's, and so is that flag, so the
+    next round folds from there with the new flags and fixes at least
+    one more packet.  After ``_ROUNDS`` rounds the walk's scalar step
+    finishes from the first packet still in doubt.
+    """
+    n = a.size
+    d = np.empty(n)
+    idle = _guess_idle(a, x, done)
+    f = 0  # departures before f are final
+    prev = done
+    for _ in range(_ROUNDS):
+        _fold(a[f:], x[f:], idle, prev, d[f:])
+        flags = np.empty(n - f, bool)
+        flags[0] = a[f] >= prev
+        np.greater_equal(a[f + 1 :], d[f:-1], out=flags[1:])
+        wrong = np.flatnonzero(flags != idle)
+        if not wrong.size:
+            break
+        k = int(wrong[0])
+        f += k
+        idle = flags[k:]
+        prev = d[f - 1] if f else done
+    else:
+        t = float(prev)
+        tail = []
+        for ak, xk in zip(a[f:].tolist(), x[f:].tolist()):
+            t = (t if ak < t else ak) + xk
+            tail.append(t)
+        d[f:] = tail
+    start = np.empty(n)
+    start[0] = done
+    start[1:] = d[:-1]
+    return np.maximum(a, start, out=start), d
 
 
 class SimState:
@@ -475,20 +621,32 @@ class SimState:
 
     def _start_flow(self, fr: _FlowRuntime) -> None:
         """Allocate the flow's per-seq buffers and fill its arrivals: the
-        gaps in stream order, summed in order, as t + gap would."""
+        gaps in stream order, summed in order (``np.cumsum``, a left fold),
+        as t + gap would."""
         n = fr.packets
-        fr.arrival = array("d", accumulate(islice(iter(fr.draw_gap, None), n)))
+        fr.arrival = array("d", [0.0]) * n
+        np.cumsum(fr.gaps.many(n), out=np.frombuffer(fr.arrival))
         fr.start = array("d", [0.0]) * n
         fr.receipt = array("d", [math.nan]) * n
         fr.band = array("i", [0]) * n
 
     def run(self) -> MetricsReport:
-        """Walk every flow's arrivals in event order, filling the flows'
-        per-seq buffers, and under a feedback policy feeding the taps and
-        firing the rounds; return the report."""
+        """Fill the flows' per-seq buffers and return the report.
+
+        A run whose policy reads no feedback, with emergent vacations and
+        no lazily settled band, takes the array path (``_run_arrays``):
+        each band is Lindley's recursion over its own flow's packets,
+        which ``_lindley`` folds from guessed idle flags and re-checks
+        with the walk's tie rule until the flags hold, so the buffers are
+        the walk's bit for bit (module docstring, steps 1-4).  Every
+        other run walks every flow's arrivals in event order, and under
+        a feedback policy feeds the taps and fires the rounds.
+        """
         flows = self.flows
         servers = self.servers
         feedback = flows[0].taps is not None
+        if not (feedback or self.shared or self.config.vacation is not None):
+            return self._run_arrays()
         interval = self.config.feedback_interval_pkts
         cap = QUEUE_CAP
         # Per flow, bound once: what its steps use, and under a feedback
@@ -624,6 +782,34 @@ class SimState:
                         tap.last_occupied = lane.last
                 fr.served = fr.packets
         self.received = g - joined + sum(srv.departed for srv in self.shared)
+        return self._report()
+
+    def _run_arrays(self) -> MetricsReport:
+        """The array path of ``run``: each flow's picks in one call per
+        chunk, and each band's starts and departures by ``_lindley`` over
+        the packets the chunk sends there, its services drawn in one
+        call; the band carries its last departure to the next chunk."""
+        servers = self.servers
+        for fr in self.flows:
+            self._start_flow(fr)
+            n = fr.packets
+            arrivals = np.frombuffer(fr.arrival)
+            starts = np.frombuffer(fr.start)
+            receipts = np.frombuffer(fr.receipt)
+            choices = np.frombuffer(fr.band, dtype=np.intc)
+            for c0 in range(0, n, _CHUNK):
+                c1 = min(c0 + _CHUNK, n)
+                picks = fr.scheduler.next_bands(c1 - c0)
+                choices[c0:c1] = picks
+                counts = np.bincount(picks, minlength=len(servers))
+                for j in np.flatnonzero(counts).tolist():
+                    b = servers[j]
+                    seqs = slice(c0, c1) if counts[j] == c1 - c0 else c0 + np.flatnonzero(picks == j)
+                    starts[seqs], d = _lindley(arrivals[seqs], b.serve_many(int(counts[j])), b.done)
+                    b.done = float(d[-1])
+                    receipts[seqs] = np.add(d, b.prop, out=d)
+                    self.received += d.size
+            fr.next_seq = n
         return self._report()
 
     def _fire_rounds(self, rounds: tuple, t: float, pending: int) -> int:

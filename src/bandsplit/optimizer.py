@@ -89,9 +89,14 @@ def lambda_star_given_gamma(
     No feasibility guarantee; callers filter.  Raises NoFeasibleBranch
     when any radicand is non-positive.
     """
+    return _rates(gamma, _band_terms(stats, lambda_total), lambda_total)
+
+
+def _rates(gamma: float, bands: _Bands, lambda_total: float) -> list[float]:
+    """lam_j(gamma) from the per-band constants of _band_terms."""
     two_lam = 2.0 * lambda_total
     out = []
-    for mu, vbar, a, q, _ in _band_terms(stats, lambda_total):
+    for mu, vbar, a, q, _ in bands:
         d = a + (two_lam * gamma * mu - 2.0) * vbar
         if d <= 0.0:
             raise NoFeasibleBranch(f"radicand {d} <= 0 at gamma={gamma}")
@@ -131,8 +136,8 @@ def _sum_minus_branch(
     """sum_j lam_j(gamma) and its slope, the closed form
     d/dgamma sum_j lam_j = sum_j mu_j^3 * lam * vbar_j * sqrt(vbar_j * x2_j)
     * D_j^(-3/2); (None, 0.0) below the domain.  ``bands`` comes from
-    _band_terms, and each term of the sum is lambda_star_given_gamma's,
-    bit for bit, as both evaluate the same expression."""
+    _band_terms, and each term of the sum is _rates', bit for bit, as
+    both evaluate the same expression."""
     two_lam = 2.0 * lambda_total
     total = 0.0
     slope = 0.0
@@ -186,7 +191,7 @@ def _root_gamma(
             break
     else:
         raise BracketFailure(f"no root after {_MAX_NEWTON} Newton steps, at gamma={gamma}")
-    return gamma, lambda_star_given_gamma(gamma, stats, lambda_total)
+    return gamma, _rates(gamma, bands, lambda_total)
 
 
 def _marginal(x: float, st: BandStats, lambda_total: float) -> float:

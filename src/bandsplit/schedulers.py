@@ -8,7 +8,9 @@ length of the ``stats`` a policy is built with.  ``avail`` is the sorted,
 never empty tuple of usable band indices, built once from the flow's
 ``available_bands`` (None means every band); a masked band is never
 returned.  ``uses_feedback`` marks the policies that read measured
-stats; the engine keeps measurement windows only for those.
+stats; the engine keeps measurement windows only for those.  The
+policies that read none also give ``next_bands(n)``, their next n picks
+as one int array, equal to n ``next_band()`` calls.
 
 Policy names as they appear in config files:
 
@@ -78,11 +80,12 @@ class SchedulerSpec:
         """The string form of a config entry, ``kind`` or
         ``single_band:<j>``; config.py reads the object form."""
         kind, colon, idx = text.partition(":")
-        if not colon:
-            return SchedulerSpec(kind=kind)
-        if not (idx.isascii() and idx.isdigit()):
+        if colon and not (idx.isascii() and idx.isdigit()):
             raise ConfigInvalid(f"{where}: bad band index in {text!r}")
-        return SchedulerSpec(kind=kind, band=int(idx))
+        try:
+            return SchedulerSpec(kind=kind, band=int(idx) if colon else None)
+        except ConfigInvalid as exc:
+            raise ConfigInvalid(f"{where}: {exc}") from None
 
 
 class Scheduler:
@@ -121,6 +124,9 @@ class SingleBand(Scheduler):
     def next_band(self) -> int:
         return self.band
 
+    def next_bands(self, n: int) -> np.ndarray:
+        return np.full(n, self.band, np.intc)
+
 
 class EvenSplit(Scheduler):
     """Round-robin: the usable bands in index order, repeated."""
@@ -133,6 +139,15 @@ class EvenSplit(Scheduler):
 
     def next_band(self) -> int:
         return self._cycle()
+
+    def next_bands(self, n: int) -> np.ndarray:
+        # The cycle has period len(avail): n picks from the next one on
+        # leave it where n % len(avail) picks would.
+        avail = self.avail
+        first = avail.index(self._cycle())
+        for _ in range((n - 1) % len(avail)):
+            self._cycle()
+        return np.resize(np.array(avail[first:] + avail[:first], np.intc), n)
 
 
 class LoadBalancing(Scheduler):
@@ -181,6 +196,9 @@ class BandPerFlow(Scheduler):
 
     def next_band(self) -> int:
         return self.band
+
+    def next_bands(self, n: int) -> np.ndarray:
+        return np.full(n, self.band, np.intc)
 
 
 class _OptimizingScheduler(Scheduler):

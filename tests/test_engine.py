@@ -7,6 +7,7 @@ import heapq
 import itertools
 import math
 import sys
+from array import array
 from collections import Counter, deque
 from dataclasses import replace
 
@@ -515,6 +516,13 @@ def test_out_of_order_frac_counts_receipts_ahead_of_a_missing_seq(buffers, build
         assert ties > 0
 
 
+def _fix_gaps(fr, gap):
+    # Every arrival gap of the flow is ``gap``: the flow draws its gaps
+    # from a deterministic spec, so its arrivals are gap, 2 gap, ...
+    # summed in order.
+    fr.gaps = Sampler(DistributionSpec("deterministic", mean=gap), None)
+
+
 def _tie_rule_state():
     # Exact binary times: band 0 serves 0.5 s with no latency, band 1
     # serves 0.25 s behind 0.5 s of latency, both behind 0.25 s
@@ -532,7 +540,7 @@ def _tie_rule_state():
         warmup_frac=0.0,
     )
     state = SimState(cfg, cfg.schedulers[0], seed=1)
-    state.flows[0].draw_gap = itertools.repeat(0.25).__next__
+    _fix_gaps(state.flows[0], 0.25)
     return state
 
 
@@ -641,7 +649,7 @@ def _fixed_gap_state(gap):
         vacation=DistributionSpec("deterministic", mean=0.25),
     )
     state = SimState(cfg, cfg.schedulers[0], seed=1)
-    state.flows[0].draw_gap = itertools.repeat(gap).__next__
+    _fix_gaps(state.flows[0], gap)
     return state
 
 
@@ -676,7 +684,7 @@ def _tied_departures_state(kind, vacation, interval):
         warmup_frac=0.0,
     )
     state = SimState(cfg, cfg.schedulers[0], seed=1)
-    state.flows[0].draw_gap = itertools.repeat(0.25).__next__
+    _fix_gaps(state.flows[0], 0.25)
     return state
 
 
@@ -755,7 +763,7 @@ def _multi_flow_tie_state(queues, gaps, services, kind, vacation, interval, mask
     )
     state = SimState(cfg, cfg.schedulers[0], seed=1)
     for fr, gap in zip(state.flows, gaps):
-        fr.draw_gap = itertools.repeat(gap).__next__
+        _fix_gaps(fr, gap)
     return state
 
 
@@ -782,9 +790,111 @@ def _multi_flow_tie_states():
         yield queues, gaps, bands, kind, DistributionSpec("deterministic", mean=vac), interval, None
 
 
-def _cross_check_states(group):
+def _overloaded_cfg(packets):
+    # single_band:1 sends 15 pps to a 6.5 pps lognormal band, and
+    # even_split 7.5 pps: the band is never idle after its first arrival.
+    return ScenarioConfig(
+        name="overloaded",
+        bands=(
+            BandConfig(service=DistributionSpec("exponential", mean=0.05)),
+            BandConfig(service=DistributionSpec("lognormal", mu_log=-2.0, sigma_log=0.5), prop_latency_s=0.01),
+        ),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=15.0, packets=packets),),
+        schedulers=(SchedulerSpec("single_band", 1),),
+    )
+
+
+def _emergent_tie_state(kind):
+    # Exact binary times, emergent vacations: band 0 serves 0.5 s and band
+    # 1 0.25 s, and a packet arrives every 0.25 s.  Under even_split each
+    # band's arrivals come every 0.5 s, so band 0's arrive exactly at its
+    # previous departure; under single_band:1 band 1's do, and under
+    # single_band:0 band 0 is overloaded.
+    cfg = ScenarioConfig(
+        name="emergent_ties",
+        bands=(
+            BandConfig(service=DistributionSpec("deterministic", mean=0.5)),
+            BandConfig(service=DistributionSpec("deterministic", mean=0.25)),
+        ),
+        flows=(FlowConfig(sta=0, ac=0, lambda_pps=4.0, packets=400),),
+        schedulers=(SchedulerSpec.parse(kind),),
+        warmup_frac=0.0,
+    )
+    state = SimState(cfg, cfg.schedulers[0], seed=1)
+    _fix_gaps(state.flows[0], 0.25)
+    return state
+
+
+def _disjoint_flows_cfg():
+    # Two flows on disjoint band sets, so each band is one flow's:
+    # band_per_flow pins flow 1 to band 2, even_split sends it to both.
+    return ScenarioConfig(
+        name="disjoint",
+        bands=(
+            BandConfig(service=DistributionSpec("deterministic", mean=0.05)),
+            BandConfig(service=DistributionSpec("exponential", mean=0.08), prop_latency_s=0.01),
+            BandConfig(service=DistributionSpec("lognormal", mu_log=-2.5, sigma_log=0.6), prop_latency_s=0.02),
+        ),
+        stas=2,
+        flows=(
+            FlowConfig(sta=0, ac=0, lambda_pps=15.0, packets=4000, available_bands=(0,)),
+            FlowConfig(sta=1, ac=0, lambda_pps=12.0, packets=3000, available_bands=(1, 2)),
+        ),
+        schedulers=(SchedulerSpec("band_per_flow"),),
+    )
+
+
+def _array_path_states(monkeypatch):
+    """The runs of the array path (static policy, emergent vacations,
+    every band one flow's), each yielded as a pair of fresh states."""
+    near_capacity = (
+        one_band_cfg(lam=9.9, packets=20_000),
+        one_band_cfg(lam=9.9, packets=20_000, kind="deterministic"),
+        replace(
+            one_band_cfg(lam=9.9, packets=20_000),
+            bands=(BandConfig(service=DistributionSpec("lognormal", mu_log=math.log(0.1) - 0.125, sigma_log=0.5)),),
+        ),
+    )
+    for cfg in near_capacity:
+        yield [SimState(cfg, cfg.schedulers[0], 1) for _ in range(2)]
+    for kind in ("single_band:1", "even_split"):
+        yield [SimState(_overloaded_cfg(5000), SchedulerSpec.parse(kind), 2) for _ in range(2)]
+    for kind in ("single_band:0", "single_band:1", "even_split"):
+        yield [_emergent_tie_state(kind) for _ in range(2)]
+    for kind in ("band_per_flow", "even_split"):
+        yield [SimState(_disjoint_flows_cfg(), SchedulerSpec(kind), 3) for _ in range(2)]
+    # Longer than one chunk: 70,000 packets, and chunks cut to 1,000.
+    cfg = one_band_cfg(lam=9.0, packets=70_000)
+    yield [SimState(cfg, cfg.schedulers[0], 4) for _ in range(2)]
+    monkeypatch.setattr(engine, "_CHUNK", 1000)
+    for kind in ("single_band:1", "even_split"):
+        yield [SimState(_overloaded_cfg(5000), SchedulerSpec.parse(kind), 5) for _ in range(2)]
+    yield [SimState(_disjoint_flows_cfg(), SchedulerSpec("even_split"), 6) for _ in range(2)]
+
+
+def _misguessing_states(monkeypatch):
+    """Array-path runs whose first guess of the idle packets is wrong: all
+    idle, then all busy.  At rho = 0.99 and on an overloaded band the
+    busy periods are too long for three rounds, so the scalar step
+    finishes them."""
+    for idle in (True, False):
+        monkeypatch.setattr(engine, "_guess_idle", lambda a, x, done, idle=idle: np.full(a.size, idle))
+        cfg = one_band_cfg(lam=9.9, packets=5000)
+        yield [SimState(cfg, cfg.schedulers[0], 1) for _ in range(2)]
+        yield [SimState(_overloaded_cfg(3000), SchedulerSpec("even_split"), 2) for _ in range(2)]
+        cfg = _scaled(scenarios.load("two_band_asym"), 3000)
+        for kind in STATIC_ENTRIES:
+            yield [SimState(cfg, SchedulerSpec.parse(kind), 3) for _ in range(2)]
+        yield [_emergent_tie_state("even_split") for _ in range(2)]
+
+
+def _cross_check_states(group, monkeypatch):
     """Pairs of fresh, identical states, one per run to compare."""
-    if group == "bundled":
+    if group == "arrays":
+        yield from _array_path_states(monkeypatch)
+    elif group == "arrays_misguessed":
+        yield from _misguessing_states(monkeypatch)
+    elif group == "bundled":
         for name in ("two_band_asym", "two_band_high_rtt"):
             cfg = _scaled(scenarios.load(name), 3000)
             for kind in STATIC_ENTRIES:
@@ -895,18 +1005,27 @@ def _cross_check_states(group):
         "four_band_feedback",
         "criterion_9",
         "multi_flow_ties",
+        "arrays",
+        "arrays_misguessed",
     ],
 )
-def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
-    # The walk (run()) and the loop oracle must record equal per-seq
-    # buffers (arrival, service start, receipt and band of every packet)
-    # and give equal reports, down to the diagnostic fields (measured,
+def test_one_pass_matches_the_event_loop(monkeypatch, buffers, heap_pushes, group):
+    # run() and the loop oracle must record equal per-seq buffers
+    # (arrival, service start, receipt and band of every packet) and give
+    # equal reports, down to the diagnostic fields (measured,
     # mean_wait_s).  After a feedback run, each flow's served count, taps'
-    # windows and scheduler state must be equal too.
+    # windows and scheduler state must be equal too.  The arrays groups
+    # take the array path: run() calls the band kernel.
+    kernels = Counter()
+    lindley = engine._lindley
+    monkeypatch.setattr(engine, "_lindley", lambda *args: kernels.update(["run"]) or lindley(*args))
     runs = 0
-    for by_walk, by_loop in _cross_check_states(group):
+    for by_walk, by_loop in _cross_check_states(group, monkeypatch):
         heap_pushes[0] = 0
+        kernels.clear()
         by_walk_report = by_walk.run()
+        if group.startswith("arrays"):
+            assert kernels["run"] > 0
         if len(by_walk.flows) == 1:
             assert heap_pushes[0] == 0  # one flow: one run of arrivals
         assert by_walk_report == loop_oracle.run_events(by_loop)
@@ -943,6 +1062,8 @@ def test_one_pass_matches_the_event_loop(buffers, heap_pushes, group):
         "four_band_feedback": 6,
         "criterion_9": 50,
         "multi_flow_ties": 57,
+        "arrays": 14,
+        "arrays_misguessed": 14,
     }.get(group, 1)
 
 
@@ -1049,11 +1170,13 @@ def test_python_calls_per_packet_on_a_single_path_run(monkeypatch, kind, lazy, b
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES)
 def test_python_calls_per_packet_on_a_one_pass_run(kind):
-    # Under a static policy a one-flow walk calls next_band once per
-    # packet and nothing else per packet: measured 1.020 under
-    # single_band:0 and 1.021 under even_split (1.748 under leaky_bucket,
-    # whose rounds add calls).
-    assert _calls_per_delivered_packet("two_band_asym", kind) < 1.5
+    # Under a static policy with emergent vacations a one-flow run takes
+    # the array path: one bulk pick and one kernel call per band, so a
+    # run makes a fixed number of calls, whatever its length: measured
+    # 0.040 per packet under single_band and band_per_flow and 0.062
+    # under even_split at 3,000 packets.  The walk called next_band once
+    # per packet: 1.020 and 1.021.
+    assert _calls_per_delivered_packet("two_band_asym", kind) < 0.1
 
 
 @pytest.mark.parametrize(
@@ -1172,20 +1295,55 @@ def test_finished_runs_leave_no_sampler_alive():
     # schedulers: one in a reference cycle (say, a block generator closing
     # over it) would keep every finished run's until the cyclic GC.  The
     # runs have two flows on lazily settled bands and one flow on
-    # Lindley bands, under leaky_bucket and under minimum_delay, which
-    # draws its uniforms in blocks.
+    # Lindley bands, under leaky_bucket, under minimum_delay, which draws
+    # its uniforms in blocks, and under even_split, which takes the array
+    # path on two_band_asym and draws its services in bulk.
     cfgs = [_scaled(two_flow_parametric_cfg(), 200), _scaled(scenarios.load("two_band_asym"), 200)]
     gc.collect()
     gc.disable()
     try:
         for seed in range(10):
             for cfg in cfgs:
-                for kind in ("leaky_bucket", "minimum_delay"):
+                for kind in ("leaky_bucket", "minimum_delay", "even_split"):
                     run_scenario(cfg, SchedulerSpec(kind), seed)
         alive = sum(isinstance(o, (Sampler, Scheduler)) for o in gc.get_objects())
     finally:
         gc.enable()
     assert alive == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        DistributionSpec("deterministic", mean=0.1),
+        DistributionSpec("exponential", mean=0.1),
+        DistributionSpec("lognormal", mu_log=-2.0, sigma_log=0.7),
+    ],
+    ids=lambda spec: spec.kind,
+)
+def test_bulk_draws_equal_the_take_stream(spec):
+    # many(n) reads the stream as n take() calls do, bit for bit, however
+    # the n draws are split across calls and across take's 4,096-draw
+    # blocks.
+    taken = Sampler(spec, np.random.default_rng(17))
+    bulk = Sampler(spec, np.random.default_rng(17))
+    stream = np.array([taken.take() for _ in range(10_000)])
+    assert bulk.many(10_000).tobytes() == stream.tobytes()
+    bulk = Sampler(spec, np.random.default_rng(17))
+    parts = [bulk.many(n) for n in (1, 4095, 4097, 1807)]
+    assert np.concatenate(parts).tobytes() == stream.tobytes()
+
+
+def test_arrivals_are_the_gaps_summed_in_order():
+    # _start_flow fills each flow's arrivals with np.cumsum of one bulk
+    # gap draw: the floats of t + gap over the per-gap stream, in order.
+    cfg = _shared_band_cfg(10_000)
+    state = SimState(cfg, cfg.schedulers[0], seed=3)
+    for i, fr in enumerate(state.flows):
+        state._start_flow(fr)
+        gaps = engine._sampler(cfg.flows[i].gap(), 3, engine._DOM_ARRIVAL, i).take
+        expected = array("d", itertools.accumulate(gaps() for _ in range(fr.packets)))
+        assert fr.arrival == expected
 
 
 def test_feedback_round_passes_held_stats_for_taps_without_samples(solves):

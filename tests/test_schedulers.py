@@ -127,6 +127,30 @@ def test_band_per_flow_round_robin_pinning():
         assert {sched.next_band() for _ in range(20)} == {expect}
 
 
+@pytest.mark.parametrize(
+    "kind, band, avail, flow_index",
+    [
+        ("single_band", 1, None, 0),
+        ("band_per_flow", None, (0, 2, 3), 4),
+        ("even_split", None, None, 0),
+        ("even_split", None, (3, 1, 2), 0),
+        ("even_split", None, (2,), 0),
+    ],
+)
+def test_bulk_picks_equal_one_at_a_time_picks(kind, band, avail, flow_index):
+    # next_bands(n) gives the next n picks as an int array, equal to n
+    # next_band() calls, and leaves the policy where those calls would,
+    # whatever mix of the two follows.
+    four = [TWO_EQUAL[0]] * 4
+    bulk = build(kind, stats=four, band=band, avail=avail, flow_index=flow_index)
+    single = build(kind, stats=four, band=band, avail=avail, flow_index=flow_index)
+    for n in (1, 2, 5, 7, 64, 3):
+        picks = bulk.next_bands(n)
+        assert picks.dtype == np.intc
+        assert picks.tolist() == [single.next_band() for _ in range(n)]
+        assert bulk.next_band() == single.next_band()
+
+
 def test_minimum_delay_reproducible_and_on_target():
     a = build("minimum_delay", stats=TWO_ASYM, lam=12.0, seed=5)
     b = build("minimum_delay", stats=TWO_ASYM, lam=12.0, seed=5)
