@@ -47,25 +47,10 @@ order: a packet starts at its arrival or its predecessor's departure,
 whichever is later, and departs its service later.  The path takes each
 flow's packets in chunks of ``_CHUNK``: the picks come in one call
 (``next_bands``), each band's services in one draw, and ``_lindley``
-computes the band's starts and departures, carrying its last departure
-to the next chunk.  ``_lindley`` is exact, bit for bit the walk's:
-
-1. It guesses which packets find the band idle, from the max-plus form
-   of the recursion in real arithmetic, d_k = S_k + max_{i<=k}(a_i -
-   S_{i-1}), S the partial sums of the services.
-2. Given idle flags, each departure is a left fold from the start of its
-   busy period over the services, the walk's float additions in the
-   walk's order; the folds run along the rows of 2D blocks, one per
-   class of busy-period lengths (``_fold``).
-3. It derives the flags again from those departures, with the walk's
-   tie rule: packet k is idle when a_k >= d_{k-1}.  If they equal the
-   flags it folded with, each departure is the walk's, by induction
-   over k.
-4. Otherwise every departure before the first changed flag is the
-   walk's, and so is that flag; the next round folds from there with
-   the new flags, so each round fixes at least one more packet.  After
-   ``_ROUNDS`` rounds the walk's scalar step finishes from the first
-   packet still in doubt.
+steps through the band's packets in the chunk with the walk's own step,
+over Python floats, carrying its last departure to the next chunk.  It
+is the same float operation in the same order as the walk's, so the
+buffers are the walk's bit for bit.
 
 Every other run is one walk over every flow's arrivals in event order,
 with no event queue:
@@ -162,10 +147,9 @@ _DOM_SCHEDULER = 3
 # A band queue longer than this aborts the run with OverloadDetected.
 QUEUE_CAP = 1_000_000
 
-# The array path takes a flow's packets this many at a time, and
-# ``_lindley`` folds this many rounds before its scalar finish.
+# The array path takes a flow's packets this many at a time, which
+# bounds the lists ``_lindley`` steps over.
 _CHUNK = 65_536
-_ROUNDS = 3
 
 
 class _Tap:
@@ -429,110 +413,16 @@ def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Samp
     return Sampler(spec, None if spec.kind == "deterministic" else _stream(seed, domain, index))
 
 
-def _guess_idle(a: np.ndarray, x: np.ndarray, done: float) -> np.ndarray:
-    """Whether each packet of a FIFO band finds it idle, guessed from
-    Lindley's recursion in max-plus form: the departure of packet k is
-    S_k + max(done, max_{i<=k}(a_i - S_{i-1})), S the partial sums of the
-    services x and ``done`` the departure before a[0].  Its floats round
-    differently from the walk's, so ``_lindley`` checks the guess."""
-    s = np.cumsum(x)
-    lead = np.empty_like(a)
-    lead[0] = a[0]
-    np.subtract(a[1:], s[:-1], out=lead[1:])
-    np.maximum.accumulate(lead, out=lead)
-    np.maximum(lead, done, out=lead)
-    ends = np.add(s, lead, out=s)
-    idle = np.empty(a.size, bool)
-    idle[0] = a[0] >= done
-    np.greater_equal(a[1:], ends[:-1], out=idle[1:])
-    return idle
-
-
-def _fold(a: np.ndarray, x: np.ndarray, idle: np.ndarray, done: float, out: np.ndarray) -> None:
-    """Departures of a FIFO band whose packets find it idle exactly where
-    ``idle`` says, into ``out``: each busy period is a left fold from its
-    first packet's start (its arrival, or ``done`` for a busy first
-    packet) over its services, the walk's float additions in its order.
-
-    A period of length L, 2^(c-1) < L <= 2^c, is a row of 2^c + 1 cells
-    in the block of class c, its start then its services, padded with
-    zeros, so the blocks hold under three cells per packet.  A block
-    folds along its rows: column by column when it has more rows than
-    columns, else by ``np.add.accumulate``.
-    """
-    n = a.size
-    heads = np.flatnonzero(idle)
-    base = a[heads]
-    if not idle[0]:
-        heads = np.concatenate(([0], heads))
-        base = np.concatenate(([done], base))
-    lens = np.diff(heads, append=n)
-    classes = np.frexp(lens - 1)[1].astype(np.int8)
-    # Each period's first cell, its rows laid out class by class.
-    order = np.argsort(classes, kind="stable")
-    widths = (1 << classes[order].astype(np.intp)) + 1
-    ends = np.cumsum(widths)
-    first = np.empty_like(ends)
-    first[order] = ends - widths
-    cells = np.zeros(int(ends[-1]))
-    cells[first] = base
-    seqs = np.repeat(first + 1 - heads, lens)
-    seqs += np.arange(n)
-    cells[seqs] = x
-    lo = 0
-    for c, rows in enumerate(np.bincount(classes).tolist()):
-        if rows:
-            width = (1 << c) + 1
-            block = cells[lo : lo + rows * width].reshape(rows, width)
-            lo += rows * width
-            if rows > width:
-                for i in range(1, width):
-                    np.add(block[:, i - 1], block[:, i], out=block[:, i])
-            else:
-                np.add.accumulate(block, axis=1, out=block)
-    np.take(cells, seqs, out=out)
-
-
 def _lindley(a: np.ndarray, x: np.ndarray, done: float) -> tuple[np.ndarray, np.ndarray]:
     """Service starts and departures of packets with arrivals ``a`` and
-    services ``x`` on a FIFO band whose last departure was ``done``,
-    bit for bit the walk's: start max(a_k, d_{k-1}) (at a tie the band is
-    idle), departure start + x_k.
-
-    Fold the departures (``_fold``) from guessed idle flags, then derive
-    the flags again from those departures with the walk's rule, packet k
-    idle when a_k >= d_{k-1}.  Where the flags agree, the departures are
-    the walk's, by induction over k.  Up to the first flag that changed,
-    the departures are already the walk's, and so is that flag, so the
-    next round folds from there with the new flags and fixes at least
-    one more packet.  After ``_ROUNDS`` rounds the walk's scalar step
-    finishes from the first packet still in doubt.
-    """
-    n = a.size
-    d = np.empty(n)
-    idle = _guess_idle(a, x, done)
-    f = 0  # departures before f are final
-    prev = done
-    for _ in range(_ROUNDS):
-        _fold(a[f:], x[f:], idle, prev, d[f:])
-        flags = np.empty(n - f, bool)
-        flags[0] = a[f] >= prev
-        np.greater_equal(a[f + 1 :], d[f:-1], out=flags[1:])
-        wrong = np.flatnonzero(flags != idle)
-        if not wrong.size:
-            break
-        k = int(wrong[0])
-        f += k
-        idle = flags[k:]
-        prev = d[f - 1] if f else done
-    else:
-        t = float(prev)
-        tail = []
-        for ak, xk in zip(a[f:].tolist(), x[f:].tolist()):
-            t = (t if ak < t else ak) + xk
-            tail.append(t)
-        d[f:] = tail
-    start = np.empty(n)
+    services ``x`` on a FIFO band whose last departure was ``done``: the
+    walk's own step over the values, start max(a_k, d_{k-1}) (at a tie
+    the band is idle) and departure start + x_k, the same float
+    operation in the same order, so bit for bit the walk's."""
+    t = done
+    d = [t := (t if ak < t else ak) + xk for ak, xk in zip(a.tolist(), x.tolist())]
+    d = np.fromiter(d, float, a.size)
+    start = np.empty(a.size)
     start[0] = done
     start[1:] = d[:-1]
     return np.maximum(a, start, out=start), d
@@ -636,11 +526,10 @@ class SimState:
         A run whose policy reads no feedback, with emergent vacations and
         no lazily settled band, takes the array path (``_run_arrays``):
         each band is Lindley's recursion over its own flow's packets,
-        which ``_lindley`` folds from guessed idle flags and re-checks
-        with the walk's tie rule until the flags hold, so the buffers are
-        the walk's bit for bit (module docstring, steps 1-4).  Every
-        other run walks every flow's arrivals in event order, and under
-        a feedback policy feeds the taps and fires the rounds.
+        which ``_lindley`` steps through with the walk's own step, so
+        the buffers are the walk's bit for bit.  Every other run walks
+        every flow's arrivals in event order, and under a feedback
+        policy feeds the taps and fires the rounds.
         """
         flows = self.flows
         servers = self.servers
@@ -786,9 +675,10 @@ class SimState:
 
     def _run_arrays(self) -> MetricsReport:
         """The array path of ``run``: each flow's picks in one call per
-        chunk, and each band's starts and departures by ``_lindley`` over
-        the packets the chunk sends there, its services drawn in one
-        call; the band carries its last departure to the next chunk."""
+        chunk, and each band's starts and departures by ``_lindley``, the
+        walk's step over the packets the chunk sends there, its services
+        drawn in one call; the band carries its last departure to the
+        next chunk."""
         servers = self.servers
         for fr in self.flows:
             self._start_flow(fr)

@@ -9,6 +9,7 @@ means feed BandStats back to the schedulers.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from operator import mul
 
 from .errors import InsufficientSamples
@@ -45,24 +46,11 @@ class MomentEstimator:
         self._sum_sq = 0.0
 
     def add(self, x: float) -> None:
-        if len(self._ring) < self.window:
-            self._ring.append(x)
-            self._sum += x
-            self._sum_sq += x * x
-        else:
-            old = self._ring[self._pos]
-            self._ring[self._pos] = x
-            self._sum += x - old
-            self._sum_sq += x * x - old * old
-        self._pos += 1
-        if self._pos >= self.window:
-            self._pos = 0
-            self._sum = math.fsum(self._ring)
-            self._sum_sq = math.fsum(map(mul, self._ring, self._ring))
+        self.extend((x,))
 
-    def extend(self, xs: list[float]) -> None:
-        """``add`` each of ``xs`` in order, with the same float operations
-        in the same order, on the window's state bound to locals."""
+    def extend(self, xs: Iterable[float]) -> None:
+        """Add each of ``xs`` in order, on the window's state bound to
+        locals."""
         ring = self._ring
         window = self.window
         pos = self._pos

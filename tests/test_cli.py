@@ -151,6 +151,30 @@ def test_single_band_on_a_masked_band_is_config_error(tmp_path, capsys):
     assert "available_bands" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flows, entry, message",
+    [
+        (MINI["flows"], "single_band:5", "schedulers[1]: single_band index 5 out of range"),
+        (
+            [
+                {"sta": 0, "ac": 0, "lambda_pps": 5.0, "packets": 200},
+                {"sta": 1, "ac": 0, "lambda_pps": 5.0, "packets": 200, "available_bands": [1]},
+            ],
+            "single_band:0",
+            "schedulers[1]: single_band:0 uses band 0, which flows[1].available_bands excludes",
+        ),
+    ],
+    ids=["out_of_range", "masked"],
+)
+def test_a_bad_single_band_entry_is_named_by_its_index(tmp_path, capsys, flows, entry, message):
+    # The bad entry comes second, after a valid one.
+    cfg = {**MINI, "stas": 2, "flows": flows, "schedulers": ["even_split", entry]}
+    p = tmp_path / "bad_entry.json"
+    p.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", str(p), "--out", str(tmp_path / "x.csv")]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
 def _band0(**service):
     return [{"service": service}, *MINI["bands"][1:]]
 
