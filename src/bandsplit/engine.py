@@ -39,18 +39,21 @@ reproduce bit-identical reports.
 
 ``SimState.run`` takes the array path when nothing couples one band's
 packets to another's: the policy reads no feedback (``uses_feedback``
-false, so its picks depend on no time), vacations are emergent (so an
-idle band draws nothing between packets) and every band is one flow's,
-of at most ``QUEUE_CAP`` packets (``shared`` is empty).  Each band is
-then Lindley's recursion over the packets its flow sends there, in seq
+false, so its picks depend on no time) and every band is one flow's, of
+at most ``QUEUE_CAP`` packets (``shared`` is empty).  Each band is then
+Lindley's recursion over the packets its flow sends there, in seq
 order: a packet starts at its arrival or its predecessor's departure,
-whichever is later, and departs its service later.  The path takes each
-flow's packets in chunks of ``_CHUNK``: the picks come in one call
-(``next_bands``), each band's services in one draw, and ``_lindley``
-steps through the band's packets in the chunk with the walk's own step,
-over Python floats, carrying its last departure to the next chunk.  It
-is the same float operation in the same order as the walk's, so the
-buffers are the walk's bit for bit.
+whichever is later, and departs its service later.  Vacations, emergent
+or parametric, keep it so: a parametric band's lazy chain is read from
+the band's own stream, by its own packets in order, and restarts at
+its latest departure.  The path takes each flow's packets in chunks of
+``_CHUNK``: the picks come in one call (``next_bands``), each band's
+services in one draw, and ``_lindley`` steps through the band's packets
+in the chunk with the walk's own step (on a parametric band, drawing
+the chain's vacations one at a time), over Python floats, carrying its
+last departure to the next chunk.  It is the same float operations in
+the same order as the walk's, so the buffers are the walk's bit for
+bit.
 
 Every other run is one walk over every flow's arrivals in event order,
 with no event queue:
@@ -196,8 +199,10 @@ class _Lane:
 class _FifoBand(_Lane):
     """A band that one flow alone reaches, with at most ``QUEUE_CAP``
     packets; it is its own flow's lane.  ``done`` is the departure of its
-    latest packet and ``occupied`` (feedback policies only) its occupied
-    time so far."""
+    latest packet, where a parametric band's next vacation chain starts,
+    on both the walk and the array path.  ``occupied`` is its occupied
+    time so far, which only feedback policies read (a static walk adds
+    only its vacations)."""
 
     __slots__ = ("done", "occupied", "serve", "serve_many", "vacation", "prop")
     shared = False
@@ -413,19 +418,37 @@ def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Samp
     return Sampler(spec, None if spec.kind == "deterministic" else _stream(seed, domain, index))
 
 
-def _lindley(a: np.ndarray, x: np.ndarray, done: float) -> tuple[np.ndarray, np.ndarray]:
+def _lindley(a: np.ndarray, x: np.ndarray, done: float, vacation=None) -> tuple[np.ndarray, np.ndarray]:
     """Service starts and departures of packets with arrivals ``a`` and
     services ``x`` on a FIFO band whose last departure was ``done``: the
-    walk's own step over the values, start max(a_k, d_{k-1}) (at a tie
-    the band is idle) and departure start + x_k, the same float
-    operation in the same order, so bit for bit the walk's."""
+    walk's own step over the values, the same float operations in the
+    same order, so bit for bit the walk's.  A packet that finds the band
+    busy starts at its predecessor's departure (at a tie the band is
+    idle).  With emergent vacations (``vacation`` None) an idle band
+    starts it at its arrival; with a parametric band's stream reader it
+    waits out the first vacation of the chain from ``done`` that ends
+    after the arrival.  A departure is start + x_k."""
     t = done
-    d = [t := (t if ak < t else ak) + xk for ak, xk in zip(a.tolist(), x.tolist())]
-    d = np.fromiter(d, float, a.size)
-    start = np.empty(a.size)
-    start[0] = done
-    start[1:] = d[:-1]
-    return np.maximum(a, start, out=start), d
+    if vacation is None:
+        d = [t := (t if ak < t else ak) + xk for ak, xk in zip(a.tolist(), x.tolist())]
+        d = np.fromiter(d, float, a.size)
+        start = np.empty(a.size)
+        start[0] = done
+        start[1:] = d[:-1]
+        return np.maximum(a, start, out=start), d
+    starts = []
+    append = starts.append
+    for ak, xk in zip(a.tolist(), x.tolist()):
+        if ak < t:
+            s = t
+        else:
+            s = t + vacation()
+            while s <= ak:
+                s += vacation()
+        append(s)
+        t = s + xk
+    start = np.fromiter(starts, float, a.size)
+    return start, start + x
 
 
 class SimState:
@@ -523,18 +546,19 @@ class SimState:
     def run(self) -> MetricsReport:
         """Fill the flows' per-seq buffers and return the report.
 
-        A run whose policy reads no feedback, with emergent vacations and
-        no lazily settled band, takes the array path (``_run_arrays``):
-        each band is Lindley's recursion over its own flow's packets,
-        which ``_lindley`` steps through with the walk's own step, so
-        the buffers are the walk's bit for bit.  Every other run walks
-        every flow's arrivals in event order, and under a feedback
-        policy feeds the taps and fires the rounds.
+        A run whose policy reads no feedback, with no lazily settled
+        band, takes the array path (``_run_arrays``), whatever its
+        vacations: each band is Lindley's recursion over its own flow's
+        packets, which ``_lindley`` steps through with the walk's own
+        step, vacation chains included, so the buffers are the walk's
+        bit for bit.  Every other run walks every flow's arrivals in
+        event order, and under a feedback policy feeds the taps and
+        fires the rounds.
         """
         flows = self.flows
         servers = self.servers
         feedback = flows[0].taps is not None
-        if not (feedback or self.shared or self.config.vacation is not None):
+        if not (feedback or self.shared):
             return self._run_arrays()
         interval = self.config.feedback_interval_pkts
         cap = QUEUE_CAP
@@ -610,7 +634,7 @@ class SimState:
                     s = done
                 elif b.vacation is None:
                     s = a
-                elif feedback:
+                else:
                     vacation = b.vacation
                     occupied = b.occupied
                     dur = vacation()
@@ -621,11 +645,6 @@ class SimState:
                         occupied += dur
                         s += dur
                     b.occupied = occupied
-                else:
-                    vacation = b.vacation
-                    s = done + vacation()
-                    while s <= a:
-                        s += vacation()
                 dur = b.serve()
                 b.done = end = s + dur
                 starts[k] = s
@@ -677,8 +696,9 @@ class SimState:
         """The array path of ``run``: each flow's picks in one call per
         chunk, and each band's starts and departures by ``_lindley``, the
         walk's step over the packets the chunk sends there, its services
-        drawn in one call; the band carries its last departure to the
-        next chunk."""
+        drawn in one call and, on a parametric band, its vacations read
+        from the band's stream as the step needs them; the band carries
+        its last departure to the next chunk."""
         servers = self.servers
         for fr in self.flows:
             self._start_flow(fr)
@@ -695,7 +715,7 @@ class SimState:
                 for j in np.flatnonzero(counts).tolist():
                     b = servers[j]
                     seqs = slice(c0, c1) if counts[j] == c1 - c0 else c0 + np.flatnonzero(picks == j)
-                    starts[seqs], d = _lindley(arrivals[seqs], b.serve_many(int(counts[j])), b.done)
+                    starts[seqs], d = _lindley(arrivals[seqs], b.serve_many(int(counts[j])), b.done, b.vacation)
                     b.done = float(d[-1])
                     receipts[seqs] = np.add(d, b.prop, out=d)
                     self.received += d.size
