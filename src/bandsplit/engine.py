@@ -29,6 +29,13 @@ from them:
   every flow generated its budget, every seq has exactly one receipt
   (none is left unset, and the run counted as many receipts as
   packets), and no packet is left in a queue or a server.
+- The queue cap is checked once, after the run has filled the buffers
+  and before the report (``SimState._check_queue_cap``): a band's queue
+  just after an arrival is its arrivals up to that instant less its
+  service starts up to it, and the run raises ``OverloadDetected`` at
+  the earliest arrival that leaves a queue longer than ``QUEUE_CAP``.
+  An overflowing run thus runs to its end before it raises.  How many
+  packets a flow holds never selects a band's kind or a path.
 
 Determinism: every stochastic source draws from its own named RNG stream
 derived from the run seed, so a band's draws depend only on the order of
@@ -39,21 +46,20 @@ reproduce bit-identical reports.
 
 ``SimState.run`` takes the array path when nothing couples one band's
 packets to another's: the policy reads no feedback (``uses_feedback``
-false, so its picks depend on no time) and every band is one flow's, of
-at most ``QUEUE_CAP`` packets (``shared`` is empty).  Each band is then
-Lindley's recursion over the packets its flow sends there, in seq
-order: a packet starts at its arrival or its predecessor's departure,
-whichever is later, and departs its service later.  Vacations, emergent
-or parametric, keep it so: a parametric band's lazy chain is read from
-the band's own stream, by its own packets in order, and restarts at
-its latest departure.  The path takes each flow's packets in chunks of
-``_CHUNK``: the picks come in one call (``next_bands``), each band's
-services in one draw, and ``_lindley`` steps through the band's packets
-in the chunk with the walk's own step (on a parametric band, drawing
-the chain's vacations one at a time), over Python floats, carrying its
-last departure to the next chunk.  It is the same float operations in
-the same order as the walk's, so the buffers are the walk's bit for
-bit.
+false, so its picks depend on no time) and no band is reached by two
+flows (``shared`` is empty).  Each band is then Lindley's recursion
+over the packets its flow sends there, in seq order: a packet starts at
+its arrival or its predecessor's departure, whichever is later, and
+departs its service later.  Vacations, emergent or parametric, keep it
+so: a parametric band's lazy chain is read from the band's own stream,
+by its own packets in order, and restarts at its latest departure.
+The path takes each flow's packets in chunks of ``_CHUNK``: the picks
+come in one call (``next_bands``), each band's services in one draw,
+and ``_lindley`` steps through the band's packets in the chunk with the
+walk's own step (on a parametric band, drawing the chain's vacations
+one at a time), over Python floats, carrying its last departure to the
+next chunk.  It is the same float operations in the same order as the
+walk's, so the buffers are the walk's bit for bit.
 
 Every other run is one walk over every flow's arrivals in event order,
 with no event queue:
@@ -63,24 +69,21 @@ with no event queue:
   flows keyed by (next arrival time, push count) gives each flow a run of
   arrivals, up to its first at or after the next heap entry's time, as
   that entry was pushed first and wins a tie.  ``g`` counts arrivals.
-- A band that one flow alone reaches, with at most ``QUEUE_CAP``
-  packets, is that flow's FIFO queue, so each packet takes its step of
-  Lindley's recursion (Lindley 1952) there at its arrival: it starts at
-  its arrival or its predecessor's departure, whichever is later (at a
-  tie the band is idle, as departures come first).  On a parametric band
-  an idle arrival waits out the first vacation of the chain that ends
-  after it (one ending at the arrival counts as passed); the chain
-  starts at 0, then at each departure that leaves the band empty.  Its
-  queue never holds more than the flow's packets, so it cannot trip the
-  cap.
-- Any other band (``BandServer``) keeps queues for the (AC, station)
-  pairs its flows use and is settled lazily: before a packet joins it,
-  it runs its one pending departure or vacation end, and those they
-  start, up to the arrival, starting queued packets by priority and
-  round-robin (``BandServer.pick_queue``).  An idle emergent band serves
-  an arrival at once (picked, with several queues, so the round-robin
-  pointer advances).  A queued arrival that makes the queue longer than
-  ``QUEUE_CAP`` raises ``OverloadDetected``.  Parametric vacations run as
+- A band that one flow alone reaches is that flow's FIFO queue, so each
+  packet takes its step of Lindley's recursion (Lindley 1952) there at
+  its arrival: it starts at its arrival or its predecessor's departure,
+  whichever is later (at a tie the band is idle, as departures come
+  first).  On a parametric band an idle arrival waits out the first
+  vacation of the chain that ends after it (one ending at the arrival
+  counts as passed); the chain starts at 0, then at each departure that
+  leaves the band empty.
+- A band that several flows reach (``BandServer``) keeps queues for the
+  (AC, station) pairs its flows use and is settled lazily: before a
+  packet joins it, it runs its one pending departure or vacation end,
+  and those they start, up to the arrival, starting queued packets by
+  priority and round-robin (``BandServer.pick_queue``).  An idle
+  emergent band serves an arrival at once (picked, with several queues,
+  so the round-robin pointer advances).  Parametric vacations run as
   lazy chains: a departure that leaves the band empty draws a vacation,
   and the first packet to wait runs the chain to its arrival and waits
   out the vacation that ends after it.
@@ -147,7 +150,8 @@ _DOM_SERVICE = 1
 _DOM_VACATION = 2
 _DOM_SCHEDULER = 3
 
-# A band queue longer than this aborts the run with OverloadDetected.
+# A run in which a band queue grew longer than this raises
+# OverloadDetected when it ends.
 QUEUE_CAP = 1_000_000
 
 # The array path takes a flow's packets this many at a time, which
@@ -197,8 +201,8 @@ class _Lane:
 
 
 class _FifoBand(_Lane):
-    """A band that one flow alone reaches, with at most ``QUEUE_CAP``
-    packets; it is its own flow's lane.  ``done`` is the departure of its
+    """A band that one flow alone reaches, however many packets the flow
+    holds; it is its own flow's lane.  ``done`` is the departure of its
     latest packet, where a parametric band's next vacation chain starts,
     on both the walk and the array path.  ``occupied`` is its occupied
     time so far, which only feedback policies read (a static walk adds
@@ -224,15 +228,14 @@ class _FifoBand(_Lane):
 
 
 class BandServer:
-    """A band that several flows reach, or one flow of more than
-    ``QUEUE_CAP`` packets: FIFO queues for the (AC rank, station) pairs
-    its flows use, and its service and vacation state.  ``nxt`` is the
-    time of its one pending event (inf if none): the departure in
-    service, or the end of the vacation in progress when arrival
-    ``waker`` (at ``woke_at``) found the band idle (on an emergent band,
-    that arrival).  Under a feedback policy ``key`` is the event order
-    key of the departure in service and ``lanes`` holds each flow's lane,
-    by flow index."""
+    """A band that two or more flows reach: FIFO queues for the (AC rank,
+    station) pairs its flows use, and its service and vacation state.
+    ``nxt`` is the time of its one pending event (inf if none): the
+    departure in service, or the end of the vacation in progress when
+    arrival ``waker`` (at ``woke_at``) found the band idle (on an
+    emergent band, that arrival).  Under a feedback policy ``key`` is the
+    event order key of the departure in service and ``lanes`` holds each
+    flow's lane, by flow index."""
 
     __slots__ = (
         "queues",
@@ -455,8 +458,10 @@ class SimState:
     """A fully wired simulation; run() drives it to completion and
     returns the report derived from the flows' per-seq buffers.
     ``servers`` holds every band, ``shared`` the lazily settled ones
-    (``BandServer``), and ``received`` counts the run's receipts, one per
-    departure.
+    (``BandServer``, a band that two or more flows reach), and
+    ``received`` counts the run's receipts, one per departure.  Neither
+    kind of band checks the queue cap as it runs: ``_check_queue_cap``
+    reads it from the buffers once either path has filled them.
 
     Exposed for white-box tests (estimator windows, per-seq buffers,
     which the report overwrites); normal callers use run_scenario().
@@ -505,7 +510,7 @@ class SimState:
                 None if config.vacation is None else _sampler(config.vacation, seed, _DOM_VACATION, j)
             )
             flows = [self.flows[i] for i in reach[j]]
-            if len(flows) <= 1 and all(fr.packets <= QUEUE_CAP for fr in flows):
+            if len(flows) <= 1:
                 srv = _FifoBand(service, vacation, band.prop_latency_s)
             else:
                 srv = BandServer([(fr.rank, fr.sta) for fr in flows], service, vacation, band.prop_latency_s)
@@ -544,7 +549,8 @@ class SimState:
         fr.band = array("i", [0]) * n
 
     def run(self) -> MetricsReport:
-        """Fill the flows' per-seq buffers and return the report.
+        """Fill the flows' per-seq buffers, check the queue cap and return
+        the report.
 
         A run whose policy reads no feedback, with no lazily settled
         band, takes the array path (``_run_arrays``), whatever its
@@ -552,16 +558,22 @@ class SimState:
         packets, which ``_lindley`` steps through with the walk's own
         step, vacation chains included, so the buffers are the walk's
         bit for bit.  Every other run walks every flow's arrivals in
-        event order, and under a feedback policy feeds the taps and
-        fires the rounds.
+        event order (``_walk``), and under a feedback policy feeds the
+        taps and fires the rounds.
         """
+        if self.flows[0].taps is None and not self.shared:
+            self._run_arrays()
+        else:
+            self._walk()
+        self._check_queue_cap()
+        return self._report()
+
+    def _walk(self) -> None:
+        """The walk of ``run``: every flow's arrivals in event order."""
         flows = self.flows
         servers = self.servers
         feedback = flows[0].taps is not None
-        if not (feedback or self.shared):
-            return self._run_arrays()
         interval = self.config.feedback_interval_pkts
-        cap = QUEUE_CAP
         # Per flow, bound once: what its steps use, and under a feedback
         # policy its lazily settled bands, each with its lane there, and
         # what its rounds use: its lanes, their keys and its taps on the
@@ -615,8 +627,6 @@ class SimState:
                     queues[j].append((i, k))
                     qlen = b.qlen + 1
                     b.qlen = qlen
-                    if qlen > cap:
-                        raise OverloadDetected(f"band {j} queue exceeded cap {cap} at t={a:.6f}")
                     if qlen == 1 and b.current is None:
                         # The packet wakes the idle band, which starts it
                         # when settled: an emergent band at once, a
@@ -690,9 +700,8 @@ class SimState:
                         tap.last_occupied = lane.last
                 fr.served = fr.packets
         self.received = g - joined + sum(srv.departed for srv in self.shared)
-        return self._report()
 
-    def _run_arrays(self) -> MetricsReport:
+    def _run_arrays(self) -> None:
         """The array path of ``run``: each flow's picks in one call per
         chunk, and each band's starts and departures by ``_lindley``, the
         walk's step over the packets the chunk sends there, its services
@@ -720,7 +729,48 @@ class SimState:
                     receipts[seqs] = np.add(d, b.prop, out=d)
                     self.received += d.size
             fr.next_seq = n
-        return self._report()
+
+    def _check_queue_cap(self) -> None:
+        """Raise ``OverloadDetected`` at the earliest arrival that left a
+        band's queue longer than ``QUEUE_CAP``, naming the lowest band
+        when several overflow at that instant (an event loop names the
+        band of the first such arrival in event order).  The queue just
+        after an arrival at t is the band's arrivals at or before t less
+        its service starts at or before t.  Each flow's packets on a band
+        join one FIFO queue, so both are sorted per flow and counted by
+        ``searchsorted``, ``_CHUNK`` arrivals at a time.  Only a band
+        whose flows hold, and that got, more than ``QUEUE_CAP`` packets
+        is read, in place where one flow sent it every packet."""
+        cap = QUEUE_CAP
+        earliest = (math.inf, 0)  # (t, band) of the earliest overflow
+        for j in range(len(self.servers)):
+            flows = [fr for fr in self.flows if j in fr.scheduler.avail]
+            if sum(fr.packets for fr in flows) <= cap:
+                continue
+            ons = [np.frombuffer(fr.band, dtype=np.intc) == j for fr in flows]
+            if sum(map(np.count_nonzero, ons)) <= cap:
+                continue
+            arrivals = []
+            starts = []
+            for fr, on in zip(flows, ons):
+                a = np.frombuffer(fr.arrival)
+                s = np.frombuffer(fr.start)
+                if not on.all():
+                    a, s = a[on], s[on]
+                arrivals.append(a)
+                starts.append(s)
+            for a in arrivals:
+                for c0 in range(0, a.size, _CHUNK):
+                    t = a[c0 : c0 + _CHUNK]
+                    queued = sum(np.searchsorted(x, t, "right") for x in arrivals)
+                    queued -= sum(np.searchsorted(x, t, "right") for x in starts)
+                    over = np.flatnonzero(queued > cap)
+                    if over.size:
+                        earliest = min(earliest, (float(t[over[0]]), j))
+                        break
+        t, j = earliest
+        if t < math.inf:
+            raise OverloadDetected(f"band {j} queue exceeded cap {cap} at t={t:.6f}")
 
     def _fire_rounds(self, rounds: tuple, t: float, pending: int) -> int:
         """Fire every feedback round of the flow whose departure comes at

@@ -59,7 +59,11 @@ class ConservationViolated(BandsplitError):
 
 
 class OverloadDetected(BandsplitError):
-    """A band queue exceeded the engine's occupancy cap (``QUEUE_CAP``)."""
+    """A band queue grew longer than the engine's occupancy cap
+    (``engine.QUEUE_CAP``).  It is checked once, from the run's per-packet
+    buffers after the run ends and before any metric is derived, and
+    names the band and the earliest arrival that overflowed (the lowest
+    band index when several overflow at one instant)."""
 
 
 class InvalidRecords(BandsplitError):

@@ -48,6 +48,8 @@ def run_suite(
     if jobs < 1:
         raise ConfigInvalid(f"jobs: must be >= 1, got {jobs}")
     # An output that cannot be written fails before the runs, not after them.
+    if out_path is not None and Path(out_path).is_dir():
+        raise IsADirectoryError(f"{out_path}: is a directory")
     if out_path is not None and not Path(out_path).parent.is_dir():
         raise FileNotFoundError(f"{out_path}: its directory does not exist")
     tasks = [

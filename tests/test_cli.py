@@ -2,10 +2,11 @@
 
 import json
 import math
+import re
 
 import pytest
 
-from bandsplit import runner
+from bandsplit import engine, runner
 from bandsplit.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from bandsplit.config import ScenarioConfig
 from bandsplit.errors import ConfigInvalid
@@ -95,6 +96,28 @@ def test_output_in_a_missing_directory_is_io_error(tmp_path, capsys, monkeypatch
     out = tmp_path / "nodir" / "x.csv"
     assert main(["run", str(cfg), "--out", str(out), "--seeds", "1"]) == EXIT_RUNTIME
     assert capsys.readouterr().err.startswith("io error") and runs == []
+
+
+def test_output_that_is_a_directory_is_io_error(tmp_path, capsys, monkeypatch):
+    # An output path naming a directory fails before any run starts.
+    runs = []
+    monkeypatch.setattr(runner, "run_scenario", lambda *args: runs.append(args))
+    cfg = write_mini(tmp_path)
+    assert main(["run", str(cfg), "--out", str(tmp_path), "--seeds", "1"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("io error") and "is a directory" in err and runs == []
+
+
+def test_overflowing_run_is_runtime_error_and_writes_no_records(tmp_path, capsys, monkeypatch):
+    # The queue cap is checked after the run has filled its buffers, and
+    # the run's error stops the suite before any record is written.
+    monkeypatch.setattr(engine, "QUEUE_CAP", 1)
+    cfg = write_mini(tmp_path)
+    out = tmp_path / "records.csv"
+    assert main(["run", str(cfg), "--out", str(out), "--seeds", "1"]) == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert re.match(r"runtime error: band \d queue exceeded cap 1 at t=", err)
+    assert not out.exists()
 
 
 def test_unparseable_json_is_config_error(tmp_path):
