@@ -96,16 +96,21 @@ def band_stats_from_windows(service: MomentEstimator, vacation: MomentEstimator)
 
     mu is the reciprocal mean service time and x2 the windowed second
     moment, so x2 >= (1/mu)^2 holds by construction.  All-zero vacation
-    windows are floored to keep the stats usable downstream.
+    windows are floored to keep the stats usable downstream.  Reads each
+    window's count and running sums directly: the same divisions as
+    ``mean`` and ``mean_sq``, without their calls, as a feedback round
+    makes one of these per fresh tap.
     """
-    if len(service) < MIN_SAMPLES or len(vacation) < MIN_SAMPLES:
+    n_service = len(service._ring)
+    n_vacation = len(vacation._ring)
+    if n_service < MIN_SAMPLES or n_vacation < MIN_SAMPLES:
         raise InsufficientSamples(
             f"need {MIN_SAMPLES} service and vacation samples, "
-            f"have {len(service)}/{len(vacation)}"
+            f"have {n_service}/{n_vacation}"
         )
-    mean_service = service.mean()
+    mean_service = service._sum / n_service
     if mean_service <= 0.0:
         raise InsufficientSamples("degenerate service window (non-positive mean)")
-    vbar = max(vacation.mean(), VACATION_FLOOR)
-    v2 = max(vacation.mean_sq(), vbar**2)
-    return BandStats(mu=1.0 / mean_service, x2=service.mean_sq(), vbar=vbar, v2=v2)
+    vbar = max(vacation._sum / n_vacation, VACATION_FLOOR)
+    v2 = max(vacation._sum_sq / n_vacation, vbar**2)
+    return BandStats(mu=1.0 / mean_service, x2=service._sum_sq / n_service, vbar=vbar, v2=v2)

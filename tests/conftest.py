@@ -1,5 +1,5 @@
 """Shared test helpers: random feasible instances, the feasibility check
-of a split, a count of the schedulers' solves, a copy of each run's
+of a split, a log of the schedulers' solves, a copy of each run's
 per-seq buffers, and the acceptance summary hook (one PASS/FAIL line per
 criterion in the terminal summary).
 """
@@ -55,13 +55,23 @@ def feasible(lambdas: tuple[float, ...], stats: list[BandStats], lambda_total: f
     return abs(sum(lambdas) - lambda_total) <= 1e-9 * abs(lambda_total)
 
 
+class SolveLog(Counter):
+    """The schedulers' optimize calls, counted under "optimize", with
+    each call's (lam, stats) kept in order in ``calls``."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: list[tuple[float, list[BandStats]]] = []
+
+
 @pytest.fixture
 def solves(monkeypatch):
-    """Counts the schedulers' optimize calls under "optimize"."""
-    count = Counter()
+    """A SolveLog of the schedulers' optimize calls."""
+    count = SolveLog()
 
     def spy(lam, stats):
         count["optimize"] += 1
+        count.calls.append((lam, list(stats)))
         return optimize(lam, stats)
 
     monkeypatch.setattr(schedulers, "optimize", spy)
