@@ -81,12 +81,13 @@ with no event queue:
   (AC, station) pairs its flows use and is settled lazily: before a
   packet joins it, it runs its one pending departure or vacation end,
   and those they start, up to the arrival, starting queued packets by
-  priority and round-robin (``BandServer.pick_queue``).  An idle
-  emergent band serves an arrival at once (picked, with several queues,
-  so the round-robin pointer advances).  Parametric vacations run as
-  lazy chains: a departure that leaves the band empty draws a vacation,
-  and the first packet to wait runs the chain to its arrival and waits
-  out the vacation that ends after it.
+  priority and round-robin (``BandServer.pick_queue``): each AC's
+  stations take turns, in a row of queues kept rotated so that the next
+  turn comes first.  An idle emergent band serves an arrival at once
+  (picked, with several queues, so its row rotates past it).
+  Parametric vacations run as lazy chains: a departure that leaves the
+  band empty draws a vacation, and the first packet to wait runs the
+  chain to its arrival and waits out the vacation that ends after it.
 
 Under a feedback policy a band choice depends on the rounds fired before
 the arrival.  Each departure also adds the chain's vacations and then
@@ -120,7 +121,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import chain, repeat
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -143,6 +145,8 @@ from .schedulers import SchedulerSpec, make_scheduler
 _DEPART = 0
 _VACATION = 1
 _ARRIVAL = 2
+# The time of an event order key.
+_TIME = itemgetter(0)
 
 # RNG stream domains, combined with the run seed per flow/band.
 _DOM_ARRIVAL = 0
@@ -230,6 +234,9 @@ class _FifoBand(_Lane):
 class BandServer:
     """A band that two or more flows reach: FIFO queues for the (AC rank,
     station) pairs its flows use, and its service and vacation state.
+    ``queues`` holds one row of queues per AC rank in use, in priority
+    order; each row starts at the station whose round-robin turn is next
+    (station order until its first pick).
     ``nxt`` is the time of its one pending event (inf if none): the
     departure in service, or the end of the vacation in progress when
     arrival ``waker`` (at ``woke_at``) found the band idle (on an
@@ -240,7 +247,6 @@ class BandServer:
     __slots__ = (
         "queues",
         "queue_of",
-        "rr",
         "qlen",
         "current",
         "dur",
@@ -266,7 +272,6 @@ class BandServer:
         self.queue_of = {pair: deque() for pair in sorted(set(pairs))}
         ranks = sorted({rank for rank, _ in pairs})
         self.queues = [[q for (r, _), q in self.queue_of.items() if r == rank] for rank in ranks]
-        self.rr = [0] * len(ranks)
         self.qlen = 0
         self.current: tuple[int, int] | None = None  # (flow index, seq)
         self.dur = 0.0
@@ -286,19 +291,20 @@ class BandServer:
         self.prop = prop_latency
 
     def pick_queue(self) -> deque:
-        """Next queue under strict AC priority, round-robin across STAs.
+        """Next queue under strict AC priority, round-robin across STAs:
+        the first non-empty queue of the first rank that has one.  Each
+        rank's row is kept rotated so that the station whose turn is next
+        comes first, so a pick rotates the row to put the queue after the
+        picked one first (nothing to do when the picked one is the last).
         Called only while some queue of the band holds a packet."""
-        rr = self.rr
-        for rank, row in enumerate(self.queues):
-            ptr = rr[rank]
-            n = len(row)
-            for k in range(n):
-                i = ptr + k
-                if i >= n:
-                    i -= n
-                q = row[i]
+        for row in self.queues:
+            # The index from enumerate: deques compare by content, so
+            # row.index could find another queue holding equal packets.
+            for i, q in enumerate(row):
                 if q:
-                    rr[rank] = i + 1 if i + 1 < n else 0
+                    i += 1
+                    if i < len(row):
+                        row[:] = row[i:] + row[:i]
                     return q
 
     def settle(self, t: float, flows: list) -> None:
@@ -524,8 +530,14 @@ class SimState:
     # -- calls the run makes ---------------------------------------------
 
     def _feedback(self, fr: _FlowRuntime) -> None:
-        stats = list(fr.scheduler.stats)
-        for j, tap in enumerate(fr.taps):
+        """Rebuild the stats of the flow's fresh taps and hand the
+        scheduler the result.  Only the bands the flow reaches have taps
+        that a round feeds."""
+        scheduler = fr.scheduler
+        stats = list(scheduler.stats)
+        taps = fr.taps
+        for j in scheduler.avail:
+            tap = taps[j]
             if tap.fresh:
                 tap.fresh = False
                 try:
@@ -533,7 +545,7 @@ class SimState:
                 except InsufficientSamples:
                     pass
         try:
-            fr.scheduler.update_feedback(stats)
+            scheduler.update_feedback(stats)
         except OptimizerError:
             pass  # stale-but-safe: scheduler keeps its previous split
 
@@ -779,7 +791,10 @@ class SimState:
         Return its packets still pending, of the ``pending`` before."""
         fr, lanes, keys, taps = rounds
         interval = self.config.feedback_interval_pkts
-        heads = list(map(bisect_right, keys, repeat((t, _VACATION))))
+        # A lane's departures by t are those whose time is at most t: its
+        # keys (d, 0, start) sort by d first, and (d, 0, ...) < (t, 1)
+        # exactly when d <= t.
+        heads = [bisect_right(lane_keys, t, key=_TIME) for lane_keys in keys]
         extra = sum(heads) - interval
         while extra >= 0:
             # The round fires at the interval-th departure in event

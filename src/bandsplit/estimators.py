@@ -99,7 +99,9 @@ def band_stats_from_windows(service: MomentEstimator, vacation: MomentEstimator)
     windows are floored to keep the stats usable downstream.  Reads each
     window's count and running sums directly: the same divisions as
     ``mean`` and ``mean_sq``, without their calls, as a feedback round
-    makes one of these per fresh tap.
+    makes one of these per fresh tap.  For the same reason the stats are
+    built from positional arguments (mu, x2, vbar, v2), which
+    ``BandStats`` checks as a keyword build would.
     """
     n_service = len(service._ring)
     n_vacation = len(vacation._ring)
@@ -113,4 +115,4 @@ def band_stats_from_windows(service: MomentEstimator, vacation: MomentEstimator)
         raise InsufficientSamples("degenerate service window (non-positive mean)")
     vbar = max(vacation._sum / n_vacation, VACATION_FLOOR)
     v2 = max(vacation._sum_sq / n_vacation, vbar**2)
-    return BandStats(mu=1.0 / mean_service, x2=service._sum_sq / n_service, vbar=vbar, v2=v2)
+    return BandStats(1.0 / mean_service, service._sum_sq / n_service, vbar, v2)

@@ -4,10 +4,12 @@ independent reference for ``SimState.run``'s arrival walk.
 ``run_events(state)`` runs a fresh ``SimState`` through one flat loop of
 departures, vacation ends and arrivals, every band over per-(AC,
 station) FIFO queues for every AC and station of the config, with strict
-priority across ACs and round-robin across stations.  It shares with the
-engine only the per-seq buffers and the flows (``_start_flow``), the
-feedback round (``_feedback``), the report (``_report``) and each band's
-samplers; the order of events is the heap's.
+priority across ACs and round-robin across stations from a pointer per
+AC (the engine keeps each AC's row of queues rotated instead).  It
+shares with the engine only the per-seq buffers and the flows
+(``_start_flow``), the feedback round (``_feedback``), the report
+(``_report``) and each band's samplers; the order of events is the
+heap's.
 
 Every push is ``heappush(heap, (t, kind, tick(), index))``, where
 ``tick`` is the ``__next__`` of an ``itertools.count(1)`` (the insertion

@@ -1274,8 +1274,9 @@ def test_python_calls_per_packet_on_multi_queue_bands(kind, bound):
 def test_pick_queue_serves_by_priority_then_round_robin():
     # Two ranks x three stations.  Rank 0 goes first, also when its
     # packet joins while rank 1 is being served; inside a rank, stations
-    # take turns from the round-robin pointer, wrapping past the last
-    # station and skipping an empty one.
+    # take turns from the row's rotation (the station whose turn is next
+    # comes first), wrapping past the last station and skipping an empty
+    # one.
     srv = engine.BandServer(
         [(rank, sta) for rank in (0, 1) for sta in (0, 1, 2)],
         service=Sampler(DistributionSpec("deterministic", mean=0.1), None),
@@ -1289,14 +1290,77 @@ def test_pick_queue_serves_by_priority_then_round_robin():
     def serve():
         return srv.pick_queue().popleft()
 
-    srv.rr[0] = 2
+    srv.queues[0][:] = srv.queues[0][2:] + srv.queues[0][:2]  # station 2's turn
     for rank, sta, mark in ((0, 0, "a0"), (0, 0, "a1"), (0, 2, "c0"), (1, 0, "x0"), (1, 1, "y0"), (1, 1, "y1")):
         put(rank, sta, mark)
     order = [serve() for _ in range(4)]
     put(0, 1, "b0")
     order += [serve() for _ in range(3)]
     assert order == ["c0", "a0", "a1", "x0", "b0", "y0", "y1"]
-    assert srv.rr == [2, 2]
+    assert [row[0] is srv.queue_of[rank, 2] for rank, row in enumerate(srv.queues)] == [True, True]
+
+
+def test_pick_queue_picks_as_the_round_robin_pointer_does():
+    # 3 ranks x 3 stations, station 1 unused: the band keeps rows of two
+    # queues, kept rotated, while the loop oracle keeps every station's
+    # queue and a pointer per rank.  Random joins and serves must pick
+    # the same (rank, station) queue at every serve.
+    pairs = [(rank, sta) for rank in range(3) for sta in (0, 2)]
+    srv = engine.BandServer(
+        pairs,
+        service=Sampler(DistributionSpec("deterministic", mean=0.1), None),
+        vacation=None,
+        prop_latency=0.0,
+    )
+    ref = loop_oracle.LoopBand(3, 3, srv)
+    rng = np.random.default_rng(33)
+    queued = 0
+    picks = []
+    for step in range(4000):
+        if queued and rng.random() < 0.5:
+            mark = srv.pick_queue().popleft()
+            assert ref.pick_queue(3).popleft() == mark
+            picks.append(mark[:2])
+            queued -= 1
+        else:
+            rank, sta = pairs[rng.integers(len(pairs))]
+            srv.queue_of[rank, sta].append((rank, sta, step))
+            ref.queues[rank][sta].append((rank, sta, step))
+            queued += 1
+    assert len(picks) >= 1000
+    # Every queue the band keeps was picked.
+    assert set(picks) == set(pairs)
+
+
+def test_round_heads_count_departures_by_time():
+    # Hand-built lanes of flow 1 on bands 1 and 2, a round every 2
+    # departures.  A departure at the arrival's instant comes before it;
+    # at the cut, the departure whose full key sorts first is the round's.
+    cfg = replace(_four_band_cfg(100), feedback_interval_pkts=2)
+
+    def fire(band_keys, t):
+        state = SimState(cfg, SchedulerSpec("leaky_bucket"), 1)
+        fr = state.flows[1]
+        lanes = []
+        for keys in band_keys:
+            lane = engine._Lane()
+            lane.keys = list(keys)
+            lane.samples = [0.01, 0.0] * len(keys)
+            lanes.append(lane)
+        taps = [fr.taps[1], fr.taps[2]]
+        left = state._fire_rounds((fr, lanes, [lane.keys for lane in lanes], taps), t, 3)
+        return left, [len(lane.keys) for lane in lanes], [len(tap.service) for tap in taps]
+
+    d0 = (1.0, 0, (0.5, 2, 0))
+    early = (2.0, 0, (1.25, 2, 3))
+    late = (2.0, 0, (1.5, 2, 5))
+    # Two departures by t = 2.0, the second at 2.0 itself: one round.
+    assert fire([[d0], [late]], 2.0) == (1, [0, 0], [1, 1])
+    assert fire([[d0], [late]], math.nextafter(2.0, 0.0)) == (3, [1, 1], [0, 0])
+    # Three departures by 2.0, two of them at 2.0 on different bands: the
+    # round takes d0 and the one of the tied pair whose key sorts first.
+    assert fire([[d0, late], [early]], 2.0) == (1, [1, 0], [1, 1])
+    assert fire([[d0, early], [late]], 2.0) == (1, [0, 1], [2, 0])
 
 
 def test_queues_are_built_only_for_used_stations(buffers):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from bandsplit.distributions import DistributionSpec, Sampler
-from bandsplit.errors import ConfigInvalid, InsufficientSamples
+from bandsplit.errors import ConfigInvalid, InsufficientSamples, InvalidStats
 from bandsplit.estimators import VACATION_FLOOR, MomentEstimator, band_stats_from_windows
+from bandsplit.model import BandStats
 
 
 def test_window_matches_exact_moments():
@@ -117,6 +118,28 @@ def test_band_stats_insufficient_samples():
         svc.add(0.1)
         vac.add(0.0)
     with pytest.raises(InsufficientSamples):
+        band_stats_from_windows(svc, vac)
+
+
+def test_band_stats_built_from_windows_equal_a_keyword_build():
+    rng = np.random.default_rng(8)
+    svc = MomentEstimator(64)
+    vac = MomentEstimator(64)
+    svc.extend(rng.exponential(0.05, 100).tolist())
+    vac.extend(rng.exponential(0.01, 100).tolist())
+    st = band_stats_from_windows(svc, vac)
+    assert st == BandStats(mu=1.0 / svc.mean(), x2=svc.mean_sq(), vbar=vac.mean(), v2=vac.mean_sq())
+
+
+def test_band_stats_from_windows_still_checks_the_moments():
+    # The positional build runs BandStats' checks: a service window whose
+    # second moment sits below its squared mean (Jensen) is rejected.
+    svc = MomentEstimator(64)
+    vac = MomentEstimator(64)
+    svc.extend([0.1] * 40)
+    vac.extend([0.01] * 40)
+    svc._sum_sq = 0.5 * svc._sum**2 / len(svc)
+    with pytest.raises(InvalidStats, match="x2="):
         band_stats_from_windows(svc, vac)
 
 

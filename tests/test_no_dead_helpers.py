@@ -2,7 +2,10 @@
 class or constant whose name has one leading underscore must be loaded
 somewhere in the package, by name, as an attribute or by a ``from``
 import.  Nothing outside a module may need its private names, so one
-that no code loads is dead."""
+that no code loads is dead.
+
+Every ``__slots__`` entry of a package class is read somewhere in the
+package or its tests: a slot that is only ever written is dead state."""
 
 import ast
 from pathlib import Path
@@ -10,6 +13,7 @@ from pathlib import Path
 import bandsplit
 
 PACKAGE = Path(bandsplit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def _is_private(name: str) -> bool:
@@ -42,12 +46,65 @@ def _loaded(tree: ast.Module):
             yield from (alias.name for alias in node.names)
 
 
-def test_every_private_helper_is_loaded_somewhere_in_the_package():
-    trees = {
-        path.relative_to(PACKAGE): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in sorted(PACKAGE.rglob("*.py"))
+def _slots(tree: ast.Module):
+    """(class, slot) for each entry of each ``__slots__`` tuple or list of
+    strings that a class of the module declares."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if (
+                isinstance(stmt, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets)
+                and isinstance(stmt.value, (ast.Tuple, ast.List))
+            ):
+                yield from ((node.name, elt.value) for elt in stmt.value.elts if isinstance(elt, ast.Constant))
+
+
+def _read_attributes(tree: ast.Module, own_classes: bool = True):
+    """Every attribute a module reads: loaded, or updated in place
+    (``x.a += 1`` reads ``a`` before it writes it).  With
+    ``own_classes`` false, a class's reads of its own attributes
+    (``self.a`` in its body) are left out: a test-side class such as the
+    loop oracle's ``LoopBand`` reads only its own state that way."""
+    skip = set()
+    if not own_classes:
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                skip.update(
+                    id(node)
+                    for node in ast.walk(cls)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "self"
+                )
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Attribute) and id(node.target) not in skip:
+            yield node.target.attr
+
+
+def _parse(root: Path) -> dict:
+    return {
+        path.relative_to(root): ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(root.rglob("*.py"))
     }
+
+
+def test_every_private_helper_is_loaded_somewhere_in_the_package():
+    trees = _parse(PACKAGE)
     loaded = {name for tree in trees.values() for name in _loaded(tree)}
     dead = [f"{path}: {name}" for path, tree in trees.items() for name in _defined(tree) if name not in loaded]
     assert len(trees) >= 10
     assert dead == []
+
+
+def test_every_slot_is_read_somewhere_in_the_package_or_its_tests():
+    package = _parse(PACKAGE)
+    read = {attr for tree in package.values() for attr in _read_attributes(tree)}
+    read.update(attr for tree in _parse(TESTS).values() for attr in _read_attributes(tree, own_classes=False))
+    slots = [(path, cls, slot) for path, tree in package.items() for cls, slot in _slots(tree)]
+    unread = [f"{path}: {cls}.{slot}" for path, cls, slot in slots if slot not in read]
+    assert len(slots) >= 40
+    assert unread == []
