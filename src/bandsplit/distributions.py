@@ -103,15 +103,17 @@ def _draw(spec: DistributionSpec, rng: np.random.Generator | None, n: int) -> np
     return rng.lognormal(spec.mu_log, spec.sigma_log, n)
 
 
-def _blocks(spec: DistributionSpec, rng: np.random.Generator | None):
-    """Endless ``_BLOCK``-draw lists from ``rng`` in stream order.
+def _blocks(spec: DistributionSpec, rng: np.random.Generator | None, constant: float | None):
+    """Endless ``_BLOCK``-draw lists from ``rng`` in stream order, or of
+    a deterministic spec's ``constant``.
 
-    A module-level generator over ``(spec, rng)``, not a method: a
-    generator frame holding its ``Sampler`` would make a reference cycle,
-    and every finished run's samplers would then wait for the cyclic GC.
+    A module-level generator over ``(spec, rng, constant)``, not a
+    method: a generator frame holding its ``Sampler`` would make a
+    reference cycle, and every finished run's samplers would then wait
+    for the cyclic GC.
     """
-    if spec.kind == "deterministic":
-        block = [spec.mean] * _BLOCK
+    if constant is not None:
+        block = [constant] * _BLOCK
         while True:
             yield block
     while True:
@@ -130,13 +132,16 @@ class Sampler:
     ``many(n)`` returns the next n draws as one array, equal to n
     ``take()`` calls on a sampler that ``take`` has not read; a run
     reads each sampler through one of the two.  A deterministic spec
-    never reads ``rng``, which may then be None.
+    never reads ``rng``, which may then be None; ``constant`` is the one
+    value its every draw returns (None for any other kind), which a
+    caller may add in place of reading the stream.
     """
 
-    __slots__ = ("take", "spec", "rng")
+    __slots__ = ("take", "spec", "rng", "constant")
 
     def __init__(self, spec: DistributionSpec, rng: np.random.Generator | None):
-        self.take = chain.from_iterable(_blocks(spec, rng)).__next__
+        self.constant = float(spec.mean) if spec.kind == "deterministic" else None
+        self.take = chain.from_iterable(_blocks(spec, rng, self.constant)).__next__
         self.spec = spec
         self.rng = rng
 

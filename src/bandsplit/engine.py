@@ -54,12 +54,15 @@ departs its service later.  Vacations, emergent or parametric, keep it
 so: a parametric band's lazy chain is read from the band's own stream,
 by its own packets in order, and restarts at its latest departure.
 The path takes each flow's packets in chunks of ``_CHUNK``: the picks
-come in one call (``next_bands``), each band's services in one draw,
-and ``_lindley`` steps through the band's packets in the chunk with the
-walk's own step (on a parametric band, drawing the chain's vacations
-one at a time), over Python floats, carrying its last departure to the
-next chunk.  It is the same float operations in the same order as the
-walk's, so the buffers are the walk's bit for bit.
+come in one call (``next_bands``), each band's services in one draw, or
+as one constant where the service is deterministic, and ``_lindley``
+steps through the band's packets in the chunk with the walk's own step
+(on a parametric band, reading the chain's vacations one at a time, or
+adding a deterministic vacation as a constant), over Python floats,
+carrying its last departure to the next chunk.  A deterministic stream
+returns its one value at every read, so it is the same float
+operations in the same order as the walk's, and the buffers are the
+walk's bit for bit.
 
 Every other run is one walk over every flow's arrivals in event order,
 with no event queue:
@@ -121,7 +124,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -210,18 +213,23 @@ class _FifoBand(_Lane):
     latest packet, where a parametric band's next vacation chain starts,
     on both the walk and the array path.  ``occupied`` is its occupied
     time so far, which only feedback policies read (a static walk adds
-    only its vacations)."""
+    only its vacations).  ``service_time`` and ``vacation_time`` are the
+    samplers' ``constant`` (a deterministic time, None for any other
+    kind), which the array path adds in place of reading the streams."""
 
-    __slots__ = ("done", "occupied", "serve", "serve_many", "vacation", "prop")
+    __slots__ = ("done", "occupied", "serve", "serve_many", "service_time", "vacation", "vacation_time", "prop")
     shared = False
 
     def __init__(self, service: Sampler, vacation: Sampler | None, prop_latency: float):
         super().__init__()
-        # The samplers' C-level stream readers, and the bulk reader of the
-        # array path; no vacation sampler means emergent vacations.
+        # The samplers' C-level stream readers, the bulk reader of the
+        # array path, and the constant that each deterministic stream
+        # always returns; no vacation sampler means emergent vacations.
         self.serve = service.take
         self.serve_many = service.many
+        self.service_time = service.constant
         self.vacation = None if vacation is None else vacation.take
+        self.vacation_time = None if vacation is None else vacation.constant
         self.prop = prop_latency
         # An arrival at the instant of ``done`` finds the band idle, as
         # departures come first.  A parametric band's first vacation
@@ -427,35 +435,44 @@ def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Samp
     return Sampler(spec, None if spec.kind == "deterministic" else _stream(seed, domain, index))
 
 
-def _lindley(a: np.ndarray, x: np.ndarray, done: float, vacation=None) -> tuple[np.ndarray, np.ndarray]:
-    """Service starts and departures of packets with arrivals ``a`` and
-    services ``x`` on a FIFO band whose last departure was ``done``: the
-    walk's own step over the values, the same float operations in the
-    same order, so bit for bit the walk's.  A packet that finds the band
-    busy starts at its predecessor's departure (at a tie the band is
-    idle).  With emergent vacations (``vacation`` None) an idle band
-    starts it at its arrival; with a parametric band's stream reader it
-    waits out the first vacation of the chain from ``done`` that ends
-    after the arrival.  A departure is start + x_k."""
+def _lindley(a: np.ndarray, x: np.ndarray | float, done: float, vacation=None) -> tuple[np.ndarray, np.ndarray]:
+    """Service starts and departures of packets with arrivals ``a`` on a
+    FIFO band whose last departure was ``done``: the walk's own step over
+    the values, the same float operations in the same order, so bit for
+    bit the walk's.  ``x`` is the packets' services, drawn, or a
+    deterministic band's one service time as a float.  A packet that
+    finds the band busy starts at its predecessor's departure (at a tie
+    the band is idle).  With emergent vacations (``vacation`` None) an
+    idle band starts it at its arrival.  On a parametric band it waits
+    out the first vacation of the chain from ``done`` that ends after the
+    arrival: ``vacation`` is the band's stream reader, or a deterministic
+    band's one vacation time as a float.  A busy packet's chain takes no
+    step; an idle one (arrival at or after the last departure) takes at
+    least one, so one loop serves both.  A departure is start + x_k."""
     t = done
+    services = zip(a.tolist(), repeat(x) if isinstance(x, float) else x.tolist())
     if vacation is None:
-        d = [t := (t if ak < t else ak) + xk for ak, xk in zip(a.tolist(), x.tolist())]
-        d = np.fromiter(d, float, a.size)
+        d = np.fromiter([t := (t if ak < t else ak) + xk for ak, xk in services], float, a.size)
         start = np.empty(a.size)
         start[0] = done
         start[1:] = d[:-1]
         return np.maximum(a, start, out=start), d
     starts = []
     append = starts.append
-    for ak, xk in zip(a.tolist(), x.tolist()):
-        if ak < t:
+    if isinstance(vacation, float):
+        for ak, xk in services:
             s = t
-        else:
-            s = t + vacation()
+            while s <= ak:
+                s += vacation
+            append(s)
+            t = s + xk
+    else:
+        for ak, xk in services:
+            s = t
             while s <= ak:
                 s += vacation()
-        append(s)
-        t = s + xk
+            append(s)
+            t = s + xk
     start = np.fromiter(starts, float, a.size)
     return start, start + x
 
@@ -718,8 +735,10 @@ class SimState:
         chunk, and each band's starts and departures by ``_lindley``, the
         walk's step over the packets the chunk sends there, its services
         drawn in one call and, on a parametric band, its vacations read
-        from the band's stream as the step needs them; the band carries
-        its last departure to the next chunk."""
+        from the band's stream as the step needs them.  A deterministic
+        service or vacation time goes to ``_lindley`` as the constant in
+        place of the draws or the reader.  The band carries its last
+        departure to the next chunk."""
         servers = self.servers
         for fr in self.flows:
             self._start_flow(fr)
@@ -736,7 +755,14 @@ class SimState:
                 for j in np.flatnonzero(counts).tolist():
                     b = servers[j]
                     seqs = slice(c0, c1) if counts[j] == c1 - c0 else c0 + np.flatnonzero(picks == j)
-                    starts[seqs], d = _lindley(arrivals[seqs], b.serve_many(int(counts[j])), b.done, b.vacation)
+                    x = b.service_time
+                    v = b.vacation_time
+                    starts[seqs], d = _lindley(
+                        arrivals[seqs],
+                        b.serve_many(int(counts[j])) if x is None else x,
+                        b.done,
+                        b.vacation if v is None else v,
+                    )
                     b.done = float(d[-1])
                     receipts[seqs] = np.add(d, b.prop, out=d)
                     self.received += d.size

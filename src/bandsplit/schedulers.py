@@ -147,7 +147,8 @@ class EvenSplit(Scheduler):
         first = avail.index(self._cycle())
         for _ in range((n - 1) % len(avail)):
             self._cycle()
-        return np.resize(np.array(avail[first:] + avail[:first], np.intc), n)
+        cycle = np.array(avail[first:] + avail[:first], np.intc)
+        return np.tile(cycle, -(-n // len(avail)))[:n]
 
 
 class LoadBalancing(Scheduler):

@@ -1020,13 +1020,18 @@ def test_one_pass_matches_the_event_loop(monkeypatch, buffers, heap_pushes, grou
     # equal reports, down to the diagnostic fields (measured,
     # mean_wait_s).  After a feedback run, each flow's served count, taps'
     # windows and scheduler state must be equal too.  The arrays group
-    # takes the array path: run() calls the band kernel, with the band's
-    # vacation reader on a parametric band.
+    # takes the array path: run() calls the band kernel, which takes a
+    # deterministic band's service and vacation times as constants and
+    # otherwise drawn services and the band's vacation reader.
     kernels = Counter()
+    seen = Counter()  # kernel calls by argument kind, over the group
     lindley = engine._lindley
 
     def counted(a, x, done, vacation):
-        kernels.update(["run"] if vacation is None else ["run", "vacation"])
+        kinds = ["run", "constant service" if isinstance(x, float) else "drawn services"]
+        if vacation is not None:
+            kinds.append("constant vacation" if isinstance(vacation, float) else "vacation reader")
+        kernels.update(kinds)
         return lindley(a, x, done, vacation)
 
     monkeypatch.setattr(engine, "_lindley", counted)
@@ -1036,8 +1041,18 @@ def test_one_pass_matches_the_event_loop(monkeypatch, buffers, heap_pushes, grou
         kernels.clear()
         by_walk_report = by_walk.run()
         if group == "arrays":
+            # Criterion 1, _fixed_gap_state and _tie_rule_state take the
+            # constants; lognormal and exponential vacations the reader.
             assert kernels["run"] > 0
-            assert kernels["vacation"] == (kernels["run"] if by_walk.config.vacation is not None else 0)
+            vacation = by_walk.config.vacation
+            kind = None if vacation is None else vacation.kind
+            assert kernels["constant vacation"] == (kernels["run"] if kind == "deterministic" else 0)
+            assert kernels["vacation reader"] == (kernels["run"] if kind not in (None, "deterministic") else 0)
+            used = np.unique(np.concatenate([f["band"] for f in buffers[-1]])).tolist()
+            fixed = {by_walk.config.bands[j].service.kind == "deterministic" for j in used}
+            assert (kernels["constant service"] > 0) == (True in fixed)
+            assert (kernels["drawn services"] > 0) == (False in fixed)
+            seen.update(kernels)
         if len(by_walk.flows) == 1:
             assert heap_pushes[0] == 0  # one flow: one run of arrivals
         assert by_walk_report == loop_oracle.run_events(by_loop)
@@ -1076,6 +1091,10 @@ def test_one_pass_matches_the_event_loop(monkeypatch, buffers, heap_pushes, grou
         "multi_flow_ties": 57,
         "arrays": 25,
     }.get(group, 1)
+    if group == "arrays":
+        # Neither loop of the kernel goes dead.
+        kinds = ("constant service", "drawn services", "constant vacation", "vacation reader")
+        assert all(seen[kind] > 0 for kind in kinds)
 
 
 @pytest.mark.parametrize("kind", STATIC_ENTRIES + FEEDBACK_KINDS)
@@ -1248,11 +1267,46 @@ def test_python_calls_per_packet_on_a_one_pass_run(kind):
 
 def test_python_calls_per_packet_on_a_parametric_array_run():
     # Criterion 1's config at rho = 0.3: parametric vacations on one band
-    # take the array path too.  The kernel reads the vacations through
-    # the band's C-level stream, so the chain adds no frame but a block
-    # refill: measured 0.027 per packet.  The walk called next_band once
-    # per packet: 1.023.
+    # take the array path too.  The kernel adds the deterministic
+    # vacation as a constant, so the chain reads no stream: measured
+    # 0.025 per packet.  The walk called next_band once per packet: 1.023.
     assert _calls_per_delivered_packet(_criterion_1_cfg(0.3, 3000), "single_band:0") < 0.1
+
+
+@pytest.mark.parametrize("kind, reads", [("deterministic", False), ("exponential", True)])
+def test_array_path_reads_the_vacation_stream_only_when_it_is_random(kind, reads):
+    # Criterion 1's config at rho = 0.3, and the same config behind
+    # exponential vacations: the array path adds a deterministic vacation
+    # as a constant and never calls the band's vacation reader; a random
+    # one it reads.
+    cfg = replace(_criterion_1_cfg(0.3, 3000), vacation=DistributionSpec(kind, mean=0.05))
+    state = SimState(cfg, cfg.schedulers[0], seed=101)
+    band = state.servers[0]
+    reader = band.vacation
+    calls = 0
+
+    def counted():
+        nonlocal calls
+        calls += 1
+        return reader()
+
+    band.vacation = counted
+    assert state.run().delivered == 3000
+    assert (calls > 0) == reads
+
+
+def test_array_path_vacation_reader_passes_a_vacation_ending_at_the_arrival(buffers):
+    # The kernel's reader loop passes a vacation that ends at the
+    # arrival, as the walk does; the arrays configs with exact ties are
+    # deterministic, so they check this on the constant loop alone.  With
+    # its constant cleared, _fixed_gap_state's band reads its 0.25 s
+    # vacations from the stream, and each arrival lands exactly on a
+    # vacation end or on the departure before it.
+    by_reader = _fixed_gap_state(0.75)
+    by_reader.servers[0].vacation_time = None
+    assert by_reader.run() == loop_oracle.run_events(_fixed_gap_state(0.75))
+    for name in ("arrival", "start", "receipt", "band"):
+        assert (buffers[-2][0][name] == buffers[-1][0][name]).all()
 
 
 @pytest.mark.parametrize(

@@ -144,7 +144,7 @@ def test_bulk_picks_equal_one_at_a_time_picks(kind, band, avail, flow_index):
     four = [TWO_EQUAL[0]] * 4
     bulk = build(kind, stats=four, band=band, avail=avail, flow_index=flow_index)
     single = build(kind, stats=four, band=band, avail=avail, flow_index=flow_index)
-    for n in (1, 2, 5, 7, 64, 3):
+    for n in (1, 2, 5, 7, 64, 3, 4097, 10_000):
         picks = bulk.next_bands(n)
         assert picks.dtype == np.intc
         assert picks.tolist() == [single.next_band() for _ in range(n)]
