@@ -64,6 +64,22 @@ returns its one value at every read, so it is the same float
 operations in the same order as the walk's, and the buffers are the
 walk's bit for bit.
 
+Where the service is deterministic and the vacations are emergent or
+deterministic, ``_lindley`` settles the packets one binade at a time in
+integer units of the binade's grid (``_grid_scan``), and gets the step's
+floats exactly.  Inside the binade [2^(e-1), 2^e) every float is a
+multiple of u = 2^(e-53), and adding a constant c there gives
+s + round(c/u)·u, unless c/u is an exact half-integer (ties-to-even
+then reads the parity of s) or the sum leaves the binade.  So the
+service and each vacation step add fixed integers, every departure lies
+in a residue class known in advance, a packet starts at the least
+integer of its class above floor(arrival/u) or at its predecessor's
+departure if later, and one running maximum gives every start:
+Lindley's recursion in max-plus form.  The step takes each packet the
+scan cannot: the first of a run (no departure yet, or the chain from 0),
+one that leaves its binade, and each packet of a binade where a
+constant ties.  Departures are start + x, the step's own addition.
+
 Every other run is one walk over every flow's arrivals in event order,
 with no event queue:
 
@@ -112,9 +128,8 @@ tap samples pending with the flow.
 - At a round each tap takes its samples up to that departure in one
   batch, with ``MomentEstimator.add``'s float operations in the same
   order.  The rounds after the last arrival fire too, and the samples
-  past the last round are fed, so after the run the taps, the served
-  count and the scheduler are those of a loop that fed each departure as
-  it came.
+  past the last round are fed, so after the run the taps and the
+  scheduler are those of a loop that fed each departure as it came.
 """
 
 from __future__ import annotations
@@ -170,12 +185,11 @@ class _Tap:
     """Measurement window of one (band, flow) pair.  ``fresh`` marks a
     sample added since the last feedback round read the windows."""
 
-    __slots__ = ("service", "vacation", "last_occupied", "fresh")
+    __slots__ = ("service", "vacation", "fresh")
 
     def __init__(self):
         self.service = MomentEstimator()
         self.vacation = MomentEstimator()
-        self.last_occupied: float | None = None
         self.fresh = False
 
 
@@ -392,7 +406,6 @@ class _FlowRuntime:
         "scheduler",
         "gaps",
         "next_seq",
-        "served",
         "pending",
         "warmup_cut",
         "taps",
@@ -410,7 +423,6 @@ class _FlowRuntime:
         self.scheduler = scheduler
         self.gaps = arrivals
         self.next_seq = 0
-        self.served = 0
         self.pending = 0
         self.warmup_cut = warmup_cut
         self.taps = taps
@@ -435,6 +447,54 @@ def _sampler(spec: DistributionSpec, seed: int, domain: int, index: int) -> Samp
     return Sampler(spec, None if spec.kind == "deterministic" else _stream(seed, domain, index))
 
 
+def _grid_scan(a: np.ndarray, k: int, t: float, x: float, vacation: float | None, start: np.ndarray) -> tuple[int, float]:
+    """Settle packets k, k + 1, ... of ``_lindley`` on a band with a
+    deterministic service ``x`` and emergent or deterministic vacations,
+    whose last departure ``t`` > 0 lies in the binade [2^(e-1), 2^e):
+    write the starts of the longest run of them that stays in that
+    binade and return the first packet it leaves with the last departure.
+
+    Every float of the binade is an integer multiple of u = 2^(e-53).  For
+    s there and a constant c with c/u no exact half-integer, fl(s + c) is
+    s + round(c/u)·u while that stays below 2^e, so the service and each
+    vacation add the integers dx and dv.  The i-th packet of the run then
+    starts in the residue class of t/u + i·dx mod dv, at the least integer
+    of it above floor(arrival/u) (the chain passes a vacation that ends at
+    the arrival) or at its predecessor's departure if later: Lindley's
+    recursion in max-plus form, one running maximum.  With emergent
+    vacations the least integer is the arrival's own.  The run stops
+    before the first packet with start + dx >= 2^53, so every time it
+    reads stays in the binade.  It holds the packets that arrive below 2^e
+    and at most (2^53 - t/u)/dx + 1 of them, as each departs at least dx
+    after the one before, so no int64 sum overflows.  A c/u that is an
+    exact half-integer, 1/2 or less, or 2^52 or more settles none."""
+    e = math.frexp(t)[1]
+    u = math.ldexp(1.0, e - 53)
+    top = 1 << 53
+    grid = [x / u] if vacation is None else [x / u, vacation / u]
+    if any(not 0.5 < c < top >> 1 or c % 1.0 == 0.5 for c in grid):
+        return k, t
+    dx = round(grid[0])
+    t0 = int(t / u)
+    hi = min(int(a.searchsorted(math.ldexp(1.0, e))), k + (top - t0) // dx + 1)
+    floor = (a[k:hi] / u).astype(np.int64)
+    shift = np.arange(hi - k, dtype=np.int64) * dx
+    if vacation is None:
+        least = floor
+    else:
+        least = floor + 1
+        least += (t0 + shift - least) % round(grid[1])
+    s = np.maximum.accumulate(least - shift)
+    np.maximum(s, t0, out=s)
+    s += shift
+    m = int(s.searchsorted(top - dx))
+    if not m:
+        return k, t
+    k1 = k + m
+    np.multiply(s[:m], u, out=start[k:k1])
+    return k1, float(start[k1 - 1]) + x
+
+
 def _lindley(a: np.ndarray, x: np.ndarray | float, done: float, vacation=None) -> tuple[np.ndarray, np.ndarray]:
     """Service starts and departures of packets with arrivals ``a`` on a
     FIFO band whose last departure was ``done``: the walk's own step over
@@ -448,8 +508,35 @@ def _lindley(a: np.ndarray, x: np.ndarray | float, done: float, vacation=None) -
     arrival: ``vacation`` is the band's stream reader, or a deterministic
     band's one vacation time as a float.  A busy packet's chain takes no
     step; an idle one (arrival at or after the last departure) takes at
-    least one, so one loop serves both.  A departure is start + x_k."""
+    least one, so one loop serves both.  A departure is start + x_k.
+
+    With a deterministic service and emergent or deterministic vacations,
+    ``_grid_scan`` settles the packets in integer units of each binade's
+    grid, which gives the step's floats exactly; the step takes each
+    packet it cannot: the first (no departure yet, or the chain from 0),
+    one that leaves the binade, and those of a binade where x or the
+    vacation is an odd multiple of half its unit."""
     t = done
+    if isinstance(x, float) and not callable(vacation):
+        n = a.size
+        start = np.empty(n)
+        k = 0
+        while k < n:
+            if t > 0.0:
+                k, t = _grid_scan(a, k, t, x, vacation, start)
+                if k == n:
+                    break
+            ak = float(a[k])
+            if vacation is None:
+                s = t if ak < t else ak
+            else:
+                s = t
+                while s <= ak:
+                    s += vacation
+            start[k] = s
+            t = s + x
+            k += 1
+        return start, start + x
     services = zip(a.tolist(), repeat(x) if isinstance(x, float) else x.tolist())
     if vacation is None:
         d = np.fromiter([t := (t if ak < t else ak) + xk for ak, xk in services], float, a.size)
@@ -475,6 +562,25 @@ def _lindley(a: np.ndarray, x: np.ndarray | float, done: float, vacation=None) -
             t = s + xk
     start = np.fromiter(starts, float, a.size)
     return start, start + x
+
+
+def _p95(values: np.ndarray) -> float:
+    """``np.percentile(values, 95)`` by its default linear rule, the same
+    float operations, with the two order statistics it reads taken by one
+    partition in place (``np.percentile`` imports ``numpy.ma`` at its
+    first call).  The virtual index is v = (n - 1)·0.95 with fraction g;
+    the result is a + (b - a)·g, or b - (b - a)·(1 - g) for g >= 0.5,
+    between the order statistics a and b at floor(v) and the next, and
+    the largest value for v >= n - 1."""
+    n = values.size
+    v = (n - 1) * 0.95
+    if v >= n - 1:
+        return float(values.max())
+    i = math.floor(v)
+    values.partition((i, i + 1))
+    a, b = values[i : i + 2].tolist()
+    g = v - i
+    return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
 
 class SimState:
@@ -725,9 +831,6 @@ class SimState:
                 for lane, tap in zip(lanes, taps):
                     if lane.keys:
                         lane.feed(tap, len(lane.keys))
-                    if len(tap.service):
-                        tap.last_occupied = lane.last
-                fr.served = fr.packets
         self.received = g - joined + sum(srv.departed for srv in self.shared)
 
     def _run_arrays(self) -> None:
@@ -902,7 +1005,7 @@ class SimState:
         measured = int(lat_all.size)
         mean_lat = float(lat_all.mean())
         # The mean is taken; the percentile may reorder the latencies.
-        p95 = float(np.percentile(lat_all, 95, overwrite_input=True))
+        p95 = _p95(lat_all)
         frac = tuple(count / measured for count in band_counts.tolist())
         span = max(lasts) - min(firsts)
         goodput = measured / span if span > 0 else 0.0

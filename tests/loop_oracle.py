@@ -95,6 +95,11 @@ def run_events(state) -> MetricsReport:
     interval = state.config.feedback_interval_pkts
     feedback = state._feedback
     cap = engine.QUEUE_CAP
+    # Under a feedback policy, each flow's served count and, per band,
+    # the band's occupied time at the flow's latest departure there (None
+    # before its first, which gives no vacation sample).
+    served = [0] * len(flows)
+    last_occupied = [[None] * len(servers) for _ in flows]
     for fr in flows:
         state._start_flow(fr)
         push(heap, (fr.arrival[0], EV_ARRIVAL, tick(), fr.index))
@@ -119,15 +124,14 @@ def run_events(state) -> MetricsReport:
             if taps is not None:
                 tap = taps[j]
                 tap.service.add(dur)
-                last = tap.last_occupied
+                last = last_occupied[fi][j]
                 if last is not None:
                     vac = occupied - last - dur
                     tap.vacation.add(vac if vac > 0.0 else 0.0)
-                tap.last_occupied = occupied
+                last_occupied[fi][j] = occupied
                 tap.fresh = True
-                served = fr.served + 1
-                fr.served = served
-                if served % interval == 0:
+                served[fi] += 1
+                if served[fi] % interval == 0:
                     feedback(fr)
             fr.receipt[seq] = t + srv.prop_latency
             received += 1
