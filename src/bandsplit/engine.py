@@ -75,7 +75,9 @@ service and each vacation step add fixed integers, every departure lies
 in a residue class known in advance, a packet starts at the least
 integer of its class above floor(arrival/u) or at its predecessor's
 departure if later, and one running maximum gives every start:
-Lindley's recursion in max-plus form.  The step takes each packet the
+Lindley's recursion in max-plus form.  The scan takes the running
+maximum first and rounds it up to the residue class after it, which is
+exact as rounding up never decreases.  The step takes each packet the
 scan cannot: the first of a run (no departure yet, or the chain from 0),
 one that leaves its binade, and each packet of a binade where a
 constant ties.  Departures are start + x, the step's own addition.
@@ -457,36 +459,52 @@ def _grid_scan(a: np.ndarray, k: int, t: float, x: float, vacation: float | None
     Every float of the binade is an integer multiple of u = 2^(e-53).  For
     s there and a constant c with c/u no exact half-integer, fl(s + c) is
     s + round(c/u)·u while that stays below 2^e, so the service and each
-    vacation add the integers dx and dv.  The i-th packet of the run then
-    starts in the residue class of t/u + i·dx mod dv, at the least integer
-    of it above floor(arrival/u) (the chain passes a vacation that ends at
-    the arrival) or at its predecessor's departure if later: Lindley's
-    recursion in max-plus form, one running maximum.  With emergent
-    vacations the least integer is the arrival's own.  The run stops
-    before the first packet with start + dx >= 2^53, so every time it
-    reads stays in the binade.  It holds the packets that arrive below 2^e
-    and at most (2^53 - t/u)/dx + 1 of them, as each departs at least dx
-    after the one before, so no int64 sum overflows.  A c/u that is an
-    exact half-integer, 1/2 or less, or 2^52 or more settles none."""
+    vacation add the integers dx and dv.  Measured from b_i = t/u + i·dx,
+    the i-th packet of the run then starts at c_i = floor(arrival/u) - b_i
+    with emergent vacations; on a parametric band at the least multiple of
+    dv (a vacation end of the chain) at or above c_i = floor(arrival/u) +
+    1 - b_i, as the chain passes a vacation that ends at the arrival; or
+    at its predecessor's departure if later: Lindley's recursion in
+    max-plus form.  So the scan takes the running maximum of c, seeded
+    with the last departure (0), and only then rounds it up to a multiple
+    of dv, as (c + dv - 1) // dv · dv: a floor division, which numpy does
+    faster than a remainder.  That order is exact because rounding up
+    never decreases as c grows, so the running maximum of the rounded c_i
+    is the rounded running maximum.  The run stops before the first
+    packet with start + dx >= 2^53, so every time it reads stays in the
+    binade.  It holds the packets that arrive below 2^e and at most
+    (2^53 - t/u)/dx + 1 of them, as each departs at least dx after the one
+    before, so no int64 sum overflows.  A c/u that is an exact
+    half-integer, 1/2 or less, or 2^52 or more settles none."""
     e = math.frexp(t)[1]
     u = math.ldexp(1.0, e - 53)
     top = 1 << 53
-    grid = [x / u] if vacation is None else [x / u, vacation / u]
-    if any(not 0.5 < c < top >> 1 or c % 1.0 == 0.5 for c in grid):
+    cx = x / u
+    if not 0.5 < cx < top >> 1 or cx % 1.0 == 0.5:
         return k, t
-    dx = round(grid[0])
+    if vacation is not None:
+        cv = vacation / u
+        if not 0.5 < cv < top >> 1 or cv % 1.0 == 0.5:
+            return k, t
+    dx = round(cx)
     t0 = int(t / u)
     hi = min(int(a.searchsorted(math.ldexp(1.0, e))), k + (top - t0) // dx + 1)
-    floor = (a[k:hi] / u).astype(np.int64)
-    shift = np.arange(hi - k, dtype=np.int64) * dx
-    if vacation is None:
-        least = floor
-    else:
-        least = floor + 1
-        least += (t0 + shift - least) % round(grid[1])
-    s = np.maximum.accumulate(least - shift)
-    np.maximum(s, t0, out=s)
-    s += shift
+    if hi == k:
+        return k, t
+    base = np.arange(t0, t0 + (hi - k) * dx, dx, dtype=np.int64)
+    s = (a[k:hi] / u).astype(np.int64)
+    s -= base
+    if vacation is not None:
+        s += 1
+    if s[0] < 0:
+        s[0] = 0
+    np.maximum.accumulate(s, out=s)
+    if vacation is not None:
+        dv = round(cv)
+        s += dv - 1
+        s //= dv
+        s *= dv
+    s += base
     m = int(s.searchsorted(top - dx))
     if not m:
         return k, t
@@ -566,19 +584,21 @@ def _lindley(a: np.ndarray, x: np.ndarray | float, done: float, vacation=None) -
 
 def _p95(values: np.ndarray) -> float:
     """``np.percentile(values, 95)`` by its default linear rule, the same
-    float operations, with the two order statistics it reads taken by one
-    partition in place (``np.percentile`` imports ``numpy.ma`` at its
-    first call).  The virtual index is v = (n - 1)·0.95 with fraction g;
-    the result is a + (b - a)·g, or b - (b - a)·(1 - g) for g >= 0.5,
-    between the order statistics a and b at floor(v) and the next, and
-    the largest value for v >= n - 1."""
+    float operations (``np.percentile`` imports ``numpy.ma`` at its first
+    call).  The virtual index is v = (n - 1)·0.95 with fraction g; the
+    result is a + (b - a)·g, or b - (b - a)·(1 - g) for g >= 0.5, between
+    the order statistics a and b at i = floor(v) and the next, and the
+    largest value for v >= n - 1.  One selection in place takes both:
+    after ``values.partition(i)`` a is values[i], and the tail past it
+    holds every value at or above it, so its minimum is b."""
     n = values.size
     v = (n - 1) * 0.95
     if v >= n - 1:
         return float(values.max())
     i = math.floor(v)
-    values.partition((i, i + 1))
-    a, b = values[i : i + 2].tolist()
+    values.partition(i)
+    a = float(values[i])
+    b = float(values[i + 1 :].min())
     g = v - i
     return b - (b - a) * (1 - g) if g >= 0.5 else a + (b - a) * g
 
@@ -854,15 +874,21 @@ class SimState:
                 c1 = min(c0 + _CHUNK, n)
                 picks = fr.scheduler.next_bands(c1 - c0)
                 choices[c0:c1] = picks
-                counts = np.bincount(picks, minlength=len(servers))
-                for j in np.flatnonzero(counts).tolist():
+                # Each band's share of the chunk from its own mask:
+                # np.bincount converts the picks and scans them for their
+                # maximum first, which costs more at one or two bands.
+                for j in fr.scheduler.avail:
+                    on = picks == j
+                    count = int(np.count_nonzero(on))
+                    if not count:
+                        continue
                     b = servers[j]
-                    seqs = slice(c0, c1) if counts[j] == c1 - c0 else c0 + np.flatnonzero(picks == j)
+                    seqs = slice(c0, c1) if count == c1 - c0 else c0 + np.flatnonzero(on)
                     x = b.service_time
                     v = b.vacation_time
                     starts[seqs], d = _lindley(
                         arrivals[seqs],
-                        b.serve_many(int(counts[j])) if x is None else x,
+                        b.serve_many(count) if x is None else x,
                         b.done,
                         b.vacation if v is None else v,
                     )
@@ -976,14 +1002,15 @@ class SimState:
         lasts = []
         held = 0
         reseq_sum = reseq_max = wait_sum = 0.0
-        band_counts = 0
+        band_counts = [0] * len(self.servers)
         for fr in flows:
-            # The band counts' temporary is freed before the release
+            # The band counts' temporaries are freed before the release
             # times are made, and the results overwrite the buffers, so a
             # report adds about one n-length array per flow.
             cut = fr.warmup_cut
             bands = np.frombuffer(fr.band, dtype=np.intc)[cut:]
-            band_counts = band_counts + np.bincount(bands, minlength=len(self.servers))
+            for j in range(len(band_counts)):
+                band_counts[j] += int(np.count_nonzero(bands == j))
             r = np.frombuffer(fr.receipt)
             # Packet k is released at the latest receipt of packets 0..k.
             released = np.maximum.accumulate(r)
@@ -1006,7 +1033,7 @@ class SimState:
         mean_lat = float(lat_all.mean())
         # The mean is taken; the percentile may reorder the latencies.
         p95 = _p95(lat_all)
-        frac = tuple(count / measured for count in band_counts.tolist())
+        frac = tuple(count / measured for count in band_counts)
         span = max(lasts) - min(firsts)
         goodput = measured / span if span > 0 else 0.0
         return MetricsReport(

