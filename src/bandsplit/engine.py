@@ -111,9 +111,15 @@ with no event queue:
   chain to its arrival and waits out the vacation that ends after it.
 
 Under a feedback policy a band choice depends on the rounds fired before
-the arrival.  Each departure also adds the chain's vacations and then
-the service to its band's occupied time, in time order, and leaves its
-tap samples pending with the flow.
+the arrival.  Each departure leaves its event order key pending with
+the flow, and the tap samples that are not known in advance: the
+service unless it is deterministic, and the vacation sample, which is
+the band's occupied time since the flow's previous departure there less
+the service (a departure adds the chain's vacations and then the
+service to the occupied time, in time order).  On a band that the flow
+has alone under emergent vacations the band never leaves the flow's
+queue, so every vacation sample is exactly 0 and the walk keeps no
+occupied time there.
 
 - Before an arrival of flow i the walk fires flow i's rounds whose
   departure comes before it, after settling to the arrival the lazily
@@ -129,9 +135,11 @@ tap samples pending with the flow.
   predecessor's departure key for a queued packet.
 - At a round each tap takes its samples up to that departure in one
   batch, with ``MomentEstimator.add``'s float operations in the same
-  order.  The rounds after the last arrival fire too, and the samples
-  past the last round are fed, so after the run the taps and the
-  scheduler are those of a loop that fed each departure as it came.
+  order; the known ones go in as a count of copies
+  (``MomentEstimator.repeat``).  The rounds after the last arrival fire
+  too, and the samples past the last round are fed, so after the run
+  the taps and the scheduler are those of a loop that fed each
+  departure as it came.
 """
 
 from __future__ import annotations
@@ -184,8 +192,10 @@ _CHUNK = 65_536
 
 
 class _Tap:
-    """Measurement window of one (band, flow) pair.  ``fresh`` marks a
-    sample added since the last feedback round read the windows."""
+    """Measurement windows of one (band, flow) pair: its service and
+    vacation samples, the known ones added as counts of copies by
+    ``_Lane.feed``.  ``fresh`` marks a sample added since the last
+    feedback round read the windows."""
 
     __slots__ = ("service", "vacation", "fresh")
 
@@ -198,52 +208,68 @@ class _Tap:
 class _Lane:
     """One flow's pending feedback on one band: ``keys`` holds the event
     order key of each of its departures there not yet fed to its tap,
-    ``samples`` the (service, vacation) samples the tap takes from each,
-    flattened, and ``last`` the band's occupied time at the flow's latest
-    departure there.  On a lazily settled band ``queued`` counts the
-    flow's packets there that have not departed yet."""
+    and ``services`` and ``vacations`` the tap's samples from each, or
+    None where every sample is known: a deterministic service is always
+    ``service_time``, and a band that one flow has alone under emergent
+    vacations never leaves the flow's queue, so its vacations are 0.
+    ``last`` is the band's occupied time at the flow's latest departure
+    there.  On a lazily settled band ``queued`` counts the flow's
+    packets there that have not departed yet."""
 
-    __slots__ = ("keys", "samples", "first", "last", "queued")
+    __slots__ = ("keys", "services", "vacations", "service_time", "first", "last", "queued")
 
-    def __init__(self):
+    def __init__(self, service_time: float | None, vacations: bool = True):
         self.keys: list[tuple] = []
-        self.samples: list[float] = []
-        self.first = 3  # the first vacation sample to feed
+        self.services: list[float] | None = [] if service_time is None else None
+        self.vacations: list[float] | None = [] if vacations else None
+        self.service_time = service_time
+        self.first = 1  # vacation samples to skip at the next feed
         self.last = 0.0
         self.queued = 0
 
     def feed(self, tap: _Tap, fed: int) -> None:
-        """Feed the first ``fed`` pending departures to ``tap``."""
-        samples = self.samples
+        """Feed the first ``fed`` pending departures to ``tap``; a known
+        sample goes in as a count of copies."""
+        services = self.services
+        if services is None:
+            tap.service.repeat(self.service_time, fed)
+        else:
+            tap.service.extend(services[:fed])
+            del services[:fed]
         # The flow's first departure on the band gives no vacation sample.
-        tap.vacation.extend(samples[self.first : 2 * fed : 2])
-        tap.service.extend(samples[0 : 2 * fed : 2])
-        del self.keys[:fed], samples[: 2 * fed]
-        self.first = 1
+        vacations = self.vacations
+        if vacations is None:
+            tap.vacation.repeat(0.0, fed - self.first)
+        else:
+            tap.vacation.extend(vacations[self.first : fed])
+            del vacations[:fed]
+        del self.keys[:fed]
+        self.first = 0
         tap.fresh = True
 
 
 class _FifoBand(_Lane):
     """A band that one flow alone reaches, however many packets the flow
-    holds; it is its own flow's lane.  ``done`` is the departure of its
-    latest packet, where a parametric band's next vacation chain starts,
-    on both the walk and the array path.  ``occupied`` is its occupied
-    time so far, which only feedback policies read (a static walk adds
-    only its vacations).  ``service_time`` and ``vacation_time`` are the
+    holds; it is its own flow's lane, which stores no vacation samples
+    under emergent vacations and no service samples under a
+    deterministic service.  ``done`` is the departure of its latest
+    packet, where a parametric band's next vacation chain starts, on
+    both the walk and the array path.  ``occupied`` is its occupied time
+    so far, which only a parametric band reads (a static walk adds only
+    its vacations).  ``service_time`` and ``vacation_time`` are the
     samplers' ``constant`` (a deterministic time, None for any other
     kind), which the array path adds in place of reading the streams."""
 
-    __slots__ = ("done", "occupied", "serve", "serve_many", "service_time", "vacation", "vacation_time", "prop")
+    __slots__ = ("done", "occupied", "serve", "serve_many", "vacation", "vacation_time", "prop")
     shared = False
 
     def __init__(self, service: Sampler, vacation: Sampler | None, prop_latency: float):
-        super().__init__()
+        super().__init__(service.constant, vacation is not None)
         # The samplers' C-level stream readers, the bulk reader of the
         # array path, and the constant that each deterministic stream
         # always returns; no vacation sampler means emergent vacations.
         self.serve = service.take
         self.serve_many = service.many
-        self.service_time = service.constant
         self.vacation = None if vacation is None else vacation.take
         self.vacation_time = None if vacation is None else vacation.constant
         self.prop = prop_latency
@@ -367,8 +393,11 @@ class BandServer:
                 if lanes is not None:
                     lane = lanes[fi]
                     lane.keys.append(key)
+                    services = lane.services
+                    if services is not None:
+                        services.append(dur)
                     vac = occupied - lane.last - dur
-                    lane.samples += (dur, vac if vac > 0.0 else 0.0)
+                    lane.vacations.append(vac if vac > 0.0 else 0.0)
                     lane.last = occupied
                     lane.queued -= 1
                 if not self.qlen:
@@ -664,7 +693,7 @@ class SimState:
             else:
                 srv = BandServer([(fr.rank, fr.sta) for fr in flows], service, vacation, band.prop_latency_s)
                 if self.flows[0].taps is not None:
-                    srv.lanes = [_Lane() if i in reach[j] else None for i in range(len(self.flows))]
+                    srv.lanes = [_Lane(service.constant) if i in reach[j] else None for i in range(len(self.flows))]
                 self.shared.append(srv)
             self.servers.append(srv)
 
@@ -816,10 +845,11 @@ class SimState:
                 receipts[k] = end + b.prop
                 if feedback:
                     # The departure's event order key, and the tap's
-                    # samples: the service, and the band's occupied time
-                    # since its previous departure less the service.  The
-                    # band's first departure has no vacation sample; feed
-                    # drops the one computed here.
+                    # samples that are not known: a service that is not
+                    # deterministic, and on a parametric band the band's
+                    # occupied time since its previous departure less the
+                    # service.  The band's first departure has no
+                    # vacation sample; feed drops the one computed here.
                     keys = b.keys
                     if a < done:
                         start = keys[-1]
@@ -828,12 +858,15 @@ class SimState:
                     else:
                         start = (s, _VACATION, base + k)
                     keys.append((end, _DEPART, start))
-                    last = b.last
-                    b.last = b.occupied = occupied = b.occupied + dur
-                    vac = occupied - last - dur
-                    samples = b.samples
-                    samples.append(dur)
-                    samples.append(vac if vac > 0.0 else 0.0)
+                    services = b.services
+                    if services is not None:
+                        services.append(dur)
+                    vacations = b.vacations
+                    if vacations is not None:
+                        last = b.last
+                        b.last = b.occupied = occupied = b.occupied + dur
+                        vac = occupied - last - dur
+                        vacations.append(vac if vac > 0.0 else 0.0)
                     pending += 1
             fr.pending = pending
             g += k1 - k0

@@ -1,15 +1,20 @@
 """Windowed moment estimation for the feedback loop.
 
 Each (band, flow) pair keeps two windows: packet service times and
-vacation lengths (time the band spent serving or vacationing away from
-this flow's queue between the flow's own consecutive services).  Windowed
-means feed BandStats back to the schedulers.
+vacation lengths.  A vacation sample is the time the band spent serving
+or vacationing away from this flow's queue between the flow's own
+consecutive services; on a band that one flow has alone under emergent
+vacations the band never leaves the flow's queue, so every sample is
+exactly 0.  Samples known in advance (those zeros, and a deterministic
+service time) go in as counts of copies (``MomentEstimator.repeat``).
+Windowed means feed BandStats back to the schedulers.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import repeat
 from operator import mul
 
 from .errors import InsufficientSamples
@@ -31,10 +36,11 @@ class MomentEstimator:
     Running sums are resynced by exact summation every time the ring
     wraps, which bounds float drift to the last window's worth of
     updates; the estimates stay within 1e-9 relative of the exact window
-    moments.
+    moments.  ``_copies`` counts the latest samples that ``repeat`` added
+    as copies of one value, which ``extend`` resets to 0.
     """
 
-    __slots__ = ("window", "_ring", "_pos", "_sum", "_sum_sq")
+    __slots__ = ("window", "_ring", "_pos", "_sum", "_sum_sq", "_copies")
 
     def __init__(self, window: int = DEFAULT_WINDOW):
         if window < 1:
@@ -44,6 +50,7 @@ class MomentEstimator:
         self._pos = 0
         self._sum = 0.0
         self._sum_sq = 0.0
+        self._copies = 0
 
     def add(self, x: float) -> None:
         self.extend((x,))
@@ -76,6 +83,44 @@ class MomentEstimator:
         self._pos = pos
         self._sum = total
         self._sum_sq = total_sq
+        self._copies = 0
+
+    def repeat(self, x: float, m: int) -> None:
+        """Add ``m`` copies of ``x``: ``extend([x] * m)``, bit for bit.
+
+        Once a resync has found the ring holding only copies of x, each
+        further copy replaces a copy: it adds x - x = 0.0 to sums that
+        ``math.fsum`` never leaves at -0.0, and each wrap resyncs the
+        same ring to the same sums, so only ``_pos`` moves.  Up to that
+        resync the copies are folded one by one, as are copies of -0.0
+        (which compare equal to 0.0) and of an x whose square is not
+        finite."""
+        if x * x - x * x != 0.0 or (x == 0.0 and math.copysign(1.0, x) < 0.0):
+            self.extend(repeat(x, m))
+            return
+        ring = self._ring
+        window = self.window
+        pos = self._pos
+        # A count above 0 is of copies of a finite value other than -0.0,
+        # so == finds them bit for bit.
+        copies = self._copies if ring and ring[pos - 1] == x else 0
+        # The copies to fold before a resync finds the ring all x: none
+        # when the latest one did, else up to the first wrap past the
+        # window's worth of copies.
+        if len(ring) == window and copies >= window + pos:
+            slow = 0
+        else:
+            slow = window - pos
+            if copies + slow < window:
+                slow += window
+        if m <= slow:
+            self.extend(repeat(x, m))
+        else:
+            if slow:
+                self.extend(repeat(x, slow))
+                pos = 0
+            self._pos = (pos + m - slow) % window
+        self._copies = copies + m
 
     def __len__(self) -> int:
         return len(self._ring)

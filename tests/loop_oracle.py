@@ -97,9 +97,15 @@ def run_events(state) -> MetricsReport:
     cap = engine.QUEUE_CAP
     # Under a feedback policy, each flow's served count and, per band,
     # the band's occupied time at the flow's latest departure there (None
-    # before its first, which gives no vacation sample).
+    # before its first, which gives no vacation sample).  Under emergent
+    # vacations a band that one flow alone reaches never leaves that
+    # flow's queue, so each of its vacation samples is exactly 0.
     served = [0] * len(flows)
     last_occupied = [[None] * len(servers) for _ in flows]
+    alone = [
+        state.config.vacation is None and sum(j in fr.scheduler.avail for fr in flows) == 1
+        for j in range(len(servers))
+    ]
     for fr in flows:
         state._start_flow(fr)
         push(heap, (fr.arrival[0], EV_ARRIVAL, tick(), fr.index))
@@ -126,7 +132,7 @@ def run_events(state) -> MetricsReport:
                 tap.service.add(dur)
                 last = last_occupied[fi][j]
                 if last is not None:
-                    vac = occupied - last - dur
+                    vac = 0.0 if alone[j] else occupied - last - dur
                     tap.vacation.add(vac if vac > 0.0 else 0.0)
                 last_occupied[fi][j] = occupied
                 tap.fresh = True

@@ -748,6 +748,23 @@ def _feedback_state(state):
     return out
 
 
+@pytest.mark.parametrize("kind", FEEDBACK_KINDS)
+def test_taps_of_one_flow_deterministic_bands_hold_only_known_samples(kind):
+    # two_band_asym: one flow, deterministic services, emergent
+    # vacations.  Each band is the flow's alone and never leaves its
+    # queue, so every vacation sample is exactly 0 (not the rounding
+    # residue of occupied - last - dur), and every service sample is the
+    # band's service time.
+    cfg = _scaled(scenarios.load("two_band_asym"), 3000)
+    state = SimState(cfg, SchedulerSpec(kind), 1)
+    state.run()
+    for tap, band in zip(state.flows[0].taps, cfg.bands):
+        assert len(tap.vacation) > 0
+        assert tap.vacation._sum == tap.vacation._sum_sq == 0.0
+        assert set(tap.vacation._ring) == {0.0}
+        assert set(tap.service._ring) == {band.service.mean}
+
+
 ALL_KINDS = ("single_band:0",) + STATIC_ENTRIES[2:] + FEEDBACK_KINDS
 
 
@@ -1651,9 +1668,9 @@ def test_round_heads_count_departures_by_time():
         fr = state.flows[1]
         lanes = []
         for keys in band_keys:
-            lane = engine._Lane()
+            lane = engine._Lane(0.01)  # a deterministic service
             lane.keys = list(keys)
-            lane.samples = [0.01, 0.0] * len(keys)
+            lane.vacations = [0.0] * len(keys)
             lanes.append(lane)
         taps = [fr.taps[1], fr.taps[2]]
         left = state._fire_rounds((fr, lanes, [lane.keys for lane in lanes], taps), t, 3)

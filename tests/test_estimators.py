@@ -70,6 +70,38 @@ def test_add_and_extend_match_the_reference_bit_for_bit():
             assert state[0] == state[1] == state[2]
 
 
+def test_repeat_matches_the_reference_bit_for_bit():
+    # Random interleavings of extend and repeat, each repeat of 0.0, -0.0,
+    # the window's latest sample or a fresh value, m from 0 to 3 windows,
+    # so a repeat starts and ends on both sides of a wrap and runs of
+    # copies cross resyncs that find the ring all copies.
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        window = int(rng.integers(1, 41))
+        ref, est = MomentEstimator(window), MomentEstimator(window)
+        for _ in range(int(rng.integers(1, 16))):
+            if rng.integers(0, 4) == 0:
+                xs = (rng.exponential(1.0, int(rng.integers(0, 2 * window))) * 10.0 ** rng.integers(-3, 4)).tolist()
+                est.extend(xs)
+            else:
+                pick = int(rng.integers(0, 4))
+                if pick == 2 and est._ring:
+                    x = est._ring[est._pos - 1]
+                elif pick >= 2:
+                    x = float(rng.exponential(1.0) * 10.0 ** rng.integers(-3, 4))
+                else:
+                    x = (0.0, -0.0)[pick]
+                m = int(rng.integers(0, 3 * window + 1))
+                xs = [x] * m
+                est.repeat(x, m)
+            for x in xs:
+                _reference_add(ref, x)
+            state = [
+                ([v.hex() for v in e._ring], e._pos, e._sum.hex(), e._sum_sq.hex()) for e in (ref, est)
+            ]
+            assert state[0] == state[1]
+
+
 def test_empty_window_raises():
     est = MomentEstimator(window=4)
     with pytest.raises(InsufficientSamples):
@@ -98,6 +130,22 @@ def test_band_stats_constant_service():
     # All-zero vacations get floored but stay negligible.
     assert st.vbar == VACATION_FLOOR
     assert st.v2 >= st.vbar**2
+
+
+def test_band_stats_do_not_see_vacation_residue_below_the_floor():
+    # A band that one flow has alone under emergent vacations measured
+    # the rounding residue of occupied - last - dur as its vacations: at
+    # most 2^-30 s while the band's occupied time stays below 2^24 s.
+    # The floor hides it, so exact zeros give the same stats.
+    svc = MomentEstimator()
+    svc.extend([0.1] * 512)
+    residue, zeros = MomentEstimator(), MomentEstimator()
+    residue.extend([2.0**-30] * 512)
+    zeros.extend([0.0] * 512)
+    assert residue._sum > 0.0
+    st = band_stats_from_windows(svc, zeros)
+    assert band_stats_from_windows(svc, residue) == st
+    assert (st.vbar, st.v2) == (VACATION_FLOOR, VACATION_FLOOR**2)
 
 
 def test_band_stats_exponential_second_moment():
